@@ -167,13 +167,19 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 # gen-supports
 # ---------------------------------------------------------------------------
 
+def _plain(value):
+    """A provenance value as plain JSON, floats rounded to 9 places."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    return round(value, 9) if isinstance(value, float) else value
+
+
 def _support_to_record(support: Support) -> dict:
-    rec = support.state.to_record()
+    rec = {key: _plain(value) for key, value in support.meta.items()}
+    rec.update(support.state.to_record())
     rec["command"] = ",".join(realize(support.instruction))
     rec["target"] = ",".join(a.name for a in support.actions) if support.actions is not None else None
     rec["valid"] = support.actions is not None
-    if "score" in support.meta:
-        rec["score"] = round(float(support.meta["score"]), 9)
     return rec
 
 
@@ -273,11 +279,11 @@ def cmd_gen_supports(args: argparse.Namespace) -> int:
         elif strategy == "covr":
             sset = covr_supports(query, covr, n=args.n, probes=args.probes)
         else:
-            sset = gandr_supports(query, solver if external is None else external,
-                                  gandr, n=args.n, probes=args.probes)
+            sset = gandr_supports(query, solver, gandr, n=args.n, probes=args.probes)
         return {
             "query": query.to_record(),
             "strategy": sset.strategy,
+            "meta": {key: _plain(value) for key, value in sset.meta.items()},
             "supports": [_support_to_record(s) for s in sset.supports],
         }
 

@@ -2,8 +2,8 @@
 
 Strategies never emit the query pair itself, and all of them are pure
 functions of (query, corpus/model, seed). Same-state strategies (heuristic,
-random, demogen, covr-in-state is not one of them) keep the query state on
-every support; retrieval strategies attach training states.
+random, demogen) keep the query state on every support; retrieval strategies
+(covr, gandr) and other-states attach training states.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from .index import (
     tfidf_encode,
     tfidf_fit,
 )
-from .instruction_model import InstructionModel, sample_infill, score
+from .instruction_model import INSTRUCTIONS, InstructionModel, infill_distribution, score
 from .world import Action, RngLike, WorldState, as_rng, encode_one_hot
 from . import planner
 
@@ -198,34 +198,33 @@ def demogen_supports(query: Example, model: InstructionModel, solver: Solver,
                      n: int = DEFAULT_SUPPORT_COUNT,
                      mask_rate: float = DEFAULT_MASK_RATE,
                      keep_invalid: bool = True) -> SupportSet:
-    """Sample k masked infills of the query, deduplicate, drop the query,
-    rank by model score (ties on the realized string), then solve the top n
-    in the query state.
+    """Draw k masked infills of the query from the exact infill distribution,
+    deduplicate, drop the query, rank by model score (ties on the realized
+    string), then solve the top n in the query state.
 
     With keep_invalid (default) unsolvable candidates stay in the set with a
     failure marker; otherwise each is replaced by the next-ranked candidate
     until n supports exist or candidates run out."""
-    gen = as_rng(rng)
-    seen: dict[Instruction, None] = {}
-    for _ in range(k):
-        cand = sample_infill(model, query.instruction, mask_rate, gen)
-        if cand != query.instruction and cand not in seen:
-            seen[cand] = None
-    ranked = sorted(seen, key=lambda i: (-score(model, i), " ".join(realize(i))))
+    probs = infill_distribution(model, query.instruction, mask_rate)
+    drawn = as_rng(rng).choice(probs.size, size=k, p=probs)
+    candidates = (INSTRUCTIONS[i] for i in np.unique(drawn))
+    ranked = sorted(((score(model, cand), " ".join(realize(cand)), cand)
+                     for cand in candidates if cand != query.instruction),
+                    key=lambda item: (-item[0], item[1]))
 
     supports: list[Support] = []
-    for cand in ranked:
+    for cand_score, _, cand in ranked:
         if len(supports) >= n:
             break
         try:
             actions: tuple[Action, ...] | None = solver.solve(query.state, cand)
             valid = True
-        except SolverError as exc:
+        except SolverError:
             if not keep_invalid:
                 continue
             actions, valid = None, False
         supports.append(Support(query.state, cand, actions,
-                                {"score": score(model, cand), "valid": valid}))
+                                {"score": cand_score, "valid": valid}))
     return SupportSet(strategy="demogen",
                       supports=supports,
                       meta={"sampled": k, "unique": len(ranked), "keep_invalid": keep_invalid})

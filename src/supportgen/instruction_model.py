@@ -5,21 +5,24 @@ shape, adverb). Fitting is balanced: every distinct instruction counts once,
 so duplicating the corpus changes nothing. Absent optional slots are ordinary
 "none" values, which makes them maskable like any other position.
 
-All conditionals derive from one add-k smoothed joint table, so sampling,
-infilling and scoring are exactly consistent with each other.
+Scoring and infilling both read one add-k smoothed joint table over the 675
+instructions: a score is a log joint probability over the slot count, and an
+infill is drawn from the exact mixture, over the 32 mask patterns, of the
+table's slice on the query's unmasked values.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import FitError
-from .grammar import ADVERBS, COLOR_WORDS, SHAPE_WORDS, SIZE_WORDS, VERBS, Instruction
+from .errors import DataFormatError, FitError
+from .grammar import ADVERBS, COLOR_WORDS, SHAPE_WORDS, SIZE_WORDS, VERBS, Instruction, realize
 from .world import RngLike, as_rng
 
 SLOT_NAMES = ("verb", "size", "color", "shape", "adverb")
@@ -32,24 +35,17 @@ SLOT_DOMAINS: tuple[tuple, ...] = (
 )
 _SHAPE = tuple(len(d) for d in SLOT_DOMAINS)
 
+#: Every instruction, at its flat (C-order) index into the joint table.
+INSTRUCTIONS = tuple(Instruction(*values) for values in itertools.product(*SLOT_DOMAINS))
+_FLAT_INDEX = {instr: i for i, instr in enumerate(INSTRUCTIONS)}
+
 FORMAT_VERSION = 1
-
-
-def _to_indices(instr: Instruction) -> tuple[int, ...]:
-    values = (instr.verb, instr.size_word, instr.color_word, instr.shape_word, instr.adverb)
-    return tuple(SLOT_DOMAINS[i].index(v) for i, v in enumerate(values))
-
-
-def _from_indices(idx: Sequence[int]) -> Instruction:
-    v = [SLOT_DOMAINS[i][j] for i, j in enumerate(idx)]
-    return Instruction(v[0], v[1], v[2], v[3], v[4])
 
 
 @dataclass
 class InstructionModel:
     counts: np.ndarray
     k: float = 0.1
-    _cond_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def smoothed(self) -> np.ndarray:
@@ -66,85 +62,82 @@ class InstructionModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "InstructionModel":
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-        counts = np.asarray(payload["counts"], dtype=np.float64).reshape(payload["shape"])
-        return cls(counts=counts, k=float(payload["k"]))
+        """Read a saved count table; a malformed one raises DataFormatError."""
+        try:
+            payload = json.loads(Path(path).read_text(encoding="utf-8"))
+            version, shape = payload["version"], payload["shape"]
+            k = float(payload["k"])
+            counts = np.asarray(payload["counts"], dtype=np.float64)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataFormatError(f"{path}: malformed model file ({exc!r})") from None
+        if version != FORMAT_VERSION:
+            raise DataFormatError(f"{path}: model format {version!r}, expected {FORMAT_VERSION}")
+        if shape != list(_SHAPE) or counts.shape != (len(INSTRUCTIONS),):
+            raise DataFormatError(f"{path}: model table must have shape {list(_SHAPE)}")
+        if not (np.isfinite(counts).all() and (counts >= 0).all()
+                and np.isfinite(k) and k >= 0):
+            raise DataFormatError(f"{path}: counts and k must be finite and non-negative")
+        return cls(counts=counts.reshape(_SHAPE), k=k)
 
 
 def fit(corpus: Iterable[Instruction], k: float = 0.1) -> InstructionModel:
     """Balanced fit: each unique instruction contributes one count."""
-    counts = np.zeros(_SHAPE, dtype=np.float64)
-    seen = set()
-    for instr in corpus:
-        idx = _to_indices(instr)
-        if idx not in seen:
-            seen.add(idx)
-            counts[idx] += 1.0
+    seen = list({_FLAT_INDEX[instr] for instr in corpus})
     if not seen:
         raise FitError("cannot fit an instruction model on an empty corpus")
-    return InstructionModel(counts=counts, k=k)
-
-
-def _conditional(model: InstructionModel, slot: int, fixed: tuple) -> np.ndarray:
-    """p(slot value | fixed slot values), marginalizing unfixed slots.
-
-    `fixed` is a 5-tuple of value indices with None for free slots; slot
-    `slot` itself must be free. Cached per (slot, fixed) pattern."""
-    key = (slot, fixed)
-    cached = model._cond_cache.get(key)
-    if cached is not None:
-        return cached
-    table = model.smoothed
-    index = tuple(slice(None) if f is None else f for f in fixed)
-    sub = table[index]
-    free_axes = [i for i, f in enumerate(fixed) if f is None]
-    target_axis = free_axes.index(slot)
-    other = tuple(a for a in range(sub.ndim) if a != target_axis)
-    weights = sub.sum(axis=other) if other else sub
-    probs = weights / weights.sum()
-    model._cond_cache[key] = probs
-    return probs
+    counts = np.zeros(len(INSTRUCTIONS))
+    counts[seen] = 1.0
+    return InstructionModel(counts=counts.reshape(_SHAPE), k=k)
 
 
 def score(model: InstructionModel, instr: Instruction) -> float:
-    """Length-normalized log-likelihood under the left-to-right chain.
+    """Length-normalized log-likelihood: log(joint / total) / slot count.
 
     The model's sequence has a fixed length (absent optional slots are
     padding tokens), so the normalizer is the slot count; this keeps a
-    verbatim-seen instruction ahead of every unseen one. Higher is more
-    in-distribution; ties in downstream rankings break on the realized token
-    string."""
-    idx = _to_indices(instr)
-    total = 0.0
-    fixed: list[int | None] = [None] * len(SLOT_NAMES)
-    for slot, value in enumerate(idx):
-        probs = _conditional(model, slot, tuple(fixed))
-        total += float(np.log(probs[value]))
-        fixed[slot] = value
-    return total / len(SLOT_NAMES)
+    verbatim-seen instruction ahead of every unseen one. Instructions with
+    equal smoothed counts get bit-identical scores, so ties in downstream
+    rankings break on the realized token string. Higher is more
+    in-distribution."""
+    table = model.smoothed
+    return float(np.log(table.flat[_FLAT_INDEX[instr]] / table.sum())) / len(SLOT_NAMES)
+
+
+def infill_distribution(model: InstructionModel, query: Instruction,
+                        mask_rate: float) -> np.ndarray:
+    """Exact distribution of a masked infill of `query`, indexed like
+    INSTRUCTIONS.
+
+    Each slot is masked independently with probability mask_rate; the masked
+    slots are then filled jointly from the smoothed table's slice on the
+    query's unmasked values. The result is the sum over the 32 mask patterns
+    of P(mask) times that normalised slice."""
+    if not 0.0 <= mask_rate <= 1.0:
+        raise ValueError(f"mask_rate must be in [0, 1], got {mask_rate}")
+    table = model.smoothed
+    query_idx = np.unravel_index(_FLAT_INDEX[query], _SHAPE)
+    dist = np.zeros(_SHAPE)
+    for mask in itertools.product((False, True), repeat=len(_SHAPE)):
+        masked = sum(mask)
+        weight = mask_rate ** masked * (1.0 - mask_rate) ** (len(mask) - masked)
+        if weight == 0.0:
+            continue
+        index = tuple(slice(None) if m else v for m, v in zip(mask, query_idx))
+        mass = table[index].sum()
+        if mass == 0.0:
+            raise ValueError("the model gives no mass to any infill of "
+                             f"{' '.join(realize(query))!r} under some mask")
+        dist[index] += weight * table[index] / mass
+    return dist.ravel()
 
 
 def sample_infill(model: InstructionModel, query: Instruction, mask_rate: float,
                   rng: RngLike) -> Instruction:
-    """Mask each slot independently with probability mask_rate, then resample
-    masked slots left to right conditioned on everything unmasked (and on
-    already-resampled earlier slots)."""
-    if not 0.0 <= mask_rate <= 1.0:
-        raise ValueError(f"mask_rate must be in [0, 1], got {mask_rate}")
-    gen = as_rng(rng)
-    idx = list(_to_indices(query))
-    masked = gen.random(len(idx)) < mask_rate
-    if not masked.any():
-        return query
-    fixed: list[int | None] = [None if masked[i] else idx[i] for i in range(len(idx))]
-    for slot in range(len(idx)):
-        if not masked[slot]:
-            continue
-        probs = _conditional(model, slot, tuple(fixed))
-        choice = int(gen.choice(len(probs), p=probs))
-        idx[slot] = choice
-        fixed[slot] = choice
-    return _from_indices(idx)
+    """Draw one instruction from infill_distribution: mask each slot with
+    probability mask_rate and fill the masked slots from the joint
+    conditioned on the unmasked ones."""
+    probs = infill_distribution(model, query, mask_rate)
+    return INSTRUCTIONS[int(as_rng(rng).choice(probs.size, p=probs))]
 
 
 def slot_marginal(model: InstructionModel, slot: int) -> np.ndarray:

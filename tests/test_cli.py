@@ -96,6 +96,33 @@ class TestGenSupports:
         assert run(base + ["--out", str(b)]) == EXIT_OK  # loads the cached table
         assert digests(a) == digests(b)
 
+    def test_malformed_model_file_is_data_error(self, data_file, tmp_path):
+        good = {"version": 1, "k": 0.1, "shape": [3, 3, 5, 3, 5], "counts": [0.0] * 675}
+        bad_payloads = [
+            {},
+            [1, 2],
+            {**good, "version": 2},
+            {**good, "shape": [2, 2], "counts": [1.0] * 4},
+            {**good, "counts": [0.0] * 674},
+            {**good, "counts": [-1.0] + [0.0] * 674},
+            {**good, "counts": [float("nan")] + [0.0] * 674},
+            {**good, "counts": "zeros"},
+            {**good, "k": -0.5},
+        ]
+        model_file = tmp_path / "model.json"
+        for payload in bad_payloads:
+            model_file.write_text(json.dumps(payload))
+            code = run(["gen-supports", "--data", str(data_file), "--strategy", "demogen",
+                        "--seed", "3", "--splits", "h", "--limit", "1", "--k", "8",
+                        "--model-file", str(model_file),
+                        "--out", str(tmp_path / "x.jsonl")])
+            assert code == EXIT_DATA, payload
+        model_file.write_text(json.dumps(good))
+        assert run(["gen-supports", "--data", str(data_file), "--strategy", "demogen",
+                    "--seed", "3", "--splits", "h", "--limit", "1", "--k", "8",
+                    "--model-file", str(model_file),
+                    "--out", str(tmp_path / "x.jsonl")]) == EXIT_OK
+
     def test_unknown_strategy_is_data_error(self, data_file, tmp_path):
         code = run(["gen-supports", "--data", str(data_file), "--strategy", "nope",
                     "--seed", "1", "--out", str(tmp_path / "x.jsonl")])
@@ -114,6 +141,38 @@ class TestGenSupports:
             # retrieval strategies attach stored train actions, never null
             assert all(s["target"] is not None
                        for l in lines for s in l["supports"])
+
+    def test_provenance_reaches_support_file(self, data_file, tmp_path):
+        helper = tmp_path / "failing_helper.py"
+        helper.write_text(
+            "import json, sys\n"
+            "for line in sys.stdin:\n"
+            "    msg = json.loads(line)\n"
+            "    print(json.dumps({'id': msg['id'], 'error': 'no guess'}), flush=True)\n")
+        common = ["--data", str(data_file), "--seed", "2", "--splits", "h", "--limit", "2",
+                  "--cells", "16", "--pca-dim", "32", "--probes", "16"]
+        gandr = tmp_path / "gandr.jsonl"
+        assert run(["gen-supports", "--strategy", "gandr", *common,
+                    "--solver", "external", "--solver-cmd", f"{sys.executable} {helper}",
+                    "--out", str(gandr)]) == EXIT_OK
+        lines = [json.loads(l) for l in gandr.read_text().splitlines()]
+        assert len(lines) == 2
+        assert all(l["meta"] == {"helper_failed": True} for l in lines)
+        assert all(isinstance(s["retrieval"], float) for l in lines for s in l["supports"])
+
+        covr = tmp_path / "covr.jsonl"
+        assert run(["gen-supports", "--strategy", "covr", *common,
+                    "--out", str(covr)]) == EXIT_OK
+        for line in covr.read_text().splitlines():
+            for support in json.loads(line)["supports"]:
+                assert {"retrieval", "cosine", "two_grams", "one_grams"} <= support.keys()
+
+        demogen = tmp_path / "demogen.jsonl"
+        assert run(["gen-supports", "--strategy", "demogen", "--data", str(data_file),
+                    "--seed", "2", "--splits", "h", "--limit", "1", "--k", "64",
+                    "--out", str(demogen)]) == EXIT_OK
+        meta = json.loads(demogen.read_text().splitlines()[0])["meta"]
+        assert meta["sampled"] == 64 and 0 < meta["unique"] <= 64
 
     def test_workers_do_not_change_output(self, data_file, tmp_path):
         a, b = tmp_path / "w1.jsonl", tmp_path / "w4.jsonl"

@@ -23,7 +23,7 @@ from supportgen.engines import (
     serve_solver,
 )
 from supportgen.errors import ProtocolError, SolverError, SolverTimeout
-from supportgen.grammar import parse, realize
+from supportgen.grammar import enumerate_instructions, parse, realize
 from supportgen.instruction_model import fit
 from supportgen.planner import solve
 from supportgen.world import AgentPose, Heading, ObjectSpec, Position, WorldState
@@ -222,6 +222,21 @@ class TestDemogen:
         a = demogen_supports(query, model, OracleSolver(), rng=7, k=256)
         b = demogen_supports(query, model, OracleSolver(), rng=7, k=256)
         assert [s.instruction for s in a.supports] == [s.instruction for s in b.supports]
+
+    def test_ties_rank_on_realized_string(self, model):
+        # n covers every unique candidate, so the whole ranking is returned
+        joint = dict(zip(enumerate_instructions(), model.smoothed.ravel()))
+        query = h_query()
+        full = demogen_supports(query, model, OracleSolver(), rng=5, k=2048, n=1000)
+        instrs = [s.instruction for s in full.supports]
+        assert len(instrs) == full.meta["unique"]
+        assert len(set(joint[i] for i in instrs)) < len(instrs)  # a tie group exists
+        assert instrs == sorted(instrs, key=lambda i: (-joint[i], " ".join(realize(i))))
+        for a, b in zip(full.supports, full.supports[1:]):
+            if joint[a.instruction] == joint[b.instruction]:
+                assert a.meta["score"] == b.meta["score"]
+        top = demogen_supports(query, model, OracleSolver(), rng=5, k=2048)
+        assert [s.instruction for s in top.supports] == instrs[:16]
 
 
 @pytest.fixture(scope="module")

@@ -7,9 +7,11 @@ import pytest
 from supportgen.errors import FitError
 from supportgen.grammar import Instruction, enumerate_instructions, parse, realize
 from supportgen.instruction_model import (
+    INSTRUCTIONS,
     SLOT_DOMAINS,
     InstructionModel,
     fit,
+    infill_distribution,
     sample_infill,
     score,
     slot_marginal,
@@ -36,6 +38,46 @@ def brute_force_score(corpus: list[Instruction], k: float, instr: Instruction) -
         den = sum(w for tup, w in weight.items() if tup[:slot] == prefix)
         total += math.log(num / den)
     return total / 5.0
+
+
+def brute_force_infill(corpus: list[Instruction], k: float, query: Instruction,
+                       mask_rate: float) -> dict[tuple, float]:
+    """Independent infill distribution: enumerate the 32 masks, and for each
+    fill the masked slots left to right with explicit conditionals that sum
+    the add-k weights over every tuple agreeing with the fixed slots."""
+    def values(i: Instruction) -> tuple:
+        return (i.verb, i.size_word, i.color_word, i.shape_word, i.adverb)
+
+    unique = {values(i) for i in corpus}
+    tuples = list(itertools.product(*SLOT_DOMAINS))
+    weight = {tup: (1.0 if tup in unique else 0.0) + k for tup in tuples}
+
+    def conditional(slot: int, fixed: tuple) -> dict:
+        agree = [tup for tup in tuples
+                 if all(f is None or tup[i] == f[0] for i, f in enumerate(fixed))]
+        den = sum(weight[tup] for tup in agree)
+        return {v: sum(weight[tup] for tup in agree if tup[slot] == v) / den
+                for v in SLOT_DOMAINS[slot]}
+
+    target = values(query)
+    dist = {tup: 0.0 for tup in tuples}
+    for mask in itertools.product((False, True), repeat=5):
+        p_mask = math.prod(mask_rate if m else 1.0 - mask_rate for m in mask)
+        if p_mask == 0.0:
+            continue
+        # partial fills: (fixed slots as 1-tuples or None, probability)
+        fills = [(tuple(None if m else (v,) for m, v in zip(mask, target)), p_mask)]
+        for slot in range(5):
+            if not mask[slot]:
+                continue
+            grown = []
+            for fixed, p in fills:
+                for v, q in conditional(slot, fixed).items():
+                    grown.append((fixed[:slot] + ((v,),) + fixed[slot + 1:], p * q))
+            fills = grown
+        for fixed, p in fills:
+            dist[tuple(f[0] for f in fixed)] += p
+    return dist
 
 
 class TestFit:
@@ -126,7 +168,53 @@ class TestSampleInfill:
             assert abs(value - want) <= 3 * sigma + 1e-12
 
 
+class TestInfillDistribution:
+    @pytest.mark.parametrize("mask_rate", [0.0, 0.2, 1.0])
+    def test_matches_brute_force(self, mask_rate):
+        corpus = list(enumerate_instructions())[::7][:40]
+        model = fit(corpus, k=0.1)
+        query = parse("pull a small yellow cylinder while spinning".split())
+        ours = infill_distribution(model, query, mask_rate)
+        brute = brute_force_infill(corpus, 0.1, query, mask_rate)
+        want = np.asarray([brute[tup] for tup in itertools.product(*SLOT_DOMAINS)])
+        assert np.abs(ours - want).max() <= 1e-12
+        assert abs(ours.sum() - 1.0) <= 1e-12
+
+    def test_indexed_like_instructions(self):
+        assert INSTRUCTIONS == tuple(enumerate_instructions())
+        model = fit(enumerate_instructions())
+        query = parse("push a big blue cylinder while spinning".split())
+        dist = infill_distribution(model, query, 0.0)
+        assert INSTRUCTIONS[int(np.argmax(dist))] == query
+        assert dist.max() == 1.0
+
+    def test_zero_mass_slice_raises(self):
+        x = parse("walk to a red circle".split())
+        model = fit([x], k=0.0)
+        with pytest.raises(ValueError):
+            infill_distribution(model, parse("push a square".split()), 0.2)
+
+    def test_bad_mask_rate(self):
+        model = fit(enumerate_instructions())
+        with pytest.raises(ValueError):
+            infill_distribution(model, parse("push a square".split()), 1.5)
+
+
 class TestScore:
+    def test_closed_form_exactly(self):
+        model = fit(list(enumerate_instructions())[::3], k=0.1)
+        table = model.smoothed
+        for instr, joint in zip(INSTRUCTIONS, table.ravel()):
+            assert score(model, instr) == float(np.log(joint / table.sum())) / 5
+
+    def test_equal_joint_means_equal_score(self):
+        model = fit(list(enumerate_instructions())[::3], k=0.1)
+        by_joint: dict[float, set] = {}
+        for instr, joint in zip(INSTRUCTIONS, model.smoothed.ravel()):
+            by_joint.setdefault(float(joint), set()).add(score(model, instr))
+        assert len(by_joint) == 2
+        assert all(len(scores) == 1 for scores in by_joint.values())
+
     def test_seen_beats_unseen(self):
         x = parse("walk to a red circle".split())
         model = fit([x])
