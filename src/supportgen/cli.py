@@ -119,6 +119,17 @@ def _parse_object_range(spec: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"bad object range {spec!r}, expected e.g. 3..10")
 
 
+def _parse_split_counts(spec: str) -> dict[Split, int]:
+    """'h=100,c=50' -> per-split counts; only test splits a-h may be named."""
+    names = {s.value: s for s in TEST_SPLITS}
+    try:
+        pairs = [part.split("=") for part in spec.split(",") if part.strip()]
+        return {names[name.strip().lower()]: int(count) for name, count in pairs}
+    except (KeyError, ValueError):
+        raise argparse.ArgumentTypeError(
+            f"bad split counts {spec!r}, expected e.g. 'h=100,c=50' over splits a-h")
+
+
 def _parse_split_list(spec: str) -> list[Split]:
     if spec == "all":
         return [Split.TRAIN, *TEST_SPLITS]
@@ -140,15 +151,10 @@ def _parse_split_list(spec: str) -> list[Split]:
 
 def cmd_gen_data(args: argparse.Namespace) -> int:
     lo, hi = args.objects
-    split_counts = {s: args.per_split for s in TEST_SPLITS}
-    for part in (args.split_counts or "").split(","):
-        if part.strip():
-            name, _, count = part.partition("=")
-            split_counts[Split(name.strip().lower())] = int(count)
     config = DatasetConfig(
         seed=args.seed,
         train_count=args.train,
-        split_counts=split_counts,
+        split_counts={s: args.per_split for s in TEST_SPLITS} | args.split_counts,
         grid_size=args.grid,
         min_objects=lo,
         max_objects=hi,
@@ -495,8 +501,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--train", type=int, default=50_000)
     p.add_argument("--per-split", type=int, default=2_000)
-    p.add_argument("--split-counts", default="",
-                   help="override per-split counts, e.g. 'h=100,c=50'")
+    p.add_argument("--split-counts", type=_parse_split_counts, default={},
+                   help="override per-split counts of test splits a-h, e.g. 'h=100,c=50'")
     p.add_argument("--grid", type=int, default=6)
     p.add_argument("--objects", type=_parse_object_range, default=(3, 10),
                    help="object count range, e.g. 3..10")

@@ -11,35 +11,36 @@ exactly that split's predicate; TRAIN and split A satisfy none):
   F  verb is push and the target has size 3
   G  adverb is "cautiously"
   H  verb is pull and adverb is "while spinning"
+
+The predicate tables below are the single definition of B-H: classify and
+the generator's candidate filter both evaluate them.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DataFormatError, GenerationError, UnresolvableError
+from .errors import DataFormatError, GenerationError
 from .grammar import (
-    ADVERBS,
-    COLOR_WORDS,
-    SHAPE_WORDS,
-    VERBS,
+    INSTRUCTIONS,
     Instruction,
     command_string,
     encode_words,
     parse_command_string,
     realize,
+    resolve_descriptions,
     resolve_target,
 )
 from .permuter import Permutation, identity_permutation, sample_permutation
 from .permuter import apply as apply_permutation
-from .world import Action, WorldState, new_random_state
+from .world import SIZES, Action, AgentPose, Heading, ObjectSpec, Position, WorldState
+from .world import new_random_state
 from . import planner
 
 
@@ -56,7 +57,29 @@ class Split(Enum):
 
 
 TEST_SPLITS = (Split.A, Split.B, Split.C, Split.D, Split.E, Split.F, Split.G, Split.H)
-HOLDOUT_SPLITS = (Split.B, Split.C, Split.D, Split.E, Split.F, Split.G, Split.H)
+
+#: Description-level hold-out predicates over the (size, color, shape) words,
+#: the resolved target and the agent.
+_DESCRIPTION_PREDICATES = {
+    Split.B: lambda size, color, shape, target, agent: color == "yellow" and shape == "square",
+    Split.C: lambda size, color, shape, target, agent:
+        target.shape == "square" and target.color == "red",
+    Split.D: lambda size, color, shape, target, agent:
+        target.pos.x < agent.pos.x and target.pos.y > agent.pos.y,
+    Split.E: lambda size, color, shape, target, agent:
+        size == "small" and target.shape == "circle" and target.size == 2,
+}
+#: Verb/adverb-level hold-out predicates over the verb, the adverb and the
+#: target's size.
+_ACTION_PREDICATES = {
+    Split.F: lambda verb, adverb, target_size: verb == "push" and target_size == 3,
+    Split.G: lambda verb, adverb, target_size: adverb == "cautiously",
+    Split.H: lambda verb, adverb, target_size: verb == "pull" and adverb == "while_spinning",
+}
+HOLDOUT_SPLITS = (*_DESCRIPTION_PREDICATES, *_ACTION_PREDICATES)
+
+#: Attempts (fresh states) per example before generation gives up.
+MAX_ATTEMPTS = 200
 
 
 @dataclass(frozen=True)
@@ -94,27 +117,18 @@ def parse_target_string(target: str) -> tuple[Action, ...]:
         raise DataFormatError(f"unknown action token {exc.args[0]!r}") from None
 
 
+def _flags(predicates: Mapping, *args) -> frozenset[Split]:
+    """The splits whose predicate in `predicates` holds for `args`."""
+    return frozenset(split for split, holds in predicates.items() if holds(*args))
+
+
 def classify(state: WorldState, instruction: Instruction) -> frozenset[Split]:
     """All hold-out predicates the (state, instruction) pair satisfies.
 
     Empty set means in-distribution. Requires a resolvable instruction."""
     target = resolve_target(instruction, state).object
-    flags = set()
-    if instruction.color_word == "yellow" and instruction.shape_word == "square":
-        flags.add(Split.B)
-    if target.shape == "square" and target.color == "red":
-        flags.add(Split.C)
-    if target.pos.x < state.agent.pos.x and target.pos.y > state.agent.pos.y:
-        flags.add(Split.D)
-    if instruction.size_word == "small" and target.shape == "circle" and target.size == 2:
-        flags.add(Split.E)
-    if instruction.verb == "push" and target.size == 3:
-        flags.add(Split.F)
-    if instruction.adverb == "cautiously":
-        flags.add(Split.G)
-    if instruction.verb == "pull" and instruction.adverb == "while_spinning":
-        flags.add(Split.H)
-    return frozenset(flags)
+    return (_flags(_DESCRIPTION_PREDICATES, *instruction.description(), target, state.agent)
+            | _flags(_ACTION_PREDICATES, instruction.verb, instruction.adverb, target.size))
 
 
 @dataclass
@@ -127,12 +141,6 @@ class DatasetConfig:
     grid_size: int = 6
     min_objects: int = 3
     max_objects: int = 10
-    max_attempts: int = 200
-    #: Hold-out push/pull examples must displace the object at least one cell
-    #: (guarantees e.g. that every Split-H target shows the spin-pull fragment).
-    require_verb_effect_in_splits: bool = True
-    verb_weights: dict[str, float] | None = None
-    adverb_weights: dict[str, float] | None = None
 
     def __post_init__(self) -> None:
         if self.train_count < 0 or any(c < 0 for c in self.split_counts.values()):
@@ -148,10 +156,6 @@ class DatasetConfig:
             "grid_size": self.grid_size,
             "min_objects": self.min_objects,
             "max_objects": self.max_objects,
-            "max_attempts": self.max_attempts,
-            "require_verb_effect_in_splits": self.require_verb_effect_in_splits,
-            "verb_weights": self.verb_weights,
-            "adverb_weights": self.adverb_weights,
         }
 
 
@@ -166,97 +170,68 @@ class Dataset:
         return len(self.examples)
 
 
+#: The instructions of each description, all in _VERB_ADVERBS order:
+#: INSTRUCTIONS varies the verb slowest and the adverb fastest.
+_BY_DESCRIPTION: dict[tuple, list[Instruction]] = {}
+for _instr in INSTRUCTIONS:
+    _BY_DESCRIPTION.setdefault(_instr.description(), []).append(_instr)
+_VERB_ADVERBS = tuple((i.verb, i.adverb) for i in _BY_DESCRIPTION[INSTRUCTIONS[0].description()])
+#: Target size -> the verb/adverb flags of each pair in _VERB_ADVERBS.
+_ACTION_FLAGS = {
+    size: tuple(_flags(_ACTION_PREDICATES, verb, adverb, size) for verb, adverb in _VERB_ADVERBS)
+    for size in SIZES
+}
+
+
 def _candidate_instructions(state: WorldState, want: frozenset[Split]
                             ) -> list[Instruction]:
-    """All unique-referent instructions whose classify set equals `want`.
+    """All unique-referent instructions whose classify set equals `want`,
+    (verb, adverb) outermost, then by description in resolve_descriptions
+    order.
 
-    Resolution only depends on the (size, color, shape) description, so each
-    description is resolved once and crossed with verb/adverb choices."""
-    descs = []
-    for shape, color, size in itertools.product(
-        SHAPE_WORDS, (None,) + COLOR_WORDS, (None, "small", "big")
-    ):
-        probe = Instruction("walk_to", size, color, shape, None)
-        try:
-            res = resolve_target(probe, state)
-        except UnresolvableError:
-            continue
-        if not res.unique:
-            continue
-        target = res.object
-        flags = set()
-        if color == "yellow" and shape == "square":
-            flags.add(Split.B)
-        if target.shape == "square" and target.color == "red":
-            flags.add(Split.C)
-        if target.pos.x < state.agent.pos.x and target.pos.y > state.agent.pos.y:
-            flags.add(Split.D)
-        if size == "small" and target.shape == "circle" and target.size == 2:
-            flags.add(Split.E)
-        descs.append((size, color, shape, target, flags))
-
-    out = []
-    for verb, adverb in itertools.product(VERBS, (None,) + ADVERBS):
-        for size, color, shape, target, desc_flags in descs:
-            flags = set(desc_flags)
-            if verb == "push" and target.size == 3:
-                flags.add(Split.F)
-            if adverb == "cautiously":
-                flags.add(Split.G)
-            if verb == "pull" and adverb == "while_spinning":
-                flags.add(Split.H)
-            if frozenset(flags) == want:
-                out.append(Instruction(verb, size, color, shape, adverb))
-    return out
-
-
-def _instruction_weights(instructions: Sequence[Instruction], config: DatasetConfig
-                         ) -> np.ndarray | None:
-    if not config.verb_weights and not config.adverb_weights:
-        return None
-    vw = config.verb_weights or {}
-    aw = config.adverb_weights or {}
-    w = np.array(
-        [vw.get(i.verb, 1.0) * aw.get(i.adverb or "none", 1.0) for i in instructions],
-        dtype=np.float64,
-    )
-    total = w.sum()
-    if total <= 0:
-        return None
-    return w / total
+    Description and verb/adverb predicates flag disjoint splits, so a
+    candidate must match `want` on each level separately."""
+    want_action = want.intersection(_ACTION_PREDICATES)
+    want_description = want - want_action
+    kept = [
+        (_BY_DESCRIPTION[description], _ACTION_FLAGS[res.object.size])
+        for description, res in resolve_descriptions(state).items()
+        if res.unique and want_description == _flags(_DESCRIPTION_PREDICATES, *description,
+                                                     res.object, state.agent)
+    ]
+    return [instructions[i] for i in range(len(_VERB_ADVERBS))
+            for instructions, flags in kept if flags[i] == want_action]
 
 
 def generate_example(rng: np.random.Generator, config: DatasetConfig, split: Split
                      ) -> Example:
     want = frozenset() if split in (Split.TRAIN, Split.A) else frozenset({split})
-    needs_effect = (
-        config.require_verb_effect_in_splits and split in HOLDOUT_SPLITS
-    )
-    for _ in range(config.max_attempts):
+    # Hold-out push/pull examples must displace the object at least one cell
+    # (guarantees e.g. that every Split-H target shows the spin-pull fragment).
+    needs_effect = split in HOLDOUT_SPLITS
+    for _ in range(MAX_ATTEMPTS):
         n_obj = int(rng.integers(config.min_objects, config.max_objects + 1))
         state = new_random_state(rng, config.grid_size, n_obj)
         candidates = _candidate_instructions(state, want)
-        weights = _instruction_weights(candidates, config)
         while candidates:
-            idx = int(rng.choice(len(candidates), p=weights))
+            idx = int(rng.choice(len(candidates)))
             instr = candidates[idx]
             actions = planner.solve(state, instr)
             if needs_effect and instr.verb != "walk_to" and not any(
                 a in (Action.PUSH, Action.PULL) for a in actions
             ):
                 del candidates[idx]
-                weights = _instruction_weights(candidates, config)
                 continue
             return Example(state, instr, actions, split)
     raise GenerationError(
-        f"no admissible example for split {split.value!r} after {config.max_attempts} attempts"
+        f"no admissible example for split {split.value!r} after {MAX_ATTEMPTS} attempts"
     )
 
 
 def generate_dataset(config: DatasetConfig) -> Dataset:
     """Deterministic dataset generation: each example draws from its own RNG
     stream keyed by (seed, split index, example index), so the output does not
-    depend on generation order or worker count."""
+    depend on generation order."""
     examples: list[Example] = []
     splits = [(Split.TRAIN, config.train_count)]
     splits += [(s, config.split_counts.get(s, 0)) for s in TEST_SPLITS]
@@ -308,8 +283,6 @@ def import_external_record(record: Mapping, direction_map: Mapping[int, int] | N
         d = int(situation["agent_direction"])
         if direction_map is not None:
             d = int(direction_map[d])
-        from .world import AgentPose, Heading, ObjectSpec, Position
-
         objects = []
         placed = situation.get("placed_objects", {})
         items = placed.values() if isinstance(placed, Mapping) else placed

@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import Example
 from .errors import ProtocolError, RetrievalError, SolverError, SolverTimeout, UnresolvableError
-from .grammar import Instruction, enumerate_instructions, realize, resolve_target
+from .grammar import INSTRUCTIONS, Instruction, realize, resolve_descriptions
 from .index import (
     IvfIndex,
     PcaProjector,
@@ -31,7 +31,7 @@ from .index import (
     tfidf_encode,
     tfidf_fit,
 )
-from .instruction_model import INSTRUCTIONS, InstructionModel, infill_distribution, score
+from .instruction_model import InstructionModel, infill_distribution, score
 from .world import Action, RngLike, WorldState, as_rng, encode_one_hot
 from . import planner
 
@@ -146,15 +146,9 @@ def random_supports(query: Example, solver: Solver, rng: RngLike,
     """n distinct instructions sampled uniformly over everything resolvable
     in the query state (the query instruction excluded)."""
     gen = as_rng(rng)
-    legal = []
-    for instr in enumerate_instructions():
-        if instr == query.instruction:
-            continue
-        try:
-            resolve_target(instr, query.state)
-        except UnresolvableError:
-            continue
-        legal.append(instr)
+    resolvable = resolve_descriptions(query.state)
+    legal = [instr for instr in INSTRUCTIONS
+             if instr.description() in resolvable and instr != query.instruction]
     take = min(n, len(legal))
     chosen = gen.choice(len(legal), size=take, replace=False) if take else []
     supports = []

@@ -170,12 +170,44 @@ def resolve_target(instr: Instruction, state: WorldState) -> TargetResolution:
     return TargetResolution(object=candidates[0], unique=len(candidates) == 1)
 
 
+#: Values of the five instruction slots (verb, size, color, shape, adverb);
+#: None is an absent optional word.
+SLOT_DOMAINS: tuple[tuple, ...] = (
+    VERBS,
+    (None,) + SIZE_WORDS,
+    (None,) + COLOR_WORDS,
+    SHAPE_WORDS,
+    (None,) + ADVERBS,
+)
+
+#: All 675 instruction forms, in slot product order (verb outermost, adverb
+#: innermost). The instruction model indexes its joint table in this order.
+INSTRUCTIONS = tuple(Instruction(*values) for values in itertools.product(*SLOT_DOMAINS))
+
+#: A walk-to probe per object description (size, color, shape), 45 in all, shape-major.
+#: resolve_target reads only the description. Dataset generation lists its
+#: candidates in this order, so reordering it changes generated data.
+_DESCRIPTION_PROBES = tuple(
+    Instruction("walk_to", size, color, shape, None)
+    for shape in SHAPE_WORDS for color in (None,) + COLOR_WORDS for size in (None,) + SIZE_WORDS
+)
+
+
 def enumerate_instructions() -> Iterator[Instruction]:
-    """All 675 instruction forms of the grammar."""
-    for verb, size, color, shape, adverb in itertools.product(
-        VERBS, (None,) + SIZE_WORDS, (None,) + COLOR_WORDS, SHAPE_WORDS, (None,) + ADVERBS
-    ):
-        yield Instruction(verb, size, color, shape, adverb)
+    """All 675 instruction forms of the grammar, in INSTRUCTIONS order."""
+    return iter(INSTRUCTIONS)
+
+
+def resolve_descriptions(state: WorldState) -> dict[tuple, TargetResolution]:
+    """Every object description that grounds in `state`, mapped to its
+    resolve_target result, in shape-major (shape, color, size) order."""
+    out = {}
+    for probe in _DESCRIPTION_PROBES:
+        try:
+            out[probe.description()] = resolve_target(probe, state)
+        except UnresolvableError:
+            continue
+    return out
 
 
 def encode_words(tokens: Sequence[str]) -> list[int]:

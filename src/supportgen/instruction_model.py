@@ -22,21 +22,13 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataFormatError, FitError
-from .grammar import ADVERBS, COLOR_WORDS, SHAPE_WORDS, SIZE_WORDS, VERBS, Instruction, realize
+from .grammar import INSTRUCTIONS, SLOT_DOMAINS, Instruction, realize
 from .world import RngLike, as_rng
 
 SLOT_NAMES = ("verb", "size", "color", "shape", "adverb")
-SLOT_DOMAINS: tuple[tuple, ...] = (
-    VERBS,
-    (None,) + SIZE_WORDS,
-    (None,) + COLOR_WORDS,
-    SHAPE_WORDS,
-    (None,) + ADVERBS,
-)
 _SHAPE = tuple(len(d) for d in SLOT_DOMAINS)
 
-#: Every instruction, at its flat (C-order) index into the joint table.
-INSTRUCTIONS = tuple(Instruction(*values) for values in itertools.product(*SLOT_DOMAINS))
+#: Each instruction's flat (C-order) index into the joint table.
 _FLAT_INDEX = {instr: i for i, instr in enumerate(INSTRUCTIONS)}
 
 FORMAT_VERSION = 1

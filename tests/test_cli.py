@@ -62,6 +62,39 @@ class TestGenData:
                  "--out", str(tmp_path / "x.jsonl")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("spec", ["train=5", "z=3", "h=x"])
+    def test_split_counts_outside_test_splits_is_usage_error(self, spec, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-data", "--seed", "1", "--train", "5", "--per-split", "0",
+                 "--split-counts", spec, "--out", str(tmp_path / "x.jsonl")])
+        assert exc.value.code == 2
+
+
+class TestPinnedBytes:
+    """Output digests for fixed seeds. A change to the generator's candidate
+    order, its RNG draws or Rand-Instrs' instruction order changes them."""
+
+    def test_gen_data_bytes(self, data_file):
+        assert digests(data_file) == \
+            "a8e607286655a6f6a4c918596ec4f13108389619de1d1e1cae4692088da96e23"
+
+    def test_random_supports_bytes(self, data_file):
+        import numpy as np
+
+        from supportgen.dataset import Split, import_dataset
+        from supportgen.engines import OracleSolver, random_supports
+        from supportgen.grammar import command_string
+
+        h = hashlib.sha256()
+        solver = OracleSolver()
+        for idx, ex in enumerate(import_dataset(data_file).split(Split.H)):
+            sset = random_supports(ex, solver, np.random.default_rng([11, idx]))
+            for s in sset.supports:
+                actions = ",".join(a.name for a in s.actions)
+                h.update(f"{command_string(s.instruction)}|{actions}\n".encode())
+        assert h.hexdigest() == \
+            "087124f41597fba7bb7d07943884b4c4d8de5475b1c5bacaa2cda62de963c3c3"
+
 
 class TestGenSupports:
     def test_heuristic_then_criteria_all_ones(self, data_file, tmp_path):

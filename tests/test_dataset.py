@@ -1,13 +1,17 @@
 import hashlib
+import itertools
 import json
 
+import numpy as np
 import pytest
 
 from supportgen.dataset import (
+    HOLDOUT_SPLITS,
     Dataset,
     DatasetConfig,
     Split,
     TEST_SPLITS,
+    _candidate_instructions,
     classify,
     decode_icl_targets,
     export_dataset,
@@ -16,10 +20,27 @@ from supportgen.dataset import (
     import_dataset,
     import_external_record,
 )
-from supportgen.errors import DataFormatError
-from supportgen.grammar import Instruction, parse
+from supportgen.errors import DataFormatError, UnresolvableError
+from supportgen.grammar import (
+    ADVERBS,
+    COLOR_WORDS,
+    SHAPE_WORDS,
+    SIZE_WORDS,
+    VERBS,
+    Instruction,
+    parse,
+    resolve_target,
+)
 from supportgen.planner import solve
-from supportgen.world import Action, AgentPose, Heading, ObjectSpec, Position, WorldState
+from supportgen.world import (
+    Action,
+    AgentPose,
+    Heading,
+    ObjectSpec,
+    Position,
+    WorldState,
+    new_random_state,
+)
 
 
 def small_config(seed=7, train=60, per_split=6) -> DatasetConfig:
@@ -54,6 +75,42 @@ class TestClassify:
                            (ObjectSpec("square", "yellow", 2, Position(3, 3)),))
         assert Split.B in classify(state, parse("walk to a yellow square".split()))
         assert Split.B not in classify(state, parse("walk to a square".split()))
+
+    def test_e_needs_small_word(self):
+        state = WorldState(6, AgentPose(Position(0, 0), Heading.EAST),
+                           (ObjectSpec("circle", "green", 2, Position(3, 0)),
+                            ObjectSpec("circle", "blue", 4, Position(1, 0))))
+        assert classify(state, parse("walk to a small circle".split())) == {Split.E}
+        assert classify(state, parse("walk to a green circle".split())) == frozenset()
+
+
+def _reference_flags(state):
+    """Brute force over all 675 instructions in generation order ((verb,
+    adverb) outermost, then (shape, color, size)): each unique-referent
+    instruction with its classify set."""
+    out = []
+    for verb, adverb, shape, color, size in itertools.product(
+        VERBS, (None,) + ADVERBS, SHAPE_WORDS, (None,) + COLOR_WORDS, (None,) + SIZE_WORDS
+    ):
+        instr = Instruction(verb, size, color, shape, adverb)
+        try:
+            unique = resolve_target(instr, state).unique
+        except UnresolvableError:
+            continue
+        if unique:
+            out.append((instr, classify(state, instr)))
+    return out
+
+
+def test_candidate_filter_matches_brute_force():
+    rng = np.random.default_rng(2024)
+    wants = [frozenset()] + [frozenset({s}) for s in HOLDOUT_SPLITS]
+    for _ in range(200):
+        state = new_random_state(rng, 6, int(rng.integers(1, 11)))
+        reference = _reference_flags(state)
+        for want in wants:
+            assert _candidate_instructions(state, want) == \
+                [instr for instr, flags in reference if flags == want]
 
 
 class TestGenerateDataset:
