@@ -143,6 +143,9 @@ class DatasetConfig:
     max_objects: int = 10
 
     def __post_init__(self) -> None:
+        stray = [s.value for s in self.split_counts if s not in TEST_SPLITS]
+        if stray:
+            raise ValueError(f"split_counts takes only test splits, got {stray}")
         if self.train_count < 0 or any(c < 0 for c in self.split_counts.values()):
             raise ValueError("example counts must be >= 0")
         if not 0 < self.min_objects <= self.max_objects <= self.grid_size ** 2 - 1:

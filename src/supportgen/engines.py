@@ -32,7 +32,7 @@ from .index import (
     tfidf_fit,
 )
 from .instruction_model import InstructionModel, infill_distribution, score
-from .world import Action, RngLike, WorldState, as_rng, encode_one_hot
+from .world import Action, RngLike, WorldState, as_rng, encode_one_hot, encode_states
 from . import planner
 
 DEFAULT_SUPPORT_COUNT = 16
@@ -292,9 +292,11 @@ def build_covr_retriever(examples: Sequence[Example], cells: int = 512,
     examples = list(examples)
     if not examples:
         raise RetrievalError("cannot build a retriever over an empty corpus")
-    state_mat = np.asarray([encode_one_hot(ex.state) for ex in examples])
+    state_mat = encode_states([ex.state for ex in examples], np.float64)
     pca = pca_fit(state_mat, k=pca_dim)
     projected = pca_project(pca, state_mat)
+    state_vectors = state_mat.astype(np.float32)
+    del state_mat  # free the float64 one-hot matrix before the IVF build
     tfidf = tfidf_fit([realize(ex.instruction) for ex in examples])
     hybrid = np.asarray([
         hybrid_encode(projected[i], tfidf_encode(tfidf, realize(ex.instruction)),
@@ -303,7 +305,7 @@ def build_covr_retriever(examples: Sequence[Example], cells: int = 512,
     ])
     ivf = ivf_build(hybrid, cells=cells, rng=rng)
     return CovrRetriever(examples=examples, tfidf=tfidf, pca=pca, ivf=ivf,
-                         alpha=alpha, state_vectors=state_mat.astype(np.float32))
+                         alpha=alpha, state_vectors=state_vectors)
 
 
 def covr_supports(query: Example, retriever: CovrRetriever,
@@ -419,7 +421,8 @@ class ExternalSolver:
     Request:  {"id": <int>, "state": <state record>, "instruction": [tokens]}
     Response: {"id": <int>, "actions": [action names]} or
               {"id": <int>, "error": <string>}
-    Responses may arrive in any order; a reader thread files them by id."""
+    Responses may arrive in any order; a reader thread files them by id and
+    drops replies to ids that are no longer awaited (timed out or unknown)."""
 
     def __init__(self, command: Sequence[str], timeout: float = 30.0):
         self.timeout = timeout
@@ -429,6 +432,8 @@ class ExternalSolver:
         )
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
+        self._write_lock = threading.Lock()
+        self._pending: set[int] = set()
         self._results: dict[int, dict] = {}
         self._next_id = itertools.count()
         self._dead: str | None = None
@@ -450,12 +455,22 @@ class ExternalSolver:
                     self._cond.notify_all()
                 return
             with self._cond:
-                self._results[key] = msg
-                self._cond.notify_all()
+                if key in self._pending:
+                    self._results[key] = msg
+                    self._cond.notify_all()
         with self._cond:
             if self._dead is None:
                 self._dead = "solver process closed its output"
             self._cond.notify_all()
+
+    def _send(self, payload: str) -> None:
+        """Write one request line; the lock keeps concurrent lines whole."""
+        try:
+            with self._write_lock:
+                self._proc.stdin.write(payload + "\n")
+                self._proc.stdin.flush()
+        except (BrokenPipeError, ValueError) as exc:
+            raise ProtocolError(f"cannot write to solver: {exc}") from exc
 
     def solve(self, state: WorldState, instruction: Instruction) -> tuple[Action, ...]:
         if self._proc.stdin is None or self._proc.poll() is not None:
@@ -466,23 +481,27 @@ class ExternalSolver:
             "state": state.to_record(),
             "instruction": realize(instruction),
         })
+        with self._cond:
+            self._pending.add(request_id)
         try:
-            self._proc.stdin.write(payload + "\n")
-            self._proc.stdin.flush()
-        except (BrokenPipeError, ValueError) as exc:
-            raise ProtocolError(f"cannot write to solver: {exc}") from exc
+            self._send(payload)
+        except ProtocolError:
+            with self._cond:
+                self._pending.discard(request_id)
+            raise
         with self._cond:
             ok = self._cond.wait_for(
                 lambda: request_id in self._results or self._dead is not None,
                 timeout=self.timeout,
             )
-            if request_id in self._results:
-                msg = self._results.pop(request_id)
-            elif not ok:
+            # no longer awaited, so a late reply is dropped rather than kept
+            self._pending.discard(request_id)
+            msg = self._results.pop(request_id, None)
+        if msg is None:
+            if not ok:
                 raise SolverTimeout(f"no response for request {request_id} "
                                     f"within {self.timeout}s")
-            else:
-                raise ProtocolError(self._dead or "solver died")
+            raise ProtocolError(self._dead or "solver died")
         if "error" in msg:
             raise SolverError(str(msg["error"]))
         if "actions" not in msg or not isinstance(msg["actions"], list):

@@ -184,14 +184,6 @@ SLOT_DOMAINS: tuple[tuple, ...] = (
 #: innermost). The instruction model indexes its joint table in this order.
 INSTRUCTIONS = tuple(Instruction(*values) for values in itertools.product(*SLOT_DOMAINS))
 
-#: A walk-to probe per object description (size, color, shape), 45 in all, shape-major.
-#: resolve_target reads only the description. Dataset generation lists its
-#: candidates in this order, so reordering it changes generated data.
-_DESCRIPTION_PROBES = tuple(
-    Instruction("walk_to", size, color, shape, None)
-    for shape in SHAPE_WORDS for color in (None,) + COLOR_WORDS for size in (None,) + SIZE_WORDS
-)
-
 
 def enumerate_instructions() -> Iterator[Instruction]:
     """All 675 instruction forms of the grammar, in INSTRUCTIONS order."""
@@ -199,14 +191,26 @@ def enumerate_instructions() -> Iterator[Instruction]:
 
 
 def resolve_descriptions(state: WorldState) -> dict[tuple, TargetResolution]:
-    """Every object description that grounds in `state`, mapped to its
-    resolve_target result, in shape-major (shape, color, size) order."""
+    """Every object description (size, color, shape) that grounds in
+    `state`, mapped to what resolve_target gives it, in shape-major (shape,
+    color, size) order. Dataset generation lists its candidates in this
+    order, so reordering it changes generated data."""
+    # state.objects is in (y, x) order, so each group's first object wins ties
+    groups: dict[tuple, list[ObjectSpec]] = {}
+    for obj in state.objects:
+        groups.setdefault((obj.shape, None), []).append(obj)
+        groups.setdefault((obj.shape, obj.color), []).append(obj)
     out = {}
-    for probe in _DESCRIPTION_PROBES:
-        try:
-            out[probe.description()] = resolve_target(probe, state)
-        except UnresolvableError:
-            continue
+    for shape in SHAPE_WORDS:
+        for color in (None,) + COLOR_WORDS:
+            group = groups.get((shape, color))
+            if group is None:
+                continue
+            out[(None, color, shape)] = TargetResolution(group[0], len(group) == 1)
+            for size_word, pick in (("small", min), ("big", max)):
+                chosen = pick(o.size for o in group)
+                matches = [o for o in group if o.size == chosen]
+                out[(size_word, color, shape)] = TargetResolution(matches[0], len(matches) == 1)
     return out
 
 

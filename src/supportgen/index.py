@@ -115,36 +115,75 @@ def pca_project(projector: PcaProjector, vectors: np.ndarray) -> np.ndarray:
 # k-means and the IVF index
 # ---------------------------------------------------------------------------
 
+def _sq_dist_to_row(x: np.ndarray, sq: np.ndarray, j: int, tol: float) -> np.ndarray:
+    """‖x − x[j]‖² for every row as sq − 2·x·x[j] + sq[j]. Rows within `tol`
+    of x[j] are recomputed from their difference, so duplicates of x[j]
+    read exactly 0 and no distance is negative."""
+    d = x @ x[j]
+    d *= -2.0
+    d += sq
+    d += sq[j]
+    near = np.flatnonzero(d <= tol)
+    d[near] = np.sum((x[near] - x[j]) ** 2, axis=1)
+    return d
+
+
 def kmeans(points: np.ndarray, cells: int, rng: RngLike, iters: int = 25
            ) -> tuple[np.ndarray, np.ndarray]:
-    """Seeded k-means++ with a fixed iteration budget.
+    """Seeded k-means++ with an iteration budget.
+
+    Seeding draws each next centroid by inverse CDF, as
+    `Generator.choice(n, p=d2 / d2.sum())` does: one `random()` located by a
+    right-sided search in the normalised cumsum of d2, the squared distance
+    to the nearest centroid so far. If d2 sums to 0 the remaining centroids
+    are drawn uniformly. d2 comes from the expansion ‖x‖² − 2x·c + ‖c‖², which
+    may differ from ‖x − c‖² in the last bits, so a draw within that rounding
+    of a cumsum step may pick the neighbouring point.
 
     Empty cells are re-seeded from the largest cell (its farthest member), so
-    every centroid stays live. Returns (centroids, labels)."""
+    every centroid stays live. Iteration stops once an assignment repeats the
+    previous one with no cell empty: the centroids are then that assignment's
+    means, so every later iteration would repeat it exactly. Returns
+    (centroids, labels)."""
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
     if n == 0:
         raise FitError("cannot cluster zero points")
     cells = min(cells, n)
     gen = as_rng(rng)
+    sq = np.sum(x * x, axis=1)
+    # 1e-9 of the largest sq + sq[j] is far above the expansion's rounding
+    # error, so points that coincide with a centroid always take the exact path
+    tol = 1e-9 * 2.0 * float(sq.max())
 
     centroids = np.empty((cells, x.shape[1]), dtype=np.float64)
-    centroids[0] = x[int(gen.integers(n))]
-    d2 = np.sum((x - centroids[0]) ** 2, axis=1)
+    pick = int(gen.integers(n))
+    centroids[0] = x[pick]
+    d2 = _sq_dist_to_row(x, sq, pick, tol)
     for i in range(1, cells):
         total = d2.sum()
         if total <= 0:
             centroids[i:] = x[gen.integers(n, size=cells - i)]
             break
-        centroids[i] = x[int(gen.choice(n, p=d2 / total))]
-        d2 = np.minimum(d2, np.sum((x - centroids[i]) ** 2, axis=1))
+        cdf = (d2 / total).cumsum()
+        cdf /= cdf[-1]
+        pick = int(cdf.searchsorted(gen.random(), side="right"))
+        centroids[i] = x[pick]
+        np.minimum(d2, _sq_dist_to_row(x, sq, pick, tol), out=d2)
 
-    sq = np.sum(x * x, axis=1)
     labels = np.zeros(n, dtype=np.int64)
+    previous = None
     for _ in range(iters):
-        dist = sq[:, None] - 2.0 * (x @ centroids.T) + np.sum(centroids ** 2, axis=1)
+        dist = x @ centroids.T
+        dist *= -2.0
+        dist += sq[:, None]
+        dist += np.sum(centroids ** 2, axis=1)
         labels = np.argmin(dist, axis=1)
+        del dist  # freed before the next product allocates its n x cells buffer
         counts = np.bincount(labels, minlength=cells)
+        if previous is not None and np.array_equal(labels, previous):
+            break
+        previous = labels if counts.all() else None
         for c in range(cells):
             if counts[c] > 0:
                 centroids[c] = x[labels == c].mean(axis=0)

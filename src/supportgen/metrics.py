@@ -34,7 +34,7 @@ from .engines import Solver, Support, SupportSet
 from .errors import FitError, MetricError, PatternError, SolverError, UnresolvableError
 from .grammar import Instruction, realize, resolve_target
 from .index import TfIdfEncoder, tfidf_encode, tfidf_fit
-from .world import Action, RngLike, WorldState, as_rng, encode_one_hot
+from .world import Action, RngLike, WorldState, as_rng, encode_states
 
 CRITERIA_ROWS = (
     "(1) described object",
@@ -159,12 +159,12 @@ def nn_profile(split_states: Sequence[WorldState], train_states: Sequence[WorldS
     if len(split_states) > sample:
         idx = gen.choice(len(split_states), size=sample, replace=False)
         split_states = [split_states[int(i)] for i in idx]
-    train_mat = np.asarray([encode_one_hot(s) for s in train_states], dtype=np.float32)
+    train_mat = encode_states(train_states)
     max_rank = usable[-1]
     sums = np.zeros(len(usable), dtype=np.float64)
     for start in range(0, len(split_states), chunk):
         block = split_states[start:start + chunk]
-        q = np.asarray([encode_one_hot(s) for s in block], dtype=np.float32)
+        q = encode_states(block)
         sims = q @ train_mat.T
         part = -np.partition(-sims, max_rank - 1, axis=1)[:, :max_rank]
         part.sort(axis=1)

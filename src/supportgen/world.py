@@ -7,6 +7,7 @@ counter-clockwise (east -> north), RTURN clockwise.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping, Sequence, Union
@@ -274,36 +275,51 @@ _AGENT_OFF = _SIZE_OFF + len(SIZES) + 1
 _HEADING_OFF = _AGENT_OFF + 1
 
 
-def encode_one_hot(state: WorldState) -> np.ndarray:
-    """Fixed-length unit-norm one-hot encoding of a state.
+#: Cell code of each object (shape, color, size); code 0 is an empty cell.
+_CELL_CODES = {key: code for code, key in
+               enumerate(itertools.product(SHAPES, COLORS, SIZES), start=1)}
+#: The shape, color and size bits of each cell code.
+_CELL_ROWS = np.zeros((1 + len(_CELL_CODES), CELL_WIDTH))
+_CELL_ROWS[0, [_SHAPE_OFF + len(SHAPES), _COLOR_OFF + len(COLORS), _SIZE_OFF + len(SIZES)]] = 1.0
+for (_shape, _color, _size), _code in _CELL_CODES.items():
+    _CELL_ROWS[_code, [_SHAPE_OFF + SHAPES.index(_shape), _COLOR_OFF + COLORS.index(_color),
+                       _SIZE_OFF + _size - 1]] = 1.0
+
+
+def encode_states(states: Iterable[WorldState], dtype=np.float32) -> np.ndarray:
+    """Unit-norm one-hot encodings of same-size states, one row per state.
 
     Cells are laid out row-major; see CELL_WIDTH block order above. Every
     state activates exactly 3*cells + 2 slots, so normalization is a constant
     scale and the encoding stays injective on valid states."""
-    n = state.grid_size
-    vec = np.zeros(n * n * CELL_WIDTH, dtype=np.float64)
-    by_pos = {o.pos: o for o in state.objects}
-    for cy in range(n):
-        for cx in range(n):
-            base = (cy * n + cx) * CELL_WIDTH
-            obj = by_pos.get(Position(cx, cy))
-            if obj is None:
-                vec[base + _SHAPE_OFF + len(SHAPES)] = 1.0
-                vec[base + _COLOR_OFF + len(COLORS)] = 1.0
-                vec[base + _SIZE_OFF + len(SIZES)] = 1.0
-            else:
-                vec[base + _SHAPE_OFF + SHAPES.index(obj.shape)] = 1.0
-                vec[base + _COLOR_OFF + COLORS.index(obj.color)] = 1.0
-                vec[base + _SIZE_OFF + (obj.size - 1)] = 1.0
-    abase = (state.agent.pos.y * n + state.agent.pos.x) * CELL_WIDTH
-    vec[abase + _AGENT_OFF] = 1.0
-    vec[abase + _HEADING_OFF + int(state.agent.direction)] = 1.0
-    return vec / np.linalg.norm(vec)
+    states = list(states)
+    if not states:
+        return np.zeros((0, 0), dtype=dtype)
+    n = states[0].grid_size
+    cells = n * n
+    codes = np.zeros((len(states), cells), dtype=np.intp)
+    agent_cells = np.empty(len(states), dtype=np.intp)
+    headings = np.empty(len(states), dtype=np.intp)
+    for row, state in enumerate(states):
+        if state.grid_size != n:
+            raise DimensionError(f"grid sizes differ: {n} vs {state.grid_size}")
+        for obj in state.objects:
+            codes[row, obj.pos.y * n + obj.pos.x] = _CELL_CODES[(obj.shape, obj.color, obj.size)]
+        agent_cells[row] = state.agent.pos.y * n + state.agent.pos.x
+        headings[row] = state.agent.direction
+    # 1 / ‖v‖ with ‖v‖ = sqrt(3*cells + 2): the value of each active slot
+    scale = 1.0 / np.sqrt(3.0 * cells + 2.0)
+    vecs = (_CELL_ROWS * scale).astype(dtype)[codes]
+    rows = np.arange(len(states))
+    vecs[rows, agent_cells, _AGENT_OFF] = scale
+    vecs[rows, agent_cells, _HEADING_OFF + headings] = scale
+    return vecs.reshape(len(states), cells * CELL_WIDTH)
 
 
-def encode_states(states: Iterable[WorldState], dtype=np.float32) -> np.ndarray:
-    """Stack one-hot encodings into a matrix (convenience for indexing)."""
-    return np.asarray([encode_one_hot(s) for s in states], dtype=dtype)
+def encode_one_hot(state: WorldState) -> np.ndarray:
+    """Fixed-length unit-norm one-hot encoding of one state: its float64
+    encode_states row."""
+    return encode_states([state], np.float64)[0]
 
 
 def hamming_similarity(a: WorldState, b: WorldState) -> float:

@@ -95,6 +95,19 @@ class TestPinnedBytes:
         assert h.hexdigest() == \
             "087124f41597fba7bb7d07943884b4c4d8de5475b1c5bacaa2cda62de963c3c3"
 
+    @pytest.mark.parametrize("strategy, digest", [
+        ("covr", "e99c83fc0b0873ff99c4241b4468065ec6433ccffad64a5c8ac887dbb803defb"),
+        ("gandr", "6094111a4881751ac2fc61054b0e3191248a7b63c7a398107543cf25583adf9c"),
+    ])
+    def test_retrieval_supports_bytes(self, data_file, tmp_path, strategy, digest):
+        """Pins each retriever's encoding, k-means and IVF order: 16 cells
+        over the 120 train examples."""
+        out = tmp_path / f"{strategy}.jsonl"
+        assert run(["gen-supports", "--data", str(data_file), "--strategy", strategy,
+                    "--seed", "3", "--splits", "h", "--cells", "16",
+                    "--out", str(out)]) == EXIT_OK
+        assert digests(out) == digest
+
 
 class TestGenSupports:
     def test_heuristic_then_criteria_all_ones(self, data_file, tmp_path):

@@ -149,6 +149,13 @@ class TestGenerateDataset:
         for ex in small_dataset.examples:
             assert 3 <= len(ex.state.objects) <= 10
 
+    def test_split_counts_take_only_test_splits(self):
+        # train_count is the only count of the train split; a TRAIN key here
+        # would be recorded in the manifest and never generated
+        with pytest.raises(ValueError, match="test splits"):
+            DatasetConfig(seed=1, train_count=2, split_counts={Split.TRAIN: 5})
+        assert DatasetConfig(seed=1, split_counts={Split.H: 1}).split_counts == {Split.H: 1}
+
 
 class TestExportImport:
     def test_round_trip(self, small_dataset, tmp_path):

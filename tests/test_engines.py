@@ -452,3 +452,79 @@ for line in sys.stdin:
         with ExternalSolver([sys.executable, "-c", server]) as solver:
             got = solver.solve(s0, parse("walk to a red circle".split()))
         assert got == (Action.WALK,)
+
+
+TEARING_CHECK_SERVER = r"""
+import json, sys
+for line in sys.stdin:
+    try:
+        msg = json.loads(line)
+    except ValueError:
+        sys.stdout.write("torn request line\n")
+    else:
+        sys.stdout.write(json.dumps({"id": msg["id"], "actions": ["WALK"]}) + "\n")
+    sys.stdout.flush()
+"""
+
+LATE_FIRST_REPLY_SERVER = r"""
+import json, sys, time
+for line in sys.stdin:
+    msg = json.loads(line)
+    if msg["id"] == 0:
+        time.sleep(0.6)
+    sys.stdout.write(json.dumps({"id": msg["id"], "actions": ["WALK"]}) + "\n")
+    sys.stdout.flush()
+"""
+
+
+class HalvingPipe:
+    """A stdin that writes each request in two halves with a pause between,
+    as a pipe taking partial writes may; unserialised writers then tear each
+    other's lines."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def write(self, text):
+        import time
+
+        half = len(text) // 2
+        self.inner.write(text[:half])
+        self.inner.flush()
+        time.sleep(0.02)
+        self.inner.write(text[half:])
+
+    def flush(self):
+        self.inner.flush()
+
+    def close(self):
+        self.inner.close()
+
+
+class TestExternalSolverFaults:
+    def test_concurrent_requests_keep_lines_whole(self, s0):
+        from concurrent.futures import ThreadPoolExecutor
+
+        from supportgen.world import Action
+
+        instr = parse("walk to a red circle".split())
+        with ExternalSolver([sys.executable, "-c", TEARING_CHECK_SERVER],
+                            timeout=10.0) as solver:
+            solver._proc.stdin = HalvingPipe(solver._proc.stdin)
+            with ThreadPoolExecutor(4) as pool:
+                got = list(pool.map(lambda _: solver.solve(s0, instr), range(8)))
+        assert got == [(Action.WALK,)] * 8
+
+    def test_late_reply_to_timed_out_request_is_dropped(self, s0):
+        from supportgen.world import Action
+
+        instr = parse("walk to a red circle".split())
+        with ExternalSolver([sys.executable, "-c", LATE_FIRST_REPLY_SERVER],
+                            timeout=0.2) as solver:
+            with pytest.raises(SolverTimeout):
+                solver.solve(s0, instr)
+            solver.timeout = 10.0
+            # the child answers request 0 late, then request 1
+            assert solver.solve(s0, instr) == (Action.WALK,)
+            assert solver._results == {}
+            assert solver._pending == set()

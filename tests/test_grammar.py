@@ -11,6 +11,7 @@ from supportgen.grammar import (
     parse,
     parse_command_string,
     realize,
+    resolve_descriptions,
     resolve_target,
 )
 from supportgen.world import AgentPose, Heading, ObjectSpec, Position, WorldState
@@ -108,6 +109,47 @@ class TestResolveTarget:
         res = resolve_target(parse("walk to a red circle".split()), state)
         assert res.object.pos == Position(1, 1)  # lowest y, then lowest x
         assert not res.unique
+
+
+class TestResolveDescriptions:
+    @staticmethod
+    def probe_all(state):
+        """Reference: one resolve_target call per description, shape-major."""
+        out = {}
+        for shape in ("circle", "square", "cylinder"):
+            for color in (None, "red", "green", "blue", "yellow"):
+                for size in (None, "small", "big"):
+                    try:
+                        out[(size, color, shape)] = resolve_target(
+                            Instruction("walk_to", size, color, shape, None), state)
+                    except UnresolvableError:
+                        pass
+        return out
+
+    def test_equal_to_resolve_target_in_order(self, s0):
+        import numpy as np
+
+        from conftest import random_state
+
+        rng = np.random.default_rng(42)
+        states = [s0] + [random_state(rng, max_objects=int(rng.integers(1, 20)))
+                         for _ in range(500)]
+        for state in states:
+            want = self.probe_all(state)
+            got = resolve_descriptions(state)
+            assert list(got.items()) == list(want.items())
+
+    def test_size_ties_break_on_position(self):
+        state = WorldState(6, AgentPose(Position(0, 0), Heading.EAST), (
+            ObjectSpec("square", "blue", 1, Position(4, 4)),
+            ObjectSpec("square", "red", 1, Position(2, 3)),
+            ObjectSpec("square", "red", 3, Position(5, 0)),
+        ))
+        got = resolve_descriptions(state)
+        assert got[("small", None, "square")].object.pos == Position(2, 3)
+        assert not got[("small", None, "square")].unique
+        assert got[("big", None, "square")].unique
+        assert got == self.probe_all(state)
 
 
 class TestWordSymbols:

@@ -24,6 +24,46 @@ def unit_rows(rng, n, d):
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
 
+def parent_kmeans(points, cells, rng, iters=25):
+    """The k-means of index 0.3.0, verbatim: k-means++ seeding through
+    Generator.choice on difference-form distances, then a fixed number of
+    Lloyd iterations. kmeans must match it bit for bit."""
+    x = np.asarray(points, dtype=np.float64)
+    n = x.shape[0]
+    cells = min(cells, n)
+    gen = np.random.default_rng(rng)
+
+    centroids = np.empty((cells, x.shape[1]), dtype=np.float64)
+    centroids[0] = x[int(gen.integers(n))]
+    d2 = np.sum((x - centroids[0]) ** 2, axis=1)
+    for i in range(1, cells):
+        total = d2.sum()
+        if total <= 0:
+            centroids[i:] = x[gen.integers(n, size=cells - i)]
+            break
+        centroids[i] = x[int(gen.choice(n, p=d2 / total))]
+        d2 = np.minimum(d2, np.sum((x - centroids[i]) ** 2, axis=1))
+
+    sq = np.sum(x * x, axis=1)
+    labels = np.zeros(n, dtype=np.int64)
+    for _ in range(iters):
+        dist = sq[:, None] - 2.0 * (x @ centroids.T) + np.sum(centroids ** 2, axis=1)
+        labels = np.argmin(dist, axis=1)
+        counts = np.bincount(labels, minlength=cells)
+        for c in range(cells):
+            if counts[c] > 0:
+                centroids[c] = x[labels == c].mean(axis=0)
+        for c in np.flatnonzero(counts == 0):
+            big = int(np.argmax(counts))
+            members = np.flatnonzero(labels == big)
+            far = members[int(np.argmax(np.sum((x[members] - centroids[big]) ** 2, axis=1)))]
+            centroids[c] = x[far]
+            labels[far] = c
+            counts[big] -= 1
+            counts[c] += 1
+    return centroids, labels
+
+
 class TestTfIdf:
     def test_identical_documents(self):
         enc = tfidf_fit([["red", "circle"], ["blue", "square"]])
@@ -154,6 +194,44 @@ class TestKmeans:
         centroids, labels = kmeans(x, 64, rng=0)
         assert centroids.shape[0] == 4
 
+
+    @pytest.mark.parametrize("case", [
+        "gaussian", "unit-rows", "one-iteration", "no-iterations",
+        "duplicates-reseed", "repeated-unit-rows", "more-cells-than-points",
+        "one-hot-states",
+    ])
+    @pytest.mark.parametrize("seed", [0, 7])
+    def test_bitwise_equal_to_reference(self, case, seed):
+        """Centroids and labels equal the reference's bit for bit, on the
+        seeding draw, the d2-sums-to-zero draw, the empty-cell reseed, the
+        cells > n clamp and the early stop."""
+        rng = np.random.default_rng([seed, 99])
+        cells, iters = 16, 25
+        if case == "gaussian":
+            x = rng.standard_normal((500, 8))
+        elif case == "unit-rows":
+            x, cells = unit_rows(rng, 1200, 40), 64
+        elif case == "one-iteration":
+            x, iters = unit_rows(rng, 300, 6), 1
+        elif case == "no-iterations":
+            x, iters = unit_rows(rng, 300, 6), 0
+        elif case == "duplicates-reseed":
+            x, cells = np.concatenate([np.zeros((40, 3)), np.ones((40, 3))]), 8
+        elif case == "repeated-unit-rows":
+            # five distinct points, twelve cells: d2 reaches an exact 0 sum
+            x = np.repeat(unit_rows(rng, 5, 9), 20, axis=0)[rng.permutation(100)]
+            cells = 12
+        elif case == "more-cells-than-points":
+            x, cells = rng.standard_normal((10, 3)), 64
+        else:
+            from supportgen.world import encode_states
+            from conftest import random_state
+
+            x = encode_states([random_state(rng) for _ in range(400)], np.float64)
+        got = kmeans(x, cells, rng=seed, iters=iters)
+        want = parent_kmeans(x, cells, rng=seed, iters=iters)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
 
 class TestIvf:
     def test_query_indexed_vector_first(self):

@@ -12,12 +12,36 @@ from supportgen.world import (
     Position,
     WorldState,
     encode_one_hot,
+    encode_states,
     hamming_similarity,
     new_random_state,
     simulate,
 )
 
 from conftest import random_state
+
+
+def per_cell_one_hot(state: WorldState) -> np.ndarray:
+    """Reference encoding: a loop over every cell of the grid, then division
+    by the vector's norm."""
+    shapes, colors, sizes = ("circle", "square", "cylinder"), ("red", "green", "blue", "yellow"), 4
+    width = 4 + 5 + 5 + 1 + 4
+    n = state.grid_size
+    vec = np.zeros(n * n * width)
+    by_pos = {o.pos: o for o in state.objects}
+    for cy in range(n):
+        for cx in range(n):
+            base = (cy * n + cx) * width
+            obj = by_pos.get(Position(cx, cy))
+            if obj is None:
+                vec[[base + 3, base + 4 + 4, base + 9 + sizes]] = 1.0
+            else:
+                vec[[base + shapes.index(obj.shape), base + 4 + colors.index(obj.color),
+                     base + 9 + obj.size - 1]] = 1.0
+    agent = (state.agent.pos.y * n + state.agent.pos.x) * width
+    vec[agent + 14] = 1.0
+    vec[agent + 15 + int(state.agent.direction)] = 1.0
+    return vec / np.linalg.norm(vec)
 
 
 class TestNewRandomState:
@@ -137,6 +161,28 @@ class TestEncodeOneHot:
             seen[key] = state
         distinct_states = len({s for s in seen.values()})
         assert distinct_states == len(seen)
+
+
+class TestEncodeStates:
+    @pytest.mark.parametrize("grid, dtype", [(6, np.float64), (6, np.float32),
+                                             (4, np.float64), (9, np.float32)])
+    def test_bitwise_equal_to_per_cell_reference(self, grid, dtype):
+        rng = np.random.default_rng(grid)
+        states = [random_state(rng, grid_size=grid, max_objects=grid * grid - 1)
+                  for _ in range(300)]
+        states.append(WorldState(grid, AgentPose(Position(1, 2), Heading.WEST), ()))
+        want = np.asarray([per_cell_one_hot(s) for s in states], dtype=dtype)
+        got = encode_states(states, dtype)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_one_hot_is_the_float64_row(self, s0):
+        assert encode_one_hot(s0).tobytes() == per_cell_one_hot(s0).tobytes()
+
+    def test_mixed_grid_sizes_rejected(self, s0):
+        small = WorldState(4, AgentPose(Position(0, 0), Heading.NORTH), ())
+        with pytest.raises(DimensionError):
+            encode_states([s0, small])
 
 
 class TestHammingSimilarity:
