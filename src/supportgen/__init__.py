@@ -7,7 +7,7 @@ six strategies, and computes the support-quality, similarity and linguistic
 statistics used to analyze them.
 """
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .world import (  # noqa: F401
     Action,

@@ -12,9 +12,11 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from pathlib import Path
+from typing import Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -32,6 +34,9 @@ from .dataset import (
     parse_target_string,
 )
 from .engines import (
+    DEFAULT_MASK_RATE,
+    DEFAULT_SAMPLE_COUNT,
+    DEFAULT_SUPPORT_COUNT,
     ExternalSolver,
     OracleSolver,
     Support,
@@ -54,8 +59,8 @@ from .errors import (
     SolverTimeout,
     SupportgenError,
 )
-from .grammar import realize
-from .instruction_model import fit as fit_instruction_model
+from .grammar import parse_command_string, realize
+from .instruction_model import InstructionModel, fit as fit_instruction_model
 from .metrics import (
     NAMED_PATTERNS,
     nn_profile,
@@ -71,15 +76,6 @@ EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_EXTERNAL = 4
 
-STRATEGY_ALIASES = {
-    "demogen": "demogen", "dg": "demogen",
-    "covr": "covr", "cr": "covr",
-    "gandr": "gandr", "gr": "gandr",
-    "heuristic": "heuristic",
-    "random": "random", "rd": "random", "rand-instrs": "random",
-    "other-states": "other_states", "other_states": "other_states", "os": "other_states",
-}
-
 
 def _sha256(path: Path) -> str:
     digest = hashlib.sha256()
@@ -89,8 +85,8 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def write_manifest(command: str, config: dict, seed: int | None,
-                   outputs: list[Path], manifest_path: Path) -> dict:
+def write_manifest(command: str, config: dict, seed: int | None, out: Path) -> dict:
+    """Write `<out>.manifest.json` beside the command's output file `out`."""
     config_digest = hashlib.sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -100,9 +96,9 @@ def write_manifest(command: str, config: dict, seed: int | None,
         "config_digest": config_digest,
         "seed": seed,
         "version": __version__,
-        "outputs": {out.name: _sha256(out) for out in outputs},
+        "outputs": {out.name: _sha256(out)},
     }
-    manifest_path.write_text(
+    out.with_suffix(out.suffix + ".manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     return manifest
@@ -162,8 +158,7 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
     dataset = generate_dataset(config)
     out = Path(args.out)
     export_dataset(dataset, out)
-    write_manifest("gen-data", config.to_dict(), args.seed, [out],
-                   out.with_suffix(out.suffix + ".manifest.json"))
+    write_manifest("gen-data", config.to_dict(), args.seed, out)
     counts = {s.value: len(dataset.split(s)) for s in (Split.TRAIN, *TEST_SPLITS)}
     print(f"wrote {len(dataset)} examples to {out} {json.dumps(counts, sort_keys=True)}")
     return EXIT_OK
@@ -189,9 +184,22 @@ def _support_to_record(support: Support) -> dict:
     return rec
 
 
-def read_support_file(path: str | Path) -> list[tuple[Example, SupportSet]]:
-    from .grammar import parse_command_string as _parse_cmd
+def write_support_file(path: str | Path, pairs: Iterable[tuple[Example, SupportSet]]) -> None:
+    """One sorted-key JSON line per (query, support set); inverts `read_support_file`."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for query, sset in pairs:
+            rec = {
+                "query": query.to_record(),
+                "strategy": sset.strategy,
+                "meta": {key: _plain(value) for key, value in sset.meta.items()},
+                "supports": [_support_to_record(s) for s in sset.supports],
+            }
+            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
 
+
+def read_support_file(path: str | Path) -> list[tuple[Example, SupportSet]]:
+    """Every support keeps its provenance keys (all but the state, `command`
+    and `target`) as meta, and each set keeps its line's `meta`."""
     out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -207,19 +215,90 @@ def read_support_file(path: str | Path) -> list[tuple[Example, SupportSet]]:
                                if srec.get("target") is not None else None)
                     supports.append(Support(
                         state=WorldState.from_record(srec),
-                        instruction=_parse_cmd(srec["command"]),
+                        instruction=parse_command_string(srec["command"]),
                         actions=actions,
-                        meta={k: srec[k] for k in ("score", "valid") if k in srec},
+                        meta={k: v for k, v in srec.items() if k not in
+                              ("grid_size", "agent", "objects", "command", "target")},
                     ))
                 out.append((query, SupportSet(strategy=rec.get("strategy", "?"),
-                                              supports=supports)))
+                                              supports=supports, meta=rec.get("meta", {}))))
             except (KeyError, ValueError, TypeError, DataFormatError) as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from None
     return out
 
 
+def _alpha(args: argparse.Namespace) -> dict:
+    """--alpha when given; otherwise each retriever's own default applies."""
+    return {} if args.alpha is None else {"alpha": args.alpha}
+
+
+# Each prepare(train, args, solver) builds the strategy's model or index once
+# and returns run(query, rng) -> SupportSet. The engines functions are called
+# through their module-level names at call time, never stored, so wrappers
+# installed on this module's names (span tracing) see every call.
+
+def _prepare_demogen(train, args, solver):
+    if args.model_file and Path(args.model_file).exists():
+        model = InstructionModel.load(args.model_file)
+    elif not train:
+        raise DataFormatError("demogen needs a train split in the data file")
+    else:
+        model = fit_instruction_model(ex.instruction for ex in train)
+        if args.model_file:
+            model.save(args.model_file)
+    return lambda query, rng: demogen_supports(
+        query, model, solver, rng, k=args.k, n=args.n, mask_rate=args.mask_rate,
+        keep_invalid=not args.replace_invalid)
+
+
+def _prepare_covr(train, args, solver):
+    covr = build_covr_retriever(train, cells=args.cells, pca_dim=args.pca_dim,
+                                rng=args.seed, **_alpha(args))
+    return lambda query, rng: covr_supports(query, covr, n=args.n, probes=args.probes)
+
+
+def _prepare_gandr(train, args, solver):
+    gandr = build_gandr_retriever(train, cells=args.cells, rng=args.seed, **_alpha(args))
+    return lambda query, rng: gandr_supports(query, solver, gandr, n=args.n,
+                                             probes=args.probes)
+
+
+def _prepare_heuristic(train, args, solver):
+    return lambda query, rng: heuristic_supports(query, solver, n=args.n)
+
+
+def _prepare_random(train, args, solver):
+    return lambda query, rng: random_supports(query, solver, rng, n=args.n)
+
+
+def _prepare_other_states(train, args, solver):
+    train_index = build_instruction_index(train)
+    return lambda query, rng: other_states_supports(query, train_index, rng, n=args.n)
+
+
+class _Strategy(NamedTuple):
+    aliases: tuple[str, ...]
+    prepare: Callable  # (train, args, solver) -> run(query, rng) -> SupportSet
+
+
+#: The six support strategies by canonical name (the `strategy` of their
+#: support sets and manifests). Names and aliases match case-insensitively.
+STRATEGIES = {
+    "demogen": _Strategy(("dg",), _prepare_demogen),
+    "covr": _Strategy(("cr",), _prepare_covr),
+    "gandr": _Strategy(("gr",), _prepare_gandr),
+    "heuristic": _Strategy((), _prepare_heuristic),
+    "random": _Strategy(("rd", "rand-instrs"), _prepare_random),
+    "other_states": _Strategy(("other-states", "os"), _prepare_other_states),
+}
+_STRATEGY_NAMES = {alias: name for name, strategy in STRATEGIES.items()
+                   for alias in (name, *strategy.aliases)}
+#: 'demogen/dg, covr/cr, ...': each canonical name followed by its aliases.
+STRATEGY_LIST = ", ".join("/".join((name, *s.aliases)) for name, s in STRATEGIES.items())
+
+
 def cmd_gen_supports(args: argparse.Namespace) -> int:
-    strategy = STRATEGY_ALIASES.get(args.strategy.lower())
+    strategy = _STRATEGY_NAMES.get(args.strategy.lower())
     if strategy is None:
         raise DataFormatError(f"unknown strategy {args.strategy!r}")
     dataset = import_dataset(args.data)
@@ -235,86 +314,25 @@ def cmd_gen_supports(args: argparse.Namespace) -> int:
                 filtered.append(ex)
         queries = filtered
 
-    solver = OracleSolver()
-    external = None
-    if args.solver == "external":
-        if not args.solver_cmd:
-            raise DataFormatError("--solver external requires --solver-cmd")
-        external = ExternalSolver(args.solver_cmd.split(), timeout=args.solver_timeout)
-        solver = external
-
-    model = None
-    covr = None
-    gandr = None
-    train_index = None
-    if strategy == "demogen":
-        if args.model_file and Path(args.model_file).exists():
-            from .instruction_model import InstructionModel
-
-            model = InstructionModel.load(args.model_file)
-        else:
-            if not train:
-                raise DataFormatError("demogen needs a train split in the data file")
-            model = fit_instruction_model(ex.instruction for ex in train)
-            if args.model_file:
-                model.save(args.model_file)
-    elif strategy == "covr":
-        covr = build_covr_retriever(train, cells=args.cells, pca_dim=args.pca_dim,
-                                    alpha=args.alpha if args.alpha is not None else 0.125,
-                                    rng=args.seed)
-    elif strategy == "gandr":
-        gandr = build_gandr_retriever(train, cells=args.cells,
-                                      alpha=args.alpha if args.alpha is not None else 0.5,
-                                      rng=args.seed)
-    elif strategy == "other_states":
-        train_index = build_instruction_index(train)
-
-    def run_one(item: tuple[int, Example]) -> dict:
-        idx, query = item
-        rng = np.random.default_rng([args.seed, idx])
-        if strategy == "heuristic":
-            sset = heuristic_supports(query, solver, n=args.n)
-        elif strategy == "random":
-            sset = random_supports(query, solver, rng, n=args.n)
-        elif strategy == "other_states":
-            sset = other_states_supports(query, train_index, rng, n=args.n)
-        elif strategy == "demogen":
-            sset = demogen_supports(query, model, solver, rng, k=args.k, n=args.n,
-                                    mask_rate=args.mask_rate,
-                                    keep_invalid=not args.replace_invalid)
-        elif strategy == "covr":
-            sset = covr_supports(query, covr, n=args.n, probes=args.probes)
-        else:
-            sset = gandr_supports(query, solver, gandr, n=args.n, probes=args.probes)
-        return {
-            "query": query.to_record(),
-            "strategy": sset.strategy,
-            "meta": {key: _plain(value) for key, value in sset.meta.items()},
-            "supports": [_support_to_record(s) for s in sset.supports],
-        }
-
-    items = list(enumerate(queries))
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            records = list(pool.map(run_one, items))
-    else:
-        records = [run_one(item) for item in items]
-    if external is not None:
-        external.close()
+    if args.solver == "external" and not args.solver_cmd:
+        raise DataFormatError("--solver external requires --solver-cmd")
+    with (ExternalSolver(shlex.split(args.solver_cmd), timeout=args.solver_timeout)
+          if args.solver == "external" else nullcontext(OracleSolver())) as solver:
+        run = STRATEGIES[strategy].prepare(train, args, solver)
+        pairs = [(query, run(query, np.random.default_rng([args.seed, idx])))
+                 for idx, query in enumerate(queries)]
 
     out = Path(args.out)
-    with open(out, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    write_support_file(out, pairs)
     config = {
         "strategy": strategy, "n": args.n, "k": args.k, "mask_rate": args.mask_rate,
         "alpha": args.alpha, "cells": args.cells, "probes": args.probes,
+        "pca_dim": args.pca_dim, "replace_invalid": args.replace_invalid,
         "splits": sorted(s.value for s in wanted), "limit": args.limit,
         "solver": args.solver, "data": Path(args.data).name,
     }
-    write_manifest("gen-supports", config, args.seed, [out],
-                   out.with_suffix(out.suffix + ".manifest.json"))
-    print(f"wrote supports for {len(records)} queries to {out}")
+    write_manifest("gen-supports", config, args.seed, out)
+    print(f"wrote supports for {len(pairs)} queries to {out}")
     return EXIT_OK
 
 
@@ -413,8 +431,7 @@ def cmd_export_icl(args: argparse.Namespace) -> int:
             count += 1
     config = {"policy": args.policy, "permute_words": args.permute_words,
               "supports": Path(args.supports).name}
-    write_manifest("export-icl", config, args.seed, [out],
-                   out.with_suffix(out.suffix + ".manifest.json"))
+    write_manifest("export-icl", config, args.seed, out)
     print(f"wrote {count} icl records to {out}")
     return EXIT_OK
 
@@ -436,8 +453,7 @@ def cmd_permute(args: argparse.Namespace) -> int:
                 "permutation": perm.to_codes(),
                 "split": ex.split.value,
             }, sort_keys=True, separators=(",", ":")) + "\n")
-    write_manifest("permute", {"data": Path(args.data).name}, args.seed, [out],
-                   out.with_suffix(out.suffix + ".manifest.json"))
+    write_manifest("permute", {"data": Path(args.data).name}, args.seed, out)
     print(f"wrote {len(dataset)} permuted records to {out}")
     return EXIT_OK
 
@@ -512,16 +528,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen-supports", help="attach support sets to dataset examples")
     p.add_argument("--data", required=True)
     p.add_argument("--strategy", required=True,
-                   help="demogen|covr|gandr|heuristic|random|other-states (or DG/CR/GR/RD/OS)")
+                   help=f"one of {STRATEGY_LIST} (name/aliases, any case)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--splits", default="all", help="comma list of splits or 'all'")
     p.add_argument("--limit", type=int, default=None, help="max queries per split")
-    p.add_argument("--n", type=int, default=16)
-    p.add_argument("--k", type=int, default=2048)
-    p.add_argument("--mask-rate", type=float, default=0.2)
+    p.add_argument("--n", type=int, default=DEFAULT_SUPPORT_COUNT)
+    p.add_argument("--k", type=int, default=DEFAULT_SAMPLE_COUNT)
+    p.add_argument("--mask-rate", type=float, default=DEFAULT_MASK_RATE)
     p.add_argument("--alpha", type=float, default=None,
-                   help="hybrid weight (covr default 0.125, gandr default 0.5)")
+                   help="hybrid weight (default: the retriever's own)")
     p.add_argument("--cells", type=int, default=512)
     p.add_argument("--probes", type=int, default=10)
     p.add_argument("--pca-dim", type=int, default=320)
@@ -532,7 +548,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="count-table file: loaded if present, else fit and saved")
     p.add_argument("--replace-invalid", action="store_true",
                    help="replace unsolvable demogen candidates instead of keeping them")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_gen_supports)
 
     p = sub.add_parser("analyze", help="run metrics over datasets or support files")

@@ -24,6 +24,7 @@ from .index import (
     IvfIndex,
     PcaProjector,
     TfIdfEncoder,
+    hybrid_encode,
     ivf_build,
     ivf_query,
     pca_fit,
@@ -48,10 +49,6 @@ class Support:
     actions: tuple[Action, ...] | None
     meta: dict = field(default_factory=dict)
 
-    @property
-    def failed(self) -> bool:
-        return self.actions is None
-
     def triple(self) -> tuple[WorldState, Instruction, tuple[Action, ...] | None]:
         return (self.state, self.instruction, self.actions)
 
@@ -64,9 +61,6 @@ class SupportSet:
 
     def __len__(self) -> int:
         return len(self.supports)
-
-    def triples(self) -> list[tuple]:
-        return [s.triple() for s in self.supports]
 
 
 class Solver(Protocol):
@@ -286,9 +280,7 @@ class CovrRetriever:
 
 def build_covr_retriever(examples: Sequence[Example], cells: int = 512,
                          pca_dim: int = 320, alpha: float = 0.125,
-                         rng: RngLike = 0, balance: bool = False) -> CovrRetriever:
-    from .index import hybrid_encode
-
+                         rng: RngLike = 0) -> CovrRetriever:
     examples = list(examples)
     if not examples:
         raise RetrievalError("cannot build a retriever over an empty corpus")
@@ -299,8 +291,7 @@ def build_covr_retriever(examples: Sequence[Example], cells: int = 512,
     del state_mat  # free the float64 one-hot matrix before the IVF build
     tfidf = tfidf_fit([realize(ex.instruction) for ex in examples])
     hybrid = np.asarray([
-        hybrid_encode(projected[i], tfidf_encode(tfidf, realize(ex.instruction)),
-                      alpha, balance=balance)
+        hybrid_encode(projected[i], tfidf_encode(tfidf, realize(ex.instruction)), alpha)
         for i, ex in enumerate(examples)
     ])
     ivf = ivf_build(hybrid, cells=cells, rng=rng)
@@ -314,8 +305,6 @@ def covr_supports(query: Example, retriever: CovrRetriever,
     """Retrieve `pool` nearest hybrid vectors, stable-sort by (matching
     two-grams, one-grams, state cosine) descending, then greedily cover the
     query's n-grams and fill to n."""
-    from .index import hybrid_encode
-
     state_vec = encode_one_hot(query.state)
     qvec = hybrid_encode(pca_project(retriever.pca, state_vec),
                          tfidf_encode(retriever.tfidf, realize(query.instruction)),

@@ -215,19 +215,18 @@ class IvfIndex:
 
 
 def ivf_build(vectors: np.ndarray, cells: int = 512, rng: RngLike = 0,
-              iters: int = 25, ids: Sequence[int] | None = None) -> IvfIndex:
+              iters: int = 25) -> IvfIndex:
+    """Ids are row numbers, ascending within each cell."""
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise FitError("cannot build an index over an empty vector set")
-    all_ids = np.arange(x.shape[0], dtype=np.int64) if ids is None else np.asarray(ids, dtype=np.int64)
     centroids, labels = kmeans(x, cells, rng, iters)
     cell_ids = []
     cell_vectors = []
     for c in range(centroids.shape[0]):
         members = np.flatnonzero(labels == c)
-        order = members[np.argsort(all_ids[members])]
-        cell_ids.append(all_ids[order])
-        cell_vectors.append(x[order])
+        cell_ids.append(members)
+        cell_vectors.append(x[members])
     return IvfIndex(centroids=centroids, cell_ids=cell_ids,
                     cell_vectors=cell_vectors, count=x.shape[0])
 
@@ -310,20 +309,13 @@ def load_index(path: str | Path) -> IvfIndex:
 # Hybrid state+instruction encoding
 # ---------------------------------------------------------------------------
 
-def hybrid_encode(state_vec: np.ndarray, instr_vec: np.ndarray, alpha: float,
-                  balance: bool = False) -> np.ndarray:
+def hybrid_encode(state_vec: np.ndarray, instr_vec: np.ndarray, alpha: float) -> np.ndarray:
     """Concatenate a state block with an alpha-weighted instruction block and
-    renormalize. With balance=True the instruction block is first rescaled to
-    the state block's norm (so alpha weighs two equally-sized components)."""
+    renormalize."""
     state_vec = np.asarray(state_vec, dtype=np.float64)
     instr_vec = np.asarray(instr_vec, dtype=np.float64)
     if not (np.isfinite(state_vec).all() and np.isfinite(instr_vec).all()):
         raise EncodingError("non-finite input to hybrid_encode")
-    if balance:
-        instr_norm = np.linalg.norm(instr_vec)
-        state_norm = np.linalg.norm(state_vec)
-        if instr_norm > 0:
-            instr_vec = instr_vec * (state_norm / instr_norm)
     combined = np.concatenate([state_vec, alpha * instr_vec])
     norm = np.linalg.norm(combined)
     if norm == 0:

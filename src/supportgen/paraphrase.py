@@ -242,7 +242,8 @@ class HttpTransport:
 
 
 class ParaphraseClient:
-    """Caches query -> paraphrases so interrupted runs are resumable."""
+    """Caches prompt -> paraphrases (one entry per query, mode and template
+    setting) so interrupted runs are resumable."""
 
     def __init__(self, transport: Transport, cache_path: str | Path | None = None,
                  synonyms: Mapping[str, Sequence[str]] | None = None,
@@ -264,11 +265,11 @@ class ParaphraseClient:
 
     def paraphrase(self, mode: PromptMode | str, query: str,
                    template_mode: bool = False) -> ParaphraseRecord:
-        if query not in self._cache:
-            prompt = build_prompt(mode, query, template_mode=template_mode)
-            self._cache[query] = parse_response(self.transport.complete(prompt))
+        prompt = build_prompt(mode, query, template_mode=template_mode)
+        if prompt not in self._cache:
+            self._cache[prompt] = parse_response(self.transport.complete(prompt))
             self._save_cache()
-        paraphrases = self._cache[query]
+        paraphrases = self._cache[prompt]
         retained = [check_retention(query, p, self.synonyms) for p in paraphrases]
         return ParaphraseRecord(original=query, paraphrases=list(paraphrases),
                                 retained=retained)

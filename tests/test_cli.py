@@ -1,12 +1,22 @@
 import hashlib
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from supportgen.cli import EXIT_DATA, EXIT_OK, main
+import supportgen
+from supportgen.cli import (
+    EXIT_DATA,
+    EXIT_OK,
+    STRATEGIES,
+    STRATEGY_LIST,
+    main,
+    read_support_file,
+    write_support_file,
+)
 
 
 def run(argv):
@@ -220,13 +230,95 @@ class TestGenSupports:
         meta = json.loads(demogen.read_text().splitlines()[0])["meta"]
         assert meta["sampled"] == 64 and 0 < meta["unique"] <= 64
 
-    def test_workers_do_not_change_output(self, data_file, tmp_path):
-        a, b = tmp_path / "w1.jsonl", tmp_path / "w4.jsonl"
-        base = ["gen-supports", "--data", str(data_file), "--strategy", "random",
-                "--seed", "5", "--splits", "c", "--limit", "4"]
-        assert run(base + ["--workers", "1", "--out", str(a)]) == EXIT_OK
-        assert run(base + ["--workers", "4", "--out", str(b)]) == EXIT_OK
+    def test_workers_option_is_gone(self, data_file, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-supports", "--data", str(data_file), "--strategy", "random",
+                 "--seed", "5", "--workers", "2", "--out", str(tmp_path / "x.jsonl")])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("name, alias", [
+        (name, alias) for name, strategy in STRATEGIES.items()
+        for alias in (name.upper(), *strategy.aliases)])
+    def test_alias_gives_canonical_bytes(self, data_file, tmp_path, name, alias):
+        base = ["gen-supports", "--data", str(data_file), "--seed", "4", "--splits", "h",
+                "--limit", "3", "--k", "64", "--cells", "8", "--pca-dim", "16"]
+        a, b = tmp_path / "name.jsonl", tmp_path / "alias.jsonl"
+        assert run(base + ["--strategy", name, "--out", str(a)]) == EXIT_OK
+        assert run(base + ["--strategy", alias, "--out", str(b)]) == EXIT_OK
         assert digests(a) == digests(b)
+        lines = [json.loads(l) for l in b.read_text().splitlines()]
+        assert all(l["strategy"] == name for l in lines)
+
+    def test_strategy_list_matches_help_and_readme(self, capsys):
+        with pytest.raises(SystemExit):
+            run(["gen-supports", "--help"])
+        assert " ".join(STRATEGY_LIST.split()) in " ".join(capsys.readouterr().out.split())
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        assert STRATEGY_LIST in readme.read_text(encoding="utf-8")
+
+    @pytest.mark.parametrize("strategy, flag", [
+        ("covr", ["--pca-dim", "8"]),
+        ("demogen", ["--replace-invalid"]),
+    ])
+    def test_output_flags_change_config_digest(self, data_file, tmp_path, strategy, flag):
+        base = ["gen-supports", "--data", str(data_file), "--strategy", strategy,
+                "--seed", "2", "--splits", "h", "--limit", "2", "--k", "64",
+                "--cells", "8", "--pca-dim", "16"]
+        a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+        assert run(base + ["--out", str(a)]) == EXIT_OK
+        assert run(base + flag + ["--out", str(b)]) == EXIT_OK
+        ma, mb = (json.loads(p.with_suffix(".jsonl.manifest.json").read_text()) for p in (a, b))
+        assert ma["config_digest"] != mb["config_digest"]
+        assert {"pca_dim", "replace_invalid"} <= ma["config"].keys()
+
+    @pytest.mark.parametrize("strategy", ["covr", "gandr", "demogen"])
+    def test_support_file_round_trip(self, data_file, tmp_path, strategy):
+        """Reading a support file and writing it back gives the same bytes."""
+        out = tmp_path / f"{strategy}.jsonl"
+        assert run(["gen-supports", "--data", str(data_file), "--strategy", strategy,
+                    "--seed", "2", "--splits", "c,h", "--limit", "3", "--k", "64",
+                    "--cells", "8", "--pca-dim", "16", "--out", str(out)]) == EXIT_OK
+        pairs = read_support_file(out)
+        if strategy == "demogen":
+            assert any(s.actions is None for _, sset in pairs for s in sset.supports)
+        again = tmp_path / "again.jsonl"
+        write_support_file(again, pairs)
+        assert again.read_bytes() == out.read_bytes()
+
+    def test_external_solver_closed_when_run_fails(self, data_file, tmp_path):
+        marker = tmp_path / "closed"
+        helper = tmp_path / "helper.py"
+        helper.write_text("import sys\n"
+                          "for line in sys.stdin:\n"
+                          "    pass\n"
+                          f"open({str(marker)!r}, 'w').close()\n")
+        model_file = tmp_path / "model.json"
+        model_file.write_text("{}")
+        code = run(["gen-supports", "--data", str(data_file), "--strategy", "demogen",
+                    "--seed", "3", "--splits", "h", "--limit", "1",
+                    "--model-file", str(model_file), "--solver", "external",
+                    "--solver-cmd", f"{shlex.quote(sys.executable)} {shlex.quote(str(helper))}",
+                    "--out", str(tmp_path / "x.jsonl")])
+        assert code == EXIT_DATA
+        assert marker.exists()
+
+    def test_solver_cmd_path_with_space(self, data_file, tmp_path):
+        folder = tmp_path / "oracle dir"
+        folder.mkdir()
+        script = folder / "serve.py"
+        src = str(Path(supportgen.__file__).resolve().parents[1])
+        script.write_text(f"import sys\nsys.path.insert(0, {src!r})\n"
+                          "from supportgen.cli import main\n"
+                          "sys.exit(main(['serve-oracle']))\n")
+        base = ["gen-supports", "--data", str(data_file), "--strategy", "random",
+                "--seed", "5", "--splits", "h", "--limit", "3"]
+        oracle, external = tmp_path / "oracle.jsonl", tmp_path / "external.jsonl"
+        assert run(base + ["--out", str(oracle)]) == EXIT_OK
+        command = f"{shlex.quote(sys.executable)} {shlex.quote(str(script))}"
+        assert run(base + ["--solver", "external", "--solver-cmd", command,
+                           "--out", str(external)]) == EXIT_OK
+        assert all(json.loads(l)["supports"] for l in external.read_text().splitlines())
+        assert digests(external) == digests(oracle)
 
 
 class TestAnalyze:

@@ -437,8 +437,8 @@ class TestExternalSolver:
         assert response["id"] == 4 and "error" in response
 
     def test_out_of_order_responses(self, s0):
-        # the protocol allows responses in any order; unrelated ids are held
-        # until their own request asks for them
+        # the protocol allows responses in any order; a reply to an id that
+        # no request awaits is dropped
         server = r"""
 import json, sys
 for line in sys.stdin:

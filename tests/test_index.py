@@ -317,11 +317,3 @@ class TestHybridEncode:
     def test_zero_norm(self):
         with pytest.raises(EncodingError):
             hybrid_encode(np.zeros(3), np.zeros(2), alpha=0.5)
-
-    def test_balance_flag_rescales(self):
-        state = np.array([2.0, 0.0])
-        instr = np.array([0.0, 0.01])
-        balanced = hybrid_encode(state, instr, alpha=1.0, balance=True)
-        unbalanced = hybrid_encode(state, instr, alpha=1.0, balance=False)
-        assert abs(balanced[-1]) > abs(unbalanced[-1])
-        assert abs(balanced[3]) == pytest.approx(abs(balanced[0]))

@@ -161,6 +161,15 @@ class TestParaphraseClient:
         record = again.paraphrase("simple", "pull a circle")
         assert record.paraphrases == ["Pull the circle", "Drag a circle"]
 
+    def test_cache_is_keyed_by_prompt(self):
+        transport = FakeTransport(["1. Pull the circle", "1. Carefully pull the circle"])
+        client = ParaphraseClient(transport)
+        simple = client.paraphrase("simple", "pull a circle")
+        adverb = client.paraphrase("adverb", "pull a circle")
+        assert transport.calls == 2
+        assert simple.paraphrases == ["Pull the circle"]
+        assert adverb.paraphrases == ["Carefully pull the circle"]
+
     def test_paraphrase_many_order_preserved(self):
         replies = ["1. Pull the circle", "1. Push the square"]
         client = ParaphraseClient(FakeTransport(replies), max_workers=1)
