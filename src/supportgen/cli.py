@@ -52,13 +52,7 @@ from .engines import (
     random_supports,
     serve_solver,
 )
-from .errors import (
-    DataFormatError,
-    ExternalServiceError,
-    ProtocolError,
-    SolverTimeout,
-    SupportgenError,
-)
+from .errors import DataFormatError, ExternalServiceError, SupportgenError
 from .grammar import parse_command_string, realize
 from .instruction_model import InstructionModel, fit as fit_instruction_model
 from .metrics import (
@@ -606,7 +600,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ExternalServiceError, ProtocolError, SolverTimeout) as exc:
+    except ExternalServiceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXTERNAL
     except (SupportgenError, OSError, ValueError) as exc:

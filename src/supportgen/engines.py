@@ -19,7 +19,8 @@ import numpy as np
 
 from .dataset import Example
 from .errors import ProtocolError, RetrievalError, SolverError, SolverTimeout, UnresolvableError
-from .grammar import INSTRUCTIONS, Instruction, realize, resolve_descriptions
+from .grammar import (INSTRUCTION_ROW, INSTRUCTIONS, REALIZED, STRING_RANK, Instruction,
+                      realize, resolve_descriptions)
 from .index import (
     IvfIndex,
     PcaProjector,
@@ -32,7 +33,7 @@ from .index import (
     tfidf_encode,
     tfidf_fit,
 )
-from .instruction_model import InstructionModel, infill_distribution, score
+from .instruction_model import InstructionModel, infill_distribution
 from .world import Action, RngLike, WorldState, as_rng, encode_one_hot, encode_states
 from . import planner
 
@@ -187,23 +188,23 @@ def demogen_supports(query: Example, model: InstructionModel, solver: Solver,
                      mask_rate: float = DEFAULT_MASK_RATE,
                      keep_invalid: bool = True) -> SupportSet:
     """Draw k masked infills of the query from the exact infill distribution,
-    deduplicate, drop the query, rank by model score (ties on the realized
-    string), then solve the top n in the query state.
+    deduplicate, drop the query, rank by model score (the model's log_table;
+    ties on the realized string), then solve the top n in the query state.
 
     With keep_invalid (default) unsolvable candidates stay in the set with a
     failure marker; otherwise each is replaced by the next-ranked candidate
     until n supports exist or candidates run out."""
     probs = infill_distribution(model, query.instruction, mask_rate)
-    drawn = as_rng(rng).choice(probs.size, size=k, p=probs)
-    candidates = (INSTRUCTIONS[i] for i in np.unique(drawn))
-    ranked = sorted(((score(model, cand), " ".join(realize(cand)), cand)
-                     for cand in candidates if cand != query.instruction),
-                    key=lambda item: (-item[0], item[1]))
+    rows = np.unique(as_rng(rng).choice(probs.size, size=k, p=probs))
+    rows = rows[rows != INSTRUCTION_ROW[query.instruction]]
+    log_table = model.log_table
+    ranked = rows[np.lexsort((STRING_RANK[rows], -log_table[rows]))]
 
     supports: list[Support] = []
-    for cand_score, _, cand in ranked:
+    for row in ranked:
         if len(supports) >= n:
             break
+        cand = INSTRUCTIONS[row]
         try:
             actions: tuple[Action, ...] | None = solver.solve(query.state, cand)
             valid = True
@@ -212,7 +213,7 @@ def demogen_supports(query: Example, model: InstructionModel, solver: Solver,
                 continue
             actions, valid = None, False
         supports.append(Support(query.state, cand, actions,
-                                {"score": cand_score, "valid": valid}))
+                                {"score": float(log_table[row]), "valid": valid}))
     return SupportSet(strategy="demogen",
                       supports=supports,
                       meta={"sampled": k, "unique": len(ranked), "keep_invalid": keep_invalid})
@@ -235,24 +236,31 @@ def instruction_ngrams(instr: Instruction) -> set:
     return grams
 
 
-def _gram_counts(instr: Instruction, query_grams: set) -> tuple[int, int]:
-    grams = instruction_ngrams(instr)
-    two = sum(1 for g in grams & query_grams if isinstance(g, tuple))
-    one = sum(1 for g in grams & query_grams if not isinstance(g, tuple))
-    return two, one
+def _gram_masks() -> tuple[tuple[int, ...], int]:
+    """instruction_ngrams of each INSTRUCTIONS row as an int bitmask, one bit
+    per distinct n-gram, and the mask of the one-gram bits: one-grams take
+    the low bits and two-grams the rest, each kind in sorted order."""
+    grams = [instruction_ngrams(instr) for instr in INSTRUCTIONS]
+    vocab = set().union(*grams)
+    ones = sorted(g for g in vocab if isinstance(g, str))
+    bit = {g: i for i, g in enumerate(ones + sorted(vocab.difference(ones)))}
+    return tuple(sum(1 << bit[g] for g in row) for row in grams), (1 << len(ones)) - 1
+
+
+_GRAMS, _ONE_GRAM_BITS = _gram_masks()
 
 
 def _greedy_cover(query: Example, ordered: list[tuple[Example, dict]], n: int) -> list[Support]:
     """First take candidates while they add uncovered query n-grams, then fill
     up to n in order."""
-    uncovered = instruction_ngrams(query.instruction)
+    uncovered = _GRAMS[INSTRUCTION_ROW[query.instruction]]
     chosen: list[int] = []
     for i, (ex, _) in enumerate(ordered):
         if len(chosen) >= n:
             break
-        added = instruction_ngrams(ex.instruction) & uncovered
+        added = _GRAMS[INSTRUCTION_ROW[ex.instruction]] & uncovered
         if added:
-            uncovered -= added
+            uncovered &= ~added
             chosen.append(i)
     for i in range(len(ordered)):
         if len(chosen) >= n:
@@ -278,6 +286,15 @@ class CovrRetriever:
     state_vectors: np.ndarray  # unit one-hot states, for the cosine sort key
 
 
+def _encode_instructions(examples: Sequence[Example]) -> tuple[TfIdfEncoder, list[np.ndarray]]:
+    """Fit tf-idf on the examples' realized instructions and return it with
+    each example's vector; each distinct instruction is encoded once."""
+    rows = [INSTRUCTION_ROW[ex.instruction] for ex in examples]
+    tfidf = tfidf_fit([REALIZED[row] for row in rows])
+    vectors = {row: tfidf_encode(tfidf, REALIZED[row]) for row in dict.fromkeys(rows)}
+    return tfidf, [vectors[row] for row in rows]
+
+
 def build_covr_retriever(examples: Sequence[Example], cells: int = 512,
                          pca_dim: int = 320, alpha: float = 0.125,
                          rng: RngLike = 0) -> CovrRetriever:
@@ -289,11 +306,9 @@ def build_covr_retriever(examples: Sequence[Example], cells: int = 512,
     projected = pca_project(pca, state_mat)
     state_vectors = state_mat.astype(np.float32)
     del state_mat  # free the float64 one-hot matrix before the IVF build
-    tfidf = tfidf_fit([realize(ex.instruction) for ex in examples])
-    hybrid = np.asarray([
-        hybrid_encode(projected[i], tfidf_encode(tfidf, realize(ex.instruction)), alpha)
-        for i, ex in enumerate(examples)
-    ])
+    tfidf, instr_vecs = _encode_instructions(examples)
+    hybrid = np.asarray([hybrid_encode(state, instr, alpha)
+                         for state, instr in zip(projected, instr_vecs)])
     ivf = ivf_build(hybrid, cells=cells, rng=rng)
     return CovrRetriever(examples=examples, tfidf=tfidf, pca=pca, ivf=ivf,
                          alpha=alpha, state_vectors=state_vectors)
@@ -310,13 +325,15 @@ def covr_supports(query: Example, retriever: CovrRetriever,
                          tfidf_encode(retriever.tfidf, realize(query.instruction)),
                          retriever.alpha)
     hits = ivf_query(retriever.ivf, qvec, k=pool, probes=probes)
-    query_grams = instruction_ngrams(query.instruction)
+    query_grams = _GRAMS[INSTRUCTION_ROW[query.instruction]]
     candidates = []
     for rank, (idx, retrieval_score) in enumerate(hits):
         ex = retriever.examples[idx]
         if ex.state == query.state and ex.instruction == query.instruction:
             continue
-        two, one = _gram_counts(ex.instruction, query_grams)
+        shared = _GRAMS[INSTRUCTION_ROW[ex.instruction]] & query_grams
+        one = (shared & _ONE_GRAM_BITS).bit_count()
+        two = shared.bit_count() - one
         # one-hot cosines are multiples of 1/(active slots); rounding keeps
         # mathematically-equal values tied regardless of summation order
         cosine = round(float(retriever.state_vectors[idx] @ state_vec), 9)
@@ -353,12 +370,11 @@ def build_gandr_retriever(examples: Sequence[Example], cells: int = 512,
     examples = list(examples)
     if not examples:
         raise RetrievalError("cannot build a retriever over an empty corpus")
-    instr_tfidf = tfidf_fit([realize(ex.instruction) for ex in examples])
+    instr_tfidf, instr_vecs = _encode_instructions(examples)
     out_tfidf = tfidf_fit([[a.name for a in ex.actions] for ex in examples])
     vectors = np.asarray([
-        combine_io(tfidf_encode(instr_tfidf, realize(ex.instruction)),
-                   tfidf_encode(out_tfidf, [a.name for a in ex.actions]), alpha)
-        for ex in examples
+        combine_io(instr, tfidf_encode(out_tfidf, [a.name for a in ex.actions]), alpha)
+        for ex, instr in zip(examples, instr_vecs)
     ])
     ivf = ivf_build(vectors, cells=cells, rng=rng)
     return GandrRetriever(examples=examples, instr_tfidf=instr_tfidf,
@@ -411,7 +427,9 @@ class ExternalSolver:
     Response: {"id": <int>, "actions": [action names]} or
               {"id": <int>, "error": <string>}
     Responses may arrive in any order; a reader thread files them by id and
-    drops replies to ids that are no longer awaited (timed out or unknown)."""
+    drops replies to ids that are no longer awaited (timed out or unknown).
+    Only an "error" reply raises SolverError (the pair is unsolvable); a
+    protocol violation, a timeout or a dead child raises an ExternalServiceError."""
 
     def __init__(self, command: Sequence[str], timeout: float = 30.0):
         self.timeout = timeout

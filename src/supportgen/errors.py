@@ -70,15 +70,8 @@ class MetricError(SupportgenError):
 
 
 class SolverError(SupportgenError):
-    """A solver failed to produce actions for a (state, instruction) pair."""
-
-
-class ProtocolError(SolverError):
-    """External solver violated the line protocol."""
-
-
-class SolverTimeout(SolverError):
-    """External solver did not answer within the deadline."""
+    """A solver found no actions for a (state, instruction) pair: the
+    support is unsolvable."""
 
 
 class ParaphraseError(SupportgenError):
@@ -86,4 +79,12 @@ class ParaphraseError(SupportgenError):
 
 
 class ExternalServiceError(SupportgenError):
-    """A remote endpoint failed after retries."""
+    """An external process or endpoint failed; the command cannot finish."""
+
+
+class ProtocolError(ExternalServiceError):
+    """External solver violated the line protocol or stopped running."""
+
+
+class SolverTimeout(ExternalServiceError):
+    """External solver did not answer within the deadline."""

@@ -13,6 +13,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 from .errors import GrammarError, LexicalError, UnresolvableError
 from .world import ObjectSpec, WorldState
 
@@ -183,6 +185,16 @@ SLOT_DOMAINS: tuple[tuple, ...] = (
 #: All 675 instruction forms, in slot product order (verb outermost, adverb
 #: innermost). The instruction model indexes its joint table in this order.
 INSTRUCTIONS = tuple(Instruction(*values) for values in itertools.product(*SLOT_DOMAINS))
+
+#: Each instruction's row in INSTRUCTIONS (its flat index into the joint table).
+INSTRUCTION_ROW = {instr: row for row, instr in enumerate(INSTRUCTIONS)}
+
+#: realize() of each INSTRUCTIONS row.
+REALIZED = tuple(tuple(realize(instr)) for instr in INSTRUCTIONS)
+
+#: Rank of each row's space-joined realized string among all 675; the
+#: strings are distinct, so this is a permutation of range(675).
+STRING_RANK = np.argsort(np.argsort([" ".join(tokens) for tokens in REALIZED]))
 
 
 def enumerate_instructions() -> Iterator[Instruction]:

@@ -12,16 +12,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .errors import EncodingError, FitError, QueryError, RetrievalError
 from .world import RngLike, as_rng
-
-INDEX_FORMAT_VERSION = 1
-
 
 # ---------------------------------------------------------------------------
 # TF-IDF
@@ -266,43 +262,6 @@ def brute_force_query(vectors: np.ndarray, ids: np.ndarray | None, query: np.nda
     scores = x @ np.asarray(query, dtype=np.float64)
     order = np.lexsort((all_ids, -scores))[:k]
     return [(int(all_ids[i]), float(scores[i])) for i in order]
-
-
-def save_index(index: IvfIndex, path: str | Path) -> None:
-    """Versioned binary persistence; header fields cells/dim/count."""
-    flat_ids = np.concatenate([c for c in index.cell_ids]) if index.count else np.empty(0, np.int64)
-    flat_vecs = (np.concatenate([c for c in index.cell_vectors])
-                 if index.count else np.empty((0, index.dim)))
-    lengths = np.asarray([len(c) for c in index.cell_ids], dtype=np.int64)
-    np.savez(
-        path,
-        version=np.int64(INDEX_FORMAT_VERSION),
-        cells=np.int64(index.cells),
-        dim=np.int64(index.dim),
-        count=np.int64(index.count),
-        centroids=index.centroids,
-        lengths=lengths,
-        ids=flat_ids,
-        vectors=flat_vecs,
-    )
-
-
-def load_index(path: str | Path) -> IvfIndex:
-    with np.load(path) as data:
-        if int(data["version"]) != INDEX_FORMAT_VERSION:
-            raise FitError(f"unsupported index version {int(data['version'])}")
-        lengths = data["lengths"]
-        ids = data["ids"]
-        vectors = data["vectors"]
-        cell_ids = []
-        cell_vectors = []
-        offset = 0
-        for length in lengths:
-            cell_ids.append(ids[offset:offset + length])
-            cell_vectors.append(vectors[offset:offset + length])
-            offset += length
-        return IvfIndex(centroids=data["centroids"], cell_ids=cell_ids,
-                        cell_vectors=cell_vectors, count=int(data["count"]))
 
 
 # ---------------------------------------------------------------------------

@@ -22,14 +22,11 @@ from typing import Iterable
 import numpy as np
 
 from .errors import DataFormatError, FitError
-from .grammar import INSTRUCTIONS, SLOT_DOMAINS, Instruction, realize
+from .grammar import INSTRUCTION_ROW, INSTRUCTIONS, SLOT_DOMAINS, Instruction, realize
 from .world import RngLike, as_rng
 
 SLOT_NAMES = ("verb", "size", "color", "shape", "adverb")
 _SHAPE = tuple(len(d) for d in SLOT_DOMAINS)
-
-#: Each instruction's flat (C-order) index into the joint table.
-_FLAT_INDEX = {instr: i for i, instr in enumerate(INSTRUCTIONS)}
 
 FORMAT_VERSION = 1
 
@@ -42,6 +39,12 @@ class InstructionModel:
     @property
     def smoothed(self) -> np.ndarray:
         return self.counts + self.k
+
+    @property
+    def log_table(self) -> np.ndarray:
+        """score() of every instruction, indexed like INSTRUCTIONS."""
+        table = self.smoothed
+        return np.log(table.ravel() / table.sum()) / len(SLOT_NAMES)
 
     def save(self, path: str | Path) -> None:
         payload = {
@@ -74,7 +77,7 @@ class InstructionModel:
 
 def fit(corpus: Iterable[Instruction], k: float = 0.1) -> InstructionModel:
     """Balanced fit: each unique instruction contributes one count."""
-    seen = list({_FLAT_INDEX[instr] for instr in corpus})
+    seen = list({INSTRUCTION_ROW[instr] for instr in corpus})
     if not seen:
         raise FitError("cannot fit an instruction model on an empty corpus")
     counts = np.zeros(len(INSTRUCTIONS))
@@ -91,8 +94,7 @@ def score(model: InstructionModel, instr: Instruction) -> float:
     equal smoothed counts get bit-identical scores, so ties in downstream
     rankings break on the realized token string. Higher is more
     in-distribution."""
-    table = model.smoothed
-    return float(np.log(table.flat[_FLAT_INDEX[instr]] / table.sum())) / len(SLOT_NAMES)
+    return float(model.log_table[INSTRUCTION_ROW[instr]])
 
 
 def infill_distribution(model: InstructionModel, query: Instruction,
@@ -107,7 +109,7 @@ def infill_distribution(model: InstructionModel, query: Instruction,
     if not 0.0 <= mask_rate <= 1.0:
         raise ValueError(f"mask_rate must be in [0, 1], got {mask_rate}")
     table = model.smoothed
-    query_idx = np.unravel_index(_FLAT_INDEX[query], _SHAPE)
+    query_idx = np.unravel_index(INSTRUCTION_ROW[query], _SHAPE)
     dist = np.zeros(_SHAPE)
     for mask in itertools.product((False, True), repeat=len(_SHAPE)):
         masked = sum(mask)

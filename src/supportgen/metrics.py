@@ -216,14 +216,6 @@ def support_diversity(support_set: SupportSet) -> float:
     return diversity(embed_instructions([s.instruction for s in support_set.supports]))
 
 
-def support_relevance(support_set: SupportSet, query: Example) -> float:
-    instrs = [s.instruction for s in support_set.supports]
-    encoder = tfidf_fit([realize(i) for i in instrs + [query.instruction]])
-    emb = embed_instructions(instrs, encoder)
-    q = tfidf_encode(encoder, realize(query.instruction))
-    return relevance(emb, q)
-
-
 # ---------------------------------------------------------------------------
 # Zipf fit
 # ---------------------------------------------------------------------------

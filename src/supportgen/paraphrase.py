@@ -10,8 +10,8 @@ from __future__ import annotations
 import json
 import os
 import re
+import threading
 import time
-import urllib.error
 import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -228,16 +228,19 @@ class HttpTransport:
         headers = {"Content-Type": "application/json"}
         if self.api_key:
             headers["Authorization"] = f"Bearer {self.api_key}"
-        last_error: Exception | None = None
+        last_error: OSError | None = None
         for attempt in range(self.retries):
+            if attempt:
+                self._sleep(self.backoff * (2 ** (attempt - 1)))
             try:
                 request = urllib.request.Request(self.endpoint, data=body, headers=headers)
                 with urllib.request.urlopen(request, timeout=self.timeout) as resp:
                     payload = json.loads(resp.read().decode("utf-8"))
                 return payload["choices"][0]["message"]["content"]
-            except (urllib.error.URLError, KeyError, ValueError, OSError) as exc:
+            except OSError as exc:  # URLError included; only transport failures retry
                 last_error = exc
-                self._sleep(self.backoff * (2 ** attempt))
+            except (KeyError, IndexError, TypeError, ValueError) as exc:
+                raise ExternalServiceError(f"malformed endpoint response: {exc!r}") from None
         raise ExternalServiceError(f"endpoint failed after {self.retries} tries: {last_error}")
 
 
@@ -253,22 +256,28 @@ class ParaphraseClient:
         self.synonyms = synonyms
         self.max_workers = max_workers
         self._cache: dict[str, list[str]] = {}
+        self._lock = threading.Lock()
         if self.cache_path and self.cache_path.exists():
             self._cache = json.loads(self.cache_path.read_text(encoding="utf-8")).get(
                 "paraphrases", {})
 
-    def _save_cache(self) -> None:
-        if self.cache_path:
-            payload = {"paraphrases": self._cache,
-                       "metadata": {"sampling": "endpoint defaults"}}
-            self.cache_path.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+    def _store(self, prompt: str, paraphrases: list[str]) -> None:
+        """Add one entry and atomically rewrite the cache file; the lock keeps
+        inserts out of a snapshot and each write newer than the last."""
+        with self._lock:
+            self._cache[prompt] = paraphrases
+            if self.cache_path:
+                payload = {"paraphrases": self._cache,
+                           "metadata": {"sampling": "endpoint defaults"}}
+                tmp = self.cache_path.with_name(self.cache_path.name + ".tmp")
+                tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
+                os.replace(tmp, self.cache_path)
 
     def paraphrase(self, mode: PromptMode | str, query: str,
                    template_mode: bool = False) -> ParaphraseRecord:
         prompt = build_prompt(mode, query, template_mode=template_mode)
         if prompt not in self._cache:
-            self._cache[prompt] = parse_response(self.transport.complete(prompt))
-            self._save_cache()
+            self._store(prompt, parse_response(self.transport.complete(prompt)))
         paraphrases = self._cache[prompt]
         retained = [check_retention(query, p, self.synonyms) for p in paraphrases]
         return ParaphraseRecord(original=query, paraphrases=list(paraphrases),

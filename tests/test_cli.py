@@ -10,6 +10,7 @@ import pytest
 import supportgen
 from supportgen.cli import (
     EXIT_DATA,
+    EXIT_EXTERNAL,
     EXIT_OK,
     STRATEGIES,
     STRATEGY_LIST,
@@ -116,6 +117,19 @@ class TestPinnedBytes:
         assert run(["gen-supports", "--data", str(data_file), "--strategy", strategy,
                     "--seed", "3", "--splits", "h", "--cells", "16",
                     "--out", str(out)]) == EXIT_OK
+        assert digests(out) == digest
+
+    @pytest.mark.parametrize("flags, digest", [
+        ([], "16ad0228bc0880238091ce2d2866eaafb5d76d3514ded547b560866dba1b604d"),
+        (["--replace-invalid"],
+         "a1229761283de77eb5e462f334cc128f4666620c13fc1b42516e63ffd26f1a94"),
+    ])
+    def test_demogen_supports_bytes(self, data_file, tmp_path, flags, digest):
+        """Pins DemoGen's infill draws, its ranking (score, then realized
+        string) and its scores at the default k over two splits."""
+        out = tmp_path / "demogen.jsonl"
+        assert run(["gen-supports", "--data", str(data_file), "--strategy", "demogen",
+                    "--seed", "3", "--splits", "h,c", *flags, "--out", str(out)]) == EXIT_OK
         assert digests(out) == digest
 
 
@@ -301,6 +315,30 @@ class TestGenSupports:
                     "--out", str(tmp_path / "x.jsonl")])
         assert code == EXIT_DATA
         assert marker.exists()
+
+    @pytest.mark.parametrize("child, timeout", [
+        # answers the first request, then exits
+        ("line = sys.stdin.readline()\n"
+         "print(json.dumps({'id': json.loads(line)['id'], 'actions': ['WALK']}), flush=True)\n",
+         "30"),
+        # reads every request and never answers
+        ("for line in sys.stdin:\n    pass\n", "0.5"),
+        # answers with a line that is not JSON
+        ("sys.stdin.readline()\nprint('garbage', flush=True)\nsys.stdin.read()\n", "30"),
+    ], ids=["exits-after-first-reply", "never-answers", "garbage-line"])
+    def test_external_solver_fault_exits_4(self, data_file, tmp_path, child, timeout):
+        """A dead, silent or garbling solver fails the command; only an
+        in-band error reply marks a support unsolvable."""
+        helper = tmp_path / "child.py"
+        helper.write_text("import json, sys\n" + child)
+        out = tmp_path / "x.jsonl"
+        code = run(["gen-supports", "--data", str(data_file), "--strategy", "random",
+                    "--seed", "5", "--splits", "h", "--limit", "1",
+                    "--solver", "external", "--solver-timeout", timeout,
+                    "--solver-cmd", f"{shlex.quote(sys.executable)} {shlex.quote(str(helper))}",
+                    "--out", str(out)])
+        assert code == EXIT_EXTERNAL
+        assert not out.exists()
 
     def test_solver_cmd_path_with_space(self, data_file, tmp_path):
         folder = tmp_path / "oracle dir"

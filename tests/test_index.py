@@ -10,10 +10,8 @@ from supportgen.index import (
     ivf_build,
     ivf_query,
     kmeans,
-    load_index,
     pca_fit,
     pca_project,
-    save_index,
     tfidf_encode,
     tfidf_fit,
 )
@@ -263,17 +261,6 @@ class TestIvf:
         index = ivf_build(base, cells=2, rng=0)
         hits = ivf_query(index, np.array([1.0, 0.0]), k=5, probes=2)
         assert [h[0] for h in hits] == [0, 1, 2, 3, 4]
-
-    def test_save_load_round_trip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        x = unit_rows(rng, 200, 8)
-        index = ivf_build(x, cells=8, rng=4)
-        path = tmp_path / "index.npz"
-        save_index(index, path)
-        back = load_index(path)
-        assert back.cells == index.cells and back.dim == 8 and back.count == 200
-        q = unit_rows(rng, 1, 8)[0]
-        assert ivf_query(back, q, k=5, probes=8) == ivf_query(index, q, k=5, probes=8)
 
     def test_recall_small_corpus(self):
         rng = np.random.default_rng(4)

@@ -1,9 +1,13 @@
+import io
+import json
+
 import pytest
 
 from supportgen.errors import ExternalServiceError, ParaphraseError
 from supportgen.paraphrase import (
     OBJECT_PLACEHOLDER,
     PROMPT_MODES,
+    HttpTransport,
     ParaphraseClient,
     build_prompt,
     check_retention,
@@ -176,6 +180,18 @@ class TestParaphraseClient:
         records = client.paraphrase_many("simple", ["pull a circle", "push a square"])
         assert [r.original for r in records] == ["pull a circle", "push a square"]
 
+    def test_concurrent_cache_writes_keep_every_prompt(self, tmp_path):
+        cache = tmp_path / "cache.json"
+        queries = [f"pull a circle {i}" for i in range(200)]
+        transport = FakeTransport([f"1. Pull circle {i}" for i in range(200)])
+        client = ParaphraseClient(transport, cache_path=cache, max_workers=8)
+        client.paraphrase_many("simple", queries)
+        stored = json.loads(cache.read_text(encoding="utf-8"))["paraphrases"]
+        assert set(stored) == {build_prompt("simple", q) for q in queries}
+        assert list(tmp_path.iterdir()) == [cache]  # no temp file left behind
+        again = ParaphraseClient(FakeTransport([]), cache_path=cache)
+        assert len(again.paraphrase_many("simple", queries)) == 200
+
 
 class TestHttpTransport:
     def test_requires_endpoint(self, monkeypatch):
@@ -186,12 +202,29 @@ class TestHttpTransport:
             HttpTransport()
 
     def test_retries_then_fails(self, monkeypatch):
-        from supportgen.paraphrase import HttpTransport
-
         sleeps = []
-        transport = HttpTransport(endpoint="http://localhost:1/nope", retries=2,
+        transport = HttpTransport(endpoint="http://localhost:1/nope", retries=3,
                                   backoff=0.5, timeout=0.1,
                                   sleep=lambda s: sleeps.append(s))
         with pytest.raises(ExternalServiceError):
             transport.complete("hello")
-        assert sleeps == [0.5, 1.0]
+        assert sleeps == [0.5, 1.0]  # retries - 1: no sleep after the last attempt
+
+    @pytest.mark.parametrize("body", [b"not json", b"{}", b'{"choices": []}',
+                                      b'{"choices": [{"message": null}]}'])
+    def test_malformed_body_fails_at_once(self, monkeypatch, body):
+        from supportgen import paraphrase
+
+        attempts = []
+
+        def urlopen(request, timeout):
+            attempts.append(request)
+            return io.BytesIO(body)
+
+        monkeypatch.setattr(paraphrase.urllib.request, "urlopen", urlopen)
+        sleeps = []
+        transport = HttpTransport(endpoint="http://localhost:1/nope", retries=3,
+                                  sleep=sleeps.append)
+        with pytest.raises(ExternalServiceError):
+            transport.complete("hello")
+        assert len(attempts) == 1 and sleeps == []
