@@ -216,7 +216,7 @@ def read_support_file(path: str | Path) -> list[tuple[Example, SupportSet]]:
                     ))
                 out.append((query, SupportSet(strategy=rec.get("strategy", "?"),
                                               supports=supports, meta=rec.get("meta", {}))))
-            except (KeyError, ValueError, TypeError, DataFormatError) as exc:
+            except (KeyError, ValueError, TypeError, SupportgenError) as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from None
     return out
 
@@ -295,23 +295,24 @@ def cmd_gen_supports(args: argparse.Namespace) -> int:
     strategy = _STRATEGY_NAMES.get(args.strategy.lower())
     if strategy is None:
         raise DataFormatError(f"unknown strategy {args.strategy!r}")
-    dataset = import_dataset(args.data)
-    train = dataset.split(Split.TRAIN)
-    wanted = set(_parse_split_list(args.splits))
-    queries = [ex for ex in dataset.examples if ex.split in wanted]
-    if args.limit is not None:
-        by_split: dict[Split, int] = {}
-        filtered = []
-        for ex in queries:
-            if by_split.get(ex.split, 0) < args.limit:
-                by_split[ex.split] = by_split.get(ex.split, 0) + 1
-                filtered.append(ex)
-        queries = filtered
-
+    wanted = set(args.splits)
     if args.solver == "external" and not args.solver_cmd:
         raise DataFormatError("--solver external requires --solver-cmd")
+    # The solver child starts before the data is read, so its interpreter
+    # start-up overlaps the decode.
     with (ExternalSolver(shlex.split(args.solver_cmd), timeout=args.solver_timeout)
           if args.solver == "external" else nullcontext(OracleSolver())) as solver:
+        dataset = import_dataset(args.data)
+        train = dataset.split(Split.TRAIN)
+        queries = [ex for ex in dataset.examples if ex.split in wanted]
+        if args.limit is not None:
+            by_split: dict[Split, int] = {}
+            filtered = []
+            for ex in queries:
+                if by_split.get(ex.split, 0) < args.limit:
+                    by_split[ex.split] = by_split.get(ex.split, 0) + 1
+                    filtered.append(ex)
+            queries = filtered
         run = STRATEGIES[strategy].prepare(train, args, solver)
         pairs = [(query, run(query, np.random.default_rng([args.seed, idx])))
                  for idx, query in enumerate(queries)]
@@ -525,7 +526,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"one of {STRATEGY_LIST} (name/aliases, any case)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--splits", default="all", help="comma list of splits or 'all'")
+    p.add_argument("--splits", type=_parse_split_list, default="all",
+                   help="comma list of splits or 'all'")
     p.add_argument("--limit", type=int, default=None, help="max queries per split")
     p.add_argument("--n", type=int, default=DEFAULT_SUPPORT_COUNT)
     p.add_argument("--k", type=int, default=DEFAULT_SAMPLE_COUNT)

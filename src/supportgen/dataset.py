@@ -18,6 +18,7 @@ the generator's candidate filter both evaluate them.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -26,7 +27,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import DataFormatError, GenerationError
+from .errors import DataFormatError, GenerationError, SupportgenError
 from .grammar import (
     INSTRUCTIONS,
     Instruction,
@@ -40,7 +41,7 @@ from .grammar import (
 from .permuter import Permutation, identity_permutation, sample_permutation
 from .permuter import apply as apply_permutation
 from .world import SIZES, Action, AgentPose, Heading, ObjectSpec, Position, WorldState
-from .world import new_random_state
+from .world import DECODE_CACHE_SIZE, new_random_state
 from . import planner
 
 
@@ -55,6 +56,9 @@ class Split(Enum):
     G = "g"
     H = "h"
 
+
+#: Each split by its record value.
+_SPLITS = {split.value: split for split in Split}
 
 TEST_SPLITS = (Split.A, Split.B, Split.C, Split.D, Split.E, Split.F, Split.G, Split.H)
 
@@ -105,11 +109,15 @@ class Example:
             state=WorldState.from_record(record),
             instruction=parse_command_string(record["command"]),
             actions=parse_target_string(record["target"]),
-            split=Split(record["split"]),
+            # Split() itself raises for a value that is no split
+            split=_SPLITS.get(record["split"]) or Split(record["split"]),
         )
 
 
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
 def parse_target_string(target: str) -> tuple[Action, ...]:
+    """The actions of a comma-joined target string; equal strings give one
+    shared tuple."""
     names = [t for t in target.split(",") if t]
     try:
         return tuple(Action[name] for name in names)
@@ -263,7 +271,7 @@ def import_dataset(path: str | Path) -> Dataset:
                 continue
             try:
                 examples.append(Example.from_record(json.loads(line)))
-            except (DataFormatError, ValueError, KeyError, TypeError) as exc:
+            except (SupportgenError, ValueError, KeyError, TypeError) as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from None
     return Dataset(examples)
 

@@ -9,6 +9,7 @@ still round-trip through parse.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Iterator, Sequence
@@ -16,7 +17,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import GrammarError, LexicalError, UnresolvableError
-from .world import ObjectSpec, WorldState
+from .world import DECODE_CACHE_SIZE, ObjectSpec, WorldState
 
 VERBS = ("walk_to", "push", "pull")
 SIZE_WORDS = ("small", "big")
@@ -256,5 +257,8 @@ def command_string(instr: Instruction) -> str:
     return ",".join(realize(instr))
 
 
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
 def parse_command_string(command: str) -> Instruction:
+    """parse() of a comma-joined token string; equal strings give one
+    shared Instruction."""
     return parse([t for t in command.split(",") if t])

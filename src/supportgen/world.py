@@ -7,6 +7,7 @@ counter-clockwise (east -> north), RTURN clockwise.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from enum import IntEnum
@@ -120,18 +121,23 @@ class WorldState:
     objects: tuple[ObjectSpec, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "objects", tuple(sorted(self.objects, key=lambda o: (o.pos.y, o.pos.x)))
-        )
+        objects = tuple(self.objects)
+        keys = [(o.pos.y, o.pos.x) for o in objects]
+        ordered = sorted(keys)
+        if ordered != keys:
+            objects = tuple(sorted(objects, key=lambda o: (o.pos.y, o.pos.x)))
+            keys = ordered
+        object.__setattr__(self, "objects", objects)
         if not self.in_bounds(self.agent.pos):
             raise ValueError(f"agent {self.agent.pos} outside {self.grid_size}x{self.grid_size} grid")
-        seen: set[Position] = set()
-        for obj in self.objects:
-            if not self.in_bounds(obj.pos):
+        n = self.grid_size
+        prev = None
+        for obj, key in zip(objects, keys):
+            if not (0 <= key[0] < n and 0 <= key[1] < n):
                 raise ValueError(f"object at {obj.pos} outside grid")
-            if obj.pos in seen:
+            if key == prev:  # sorted keys put objects on one cell side by side
                 raise ValueError(f"two objects share cell {obj.pos}")
-            seen.add(obj.pos)
+            prev = key
 
     def in_bounds(self, pos: Position) -> bool:
         return 0 <= pos.x < self.grid_size and 0 <= pos.y < self.grid_size
@@ -154,15 +160,32 @@ class WorldState:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "WorldState":
+        """The state of a record; equal agent poses and object specs of
+        different records are one shared object."""
         agent = record["agent"]
         return cls(
             grid_size=int(record["grid_size"]),
-            agent=AgentPose(Position(int(agent["x"]), int(agent["y"])), Heading(int(agent["d"]))),
-            objects=tuple(
-                ObjectSpec(o["shape"], o["color"], int(o["size"]), Position(int(o["x"]), int(o["y"])))
-                for o in record["objects"]
-            ),
+            agent=_agent_pose(agent["x"], agent["y"], agent["d"]),
+            objects=tuple(_object_spec(o["shape"], o["color"], o["size"], o["x"], o["y"])
+                          for o in record["objects"]),
         )
+
+
+#: Entries kept by each cache of decoded record parts. A 6x6 grid has 1,728
+#: object specs and 144 agent poses; a miss only builds the part again.
+DECODE_CACHE_SIZE = 8192
+
+
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+def _agent_pose(x, y, d) -> AgentPose:
+    """The agent pose of record values x, y, d."""
+    return AgentPose(Position(int(x), int(y)), Heading(int(d)))
+
+
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
+def _object_spec(shape, color, size, x, y) -> ObjectSpec:
+    """The object spec of one record entry's values."""
+    return ObjectSpec(shape, color, int(size), Position(int(x), int(y)))
 
 
 def new_random_state(rng: RngLike, grid_size: int = 6, object_count: int = 3) -> WorldState:

@@ -81,6 +81,52 @@ class TestGenData:
         assert exc.value.code == 2
 
 
+def reference_example(record: dict):
+    """The per-record construction import_dataset used before decoded parts
+    were shared: fresh objects for every field of every record."""
+    from supportgen.dataset import Example, Split
+    from supportgen.errors import DataFormatError
+    from supportgen.grammar import parse
+    from supportgen.world import Action, AgentPose, Heading, ObjectSpec, Position, WorldState
+
+    for fieldname in ("grid_size", "agent", "objects", "command", "target", "split"):
+        if fieldname not in record:
+            raise DataFormatError(f"missing field {fieldname!r}")
+    agent = record["agent"]
+    state = WorldState(
+        grid_size=int(record["grid_size"]),
+        agent=AgentPose(Position(int(agent["x"]), int(agent["y"])), Heading(int(agent["d"]))),
+        objects=tuple(
+            ObjectSpec(o["shape"], o["color"], int(o["size"]), Position(int(o["x"]), int(o["y"])))
+            for o in record["objects"]
+        ),
+    )
+    names = [t for t in record["target"].split(",") if t]
+    return Example(
+        state=state,
+        instruction=parse([t for t in record["command"].split(",") if t]),
+        actions=tuple(Action[name] for name in names),
+        split=Split(record["split"]),
+    )
+
+
+class TestDecode:
+    def test_decode_equals_reference(self, data_file):
+        """import_dataset equals fresh per-record construction, and equal
+        immutable parts of different records are one shared object."""
+        from supportgen.dataset import import_dataset
+
+        lines = data_file.read_text(encoding="utf-8").splitlines()
+        reference = [reference_example(json.loads(line)) for line in lines]
+        examples = import_dataset(data_file).examples
+        assert examples == reference
+        first: dict = {}
+        parts = [part for ex in examples
+                 for part in (ex.state.agent, *ex.state.objects, ex.instruction, ex.actions)]
+        assert all(first.setdefault(part, part) is part for part in parts)
+        assert len(first) < len(parts)
+
+
 class TestPinnedBytes:
     """Output digests for fixed seeds. A change to the generator's candidate
     order, its RNG draws or Rand-Instrs' instruction order changes them."""
@@ -315,6 +361,36 @@ class TestGenSupports:
                     "--out", str(tmp_path / "x.jsonl")])
         assert code == EXIT_DATA
         assert marker.exists()
+
+    def test_external_solver_closed_when_decode_fails(self, data_file, tmp_path):
+        """The child starts before the data is read, and a bad line still
+        closes it."""
+        marker = tmp_path / "closed"
+        helper = tmp_path / "helper.py"
+        helper.write_text("import sys\n"
+                          "for line in sys.stdin:\n"
+                          "    pass\n"
+                          f"open({str(marker)!r}, 'w').close()\n")
+        data = tmp_path / "bad.jsonl"
+        data.write_text(data_file.read_text().splitlines()[0] + "\n{}\n")
+        code = run(["gen-supports", "--data", str(data), "--strategy", "random",
+                    "--seed", "3", "--splits", "h", "--solver", "external",
+                    "--solver-cmd", f"{shlex.quote(sys.executable)} {shlex.quote(str(helper))}",
+                    "--out", str(tmp_path / "x.jsonl")])
+        assert code == EXIT_DATA
+        assert marker.exists()
+
+    def test_unknown_split_is_usage_error_before_any_solver(self, data_file, tmp_path):
+        marker = tmp_path / "started"
+        helper = tmp_path / "helper.py"
+        helper.write_text(f"open({str(marker)!r}, 'w').close()\n")
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-supports", "--data", str(data_file), "--strategy", "random",
+                 "--seed", "3", "--splits", "h,zz", "--solver", "external",
+                 "--solver-cmd", f"{shlex.quote(sys.executable)} {shlex.quote(str(helper))}",
+                 "--out", str(tmp_path / "x.jsonl")])
+        assert exc.value.code == 2
+        assert not marker.exists()
 
     @pytest.mark.parametrize("child, timeout", [
         # answers the first request, then exits

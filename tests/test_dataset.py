@@ -181,6 +181,28 @@ class TestExportImport:
         with pytest.raises(DataFormatError, match="line 1"):
             import_dataset(path)
 
+    GOOD = {"grid_size": 6, "agent": {"x": 0, "y": 0, "d": 1},
+            "objects": [{"shape": "circle", "color": "red", "size": 1, "x": 2, "y": 0},
+                        {"shape": "square", "color": "blue", "size": 2, "x": 4, "y": 1}],
+            "command": "walk,to,a,circle", "target": "RTURN,WALK,WALK", "split": "train"}
+
+    @pytest.mark.parametrize("change", [
+        {"target": "RTURN,FLY"},
+        {"command": "walk,a,circle"},
+        {"command": "walk,to,a,dragon"},
+        {"objects": GOOD["objects"] + [{"shape": "cylinder", "color": "green", "size": 3,
+                                        "x": 4, "y": 1}]},
+        {"agent": {"x": 6, "y": 0, "d": 1}},
+        {"split": "z"},
+    ], ids=["target", "grammar", "lexicon", "shared-cell", "agent-off-grid", "split"])
+    def test_bad_second_line_sharing_first_lines_parts(self, change, tmp_path):
+        """Line 2 reuses every part line 1 decoded but one, which is bad."""
+        path = tmp_path / "bad.jsonl"
+        lines = [json.dumps(self.GOOD), json.dumps({**self.GOOD, **change})]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataFormatError, match=r"^line 2: "):
+            import_dataset(path)
+
 
 class TestExternalImport:
     def test_hand_built_record(self):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from supportgen.errors import CapacityError, DimensionError, ExecutionError
 from supportgen.world import (
+    SHAPES,
     Action,
     AgentPose,
     Heading,
@@ -218,3 +219,74 @@ class TestHammingSimilarity:
 class TestRecordRoundTrip:
     def test_state_record_round_trip(self, s0):
         assert WorldState.from_record(s0.to_record()) == s0
+
+
+def reference_state_check(grid_size: int, agent: AgentPose, objects) -> tuple:
+    """The state checks as one sort, one agent test and one pass over the
+    sorted objects with a set of seen cells: the sorted objects, or the
+    ValueError message."""
+    objects = tuple(sorted(objects, key=lambda o: (o.pos.y, o.pos.x)))
+
+    def inside(pos):
+        return 0 <= pos.x < grid_size and 0 <= pos.y < grid_size
+
+    if not inside(agent.pos):
+        return f"agent {agent.pos} outside {grid_size}x{grid_size} grid"
+    seen = set()
+    for obj in objects:
+        if not inside(obj.pos):
+            return f"object at {obj.pos} outside grid"
+        if obj.pos in seen:
+            return f"two objects share cell {obj.pos}"
+        seen.add(obj.pos)
+    return objects
+
+
+def state_check(grid_size: int, agent: AgentPose, objects):
+    try:
+        return WorldState(grid_size, agent, objects).objects
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestStateChecks:
+    AGENT = AgentPose(Position(0, 0), Heading.NORTH)
+
+    def test_unsorted_objects_come_back_in_yx_order(self):
+        objs = [ObjectSpec("circle", "red", 1, Position(1, 2)),
+                ObjectSpec("square", "blue", 2, Position(3, 0)),
+                ObjectSpec("cylinder", "green", 3, Position(0, 2)),
+                ObjectSpec("circle", "yellow", 4, Position(2, 0))]
+        state = WorldState(6, self.AGENT, objs)
+        assert isinstance(state.objects, tuple)
+        assert [(o.pos.y, o.pos.x) for o in state.objects] == [(0, 2), (0, 3), (2, 0), (2, 1)]
+
+    def test_sorted_list_becomes_tuple(self):
+        objs = [ObjectSpec("circle", "red", 1, Position(1, 0))]
+        assert WorldState(6, self.AGENT, objs).objects == tuple(objs)
+
+    def test_agent_out_of_grid(self):
+        with pytest.raises(ValueError, match=r"^agent Position\(x=6, y=0\) outside 6x6 grid$"):
+            WorldState(6, AgentPose(Position(6, 0), Heading.EAST), ())
+
+    def test_object_out_of_grid(self):
+        objs = (ObjectSpec("circle", "red", 1, Position(0, -1)),)
+        with pytest.raises(ValueError, match=r"^object at Position\(x=0, y=-1\) outside grid$"):
+            WorldState(6, self.AGENT, objs)
+
+    def test_two_objects_on_one_cell(self):
+        objs = (ObjectSpec("circle", "red", 1, Position(2, 3)),
+                ObjectSpec("square", "red", 1, Position(4, 4)),
+                ObjectSpec("cylinder", "blue", 2, Position(2, 3)))
+        with pytest.raises(ValueError, match=r"^two objects share cell Position\(x=2, y=3\)$"):
+            WorldState(6, self.AGENT, objs)
+
+    @given(st.integers(-1, 3), st.integers(-1, 3),
+           st.lists(st.tuples(st.integers(-1, 3), st.integers(-1, 3)), max_size=6))
+    @settings(max_examples=300, deadline=None)
+    def test_result_and_message_equal_reference(self, ax, ay, cells):
+        """The first failing check, in sorted object order, names the error."""
+        agent = AgentPose(Position(ax, ay), Heading.SOUTH)
+        objs = tuple(ObjectSpec(SHAPES[i % 3], "red", 1 + i % 4, Position(x, y))
+                     for i, (x, y) in enumerate(cells))
+        assert state_check(3, agent, objs) == reference_state_check(3, agent, objs)
