@@ -120,19 +120,18 @@ def _parse_split_counts(spec: str) -> dict[Split, int]:
             f"bad split counts {spec!r}, expected e.g. 'h=100,c=50' over splits a-h")
 
 
+def _parse_split(spec: str) -> Split:
+    name = spec.strip().lower()
+    try:
+        return Split(name)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"unknown split {name!r}")
+
+
 def _parse_split_list(spec: str) -> list[Split]:
     if spec == "all":
         return [Split.TRAIN, *TEST_SPLITS]
-    out = []
-    for part in spec.split(","):
-        part = part.strip().lower()
-        if not part:
-            continue
-        try:
-            out.append(Split(part))
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"unknown split {part!r}")
-    return out
+    return [_parse_split(part) for part in spec.split(",") if part.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +367,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     if args.nn_profile:
         train_states = [ex.state for ex in dataset.split(Split.TRAIN)]
-        split_states = [ex.state for ex in dataset.split(Split(args.split))]
+        split_states = [ex.state for ex in dataset.split(args.split)]
         ranks = [int(r) for r in args.ranks.split(",") if r]
         profile = nn_profile(split_states, train_states, ranks=ranks,
                              sample=args.sample, rng=args.seed or 0)
@@ -376,15 +375,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print("rank " + " ".join(f"{r}:{v:.3f}" for r, v in profile))
 
     if args.pattern:
-        split = Split(args.split)
-        sequences = [[int(a) for a in ex.actions] for ex in dataset.split(split)]
+        sequences = [[int(a) for a in ex.actions] for ex in dataset.split(args.split)]
         rep = pattern_frequency(sequences, args.pattern,
                                 over_permutations=args.permutations)
         report.setdefault("pattern", {})[args.pattern] = {
             "fraction": rep.fraction, "matched": rep.matched, "total": rep.total,
             "over_permutations": rep.over_permutations,
         }
-        print(f"pattern {args.pattern!r} on split {split.value}: "
+        print(f"pattern {args.pattern!r} on split {args.split.value}: "
               f"{rep.matched}/{rep.total} = {rep.fraction:.6f}"
               f"{' (any permutation)' if rep.over_permutations else ''}")
 
@@ -554,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nn-profile", action="store_true")
     p.add_argument("--ranks", default="1,2,4,8,16,32,64,128,256,512,1024,2048,4096,8192")
     p.add_argument("--sample", type=int, default=1000)
-    p.add_argument("--split", default="h")
+    p.add_argument("--split", type=_parse_split, default="h")
     p.add_argument("--pattern", default=None,
                    help=f"named pattern ({', '.join(NAMED_PATTERNS)}) or expression")
     p.add_argument("--permutations", action="store_true")

@@ -325,7 +325,7 @@ def import_external_record(record: Mapping, direction_map: Mapping[int, int] | N
                 raise DataFormatError(f"unknown action token {name!r}")
         return Example(state, instruction, tuple(actions),
                        Split(record.get("split", split.value)))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (SupportgenError, KeyError, TypeError, ValueError) as exc:
         raise DataFormatError(f"bad external record: {exc}") from None
 
 

@@ -28,10 +28,10 @@ from .index import (
     hybrid_encode,
     ivf_build,
     ivf_query,
-    pca_fit,
     pca_project,
     tfidf_encode,
     tfidf_fit,
+    _pca_fit_centring,
 )
 from .instruction_model import InstructionModel, infill_distribution
 from .world import Action, RngLike, WorldState, as_rng, encode_one_hot, encode_states
@@ -301,15 +301,21 @@ def build_covr_retriever(examples: Sequence[Example], cells: int = 512,
     examples = list(examples)
     if not examples:
         raise RetrievalError("cannot build a retriever over an empty corpus")
-    state_mat = encode_states([ex.state for ex in examples], np.float64)
-    pca = pca_fit(state_mat, k=pca_dim)
-    projected = pca_project(pca, state_mat)
-    state_vectors = state_mat.astype(np.float32)
-    del state_mat  # free the float64 one-hot matrix before the IVF build
+    states = [ex.state for ex in examples]
+    # the build's one n x d float64 one-hot matrix: centred in place, then
+    # projected; centred rows @ components.T equal pca_project bit for bit
+    onehot = encode_states(states, np.float64)
+    pca = _pca_fit_centring(onehot, pca_dim)
+    projected = onehot @ pca.components.T
+    del onehot
     tfidf, instr_vecs = _encode_instructions(examples)
-    hybrid = np.asarray([hybrid_encode(state, instr, alpha)
-                         for state, instr in zip(projected, instr_vecs)])
+    hybrid = np.empty((len(examples), pca.dim + tfidf.dim), dtype=np.float64)
+    for row, instr in enumerate(instr_vecs):
+        hybrid[row] = hybrid_encode(projected[row], instr, alpha)
+    del projected  # freed before k-means
     ivf = ivf_build(hybrid, cells=cells, rng=rng)
+    # equal bit for bit to the float64 encoding cast to float32
+    state_vectors = encode_states(states, np.float32)
     return CovrRetriever(examples=examples, tfidf=tfidf, pca=pca, ivf=ivf,
                          alpha=alpha, state_vectors=state_vectors)
 

@@ -79,22 +79,30 @@ class PcaProjector:
 def pca_fit(vectors: np.ndarray, k: int = 320) -> PcaProjector:
     """Project onto the top-k covariance eigenvectors after mean-centering.
 
-    When fewer than k informative directions exist, the available rank is
-    retained. Component signs are fixed for determinism."""
-    x = np.asarray(vectors, dtype=np.float64)
+    Fits on a float64 copy of `vectors`, so the caller's array is never
+    changed. When fewer than k informative directions exist, the available
+    rank is retained. Component signs are fixed for determinism."""
+    return _pca_fit_centring(np.array(vectors, dtype=np.float64), k)
+
+
+def _pca_fit_centring(x: np.ndarray, k: int) -> PcaProjector:
+    """pca_fit on a float64 matrix the caller owns: `x` is centred in place
+    and stays centred, so `x @ components.T` is bit for bit the projection
+    pca_project gives of the uncentred rows."""
     if x.ndim != 2 or x.shape[0] == 0:
         raise FitError("pca_fit needs a nonempty 2-D sample matrix")
     mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / max(1, x.shape[0] - 1)
+    x -= mean
+    cov = x.T @ x
+    cov /= max(1, x.shape[0] - 1)
     eigvals, eigvecs = np.linalg.eigh(cov)
+    del cov
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
     tol = max(eigvals[0], 0.0) * 1e-12 + 1e-15
     rank = min(k, int((eigvals > tol).sum()), x.shape[1])
     rank = max(rank, 1)
-    components = eigvecs[:, :rank].T.copy()
+    components = eigvecs[:, order[:rank]].T.copy()
     for row in components:
         pivot = np.argmax(np.abs(row))
         if row[pivot] < 0:
@@ -110,6 +118,20 @@ def pca_project(projector: PcaProjector, vectors: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # k-means and the IVF index
 # ---------------------------------------------------------------------------
+
+#: Rows per block of _row_sq_norms: bounds its x * x temporary.
+_SQ_BLOCK_ROWS = 512
+
+
+def _row_sq_norms(x: np.ndarray) -> np.ndarray:
+    """np.sum(x * x, axis=1), one block of rows at a time. Each row is summed
+    on its own, so the result does not depend on the block size."""
+    sq = np.empty(x.shape[0], dtype=np.float64)
+    for lo in range(0, x.shape[0], _SQ_BLOCK_ROWS):
+        block = x[lo:lo + _SQ_BLOCK_ROWS]
+        sq[lo:lo + _SQ_BLOCK_ROWS] = np.sum(block * block, axis=1)
+    return sq
+
 
 def _sq_dist_to_row(x: np.ndarray, sq: np.ndarray, j: int, tol: float) -> np.ndarray:
     """‖x − x[j]‖² for every row as sq − 2·x·x[j] + sq[j]. Rows within `tol`
@@ -147,7 +169,7 @@ def kmeans(points: np.ndarray, cells: int, rng: RngLike, iters: int = 25
         raise FitError("cannot cluster zero points")
     cells = min(cells, n)
     gen = as_rng(rng)
-    sq = np.sum(x * x, axis=1)
+    sq = _row_sq_norms(x)
     # 1e-9 of the largest sq + sq[j] is far above the expansion's rounding
     # error, so points that coincide with a centroid always take the exact path
     tol = 1e-9 * 2.0 * float(sq.max())
@@ -196,10 +218,12 @@ def kmeans(points: np.ndarray, cells: int, rng: RngLike, iters: int = 25
 
 @dataclass
 class IvfIndex:
+    """Inverted-file index over one vector matrix: `vectors` is the matrix
+    the index was built from, held once and not copied, and each cell's
+    posting list holds its row ids in ascending order."""
     centroids: np.ndarray        # (cells, dim)
     cell_ids: list[np.ndarray]   # per-cell posting list of ids
-    cell_vectors: list[np.ndarray]
-    count: int
+    vectors: np.ndarray          # (count, dim)
 
     @property
     def cells(self) -> int:
@@ -209,22 +233,26 @@ class IvfIndex:
     def dim(self) -> int:
         return self.centroids.shape[1]
 
+    @property
+    def count(self) -> int:
+        return self.vectors.shape[0]
+
+    @property
+    def cell_vectors(self) -> list[np.ndarray]:
+        """Each cell's rows, gathered from `vectors` in posting-list order."""
+        return [self.vectors[ids] for ids in self.cell_ids]
+
 
 def ivf_build(vectors: np.ndarray, cells: int = 512, rng: RngLike = 0,
               iters: int = 25) -> IvfIndex:
-    """Ids are row numbers, ascending within each cell."""
+    """Ids are row numbers, ascending within each cell. A float64 `vectors`
+    is kept by the index as it is, so the caller must not change it later."""
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise FitError("cannot build an index over an empty vector set")
     centroids, labels = kmeans(x, cells, rng, iters)
-    cell_ids = []
-    cell_vectors = []
-    for c in range(centroids.shape[0]):
-        members = np.flatnonzero(labels == c)
-        cell_ids.append(members)
-        cell_vectors.append(x[members])
-    return IvfIndex(centroids=centroids, cell_ids=cell_ids,
-                    cell_vectors=cell_vectors, count=x.shape[0])
+    cell_ids = [np.flatnonzero(labels == c) for c in range(centroids.shape[0])]
+    return IvfIndex(centroids=centroids, cell_ids=cell_ids, vectors=x)
 
 
 def ivf_query(index: IvfIndex, query: np.ndarray, k: int, probes: int = 10
@@ -243,9 +271,10 @@ def ivf_query(index: IvfIndex, query: np.ndarray, k: int, probes: int = 10
     ids: list[np.ndarray] = []
     scores: list[np.ndarray] = []
     for c in chosen:
-        if len(index.cell_ids[c]):
-            ids.append(index.cell_ids[c])
-            scores.append(index.cell_vectors[c] @ q)
+        members = index.cell_ids[c]
+        if len(members):
+            ids.append(members)
+            scores.append(index.vectors[members] @ q)
     if not ids:
         return []
     flat_ids = np.concatenate(ids)

@@ -457,6 +457,17 @@ class TestAnalyze:
         values = [profile[str(r)] for r in (1, 2, 4, 8, 16, 32)]
         assert values == sorted(values, reverse=True)
 
+    def test_unknown_split_is_usage_error_before_decode(self, data_file, monkeypatch):
+        import supportgen.cli
+
+        def no_decode(path):
+            raise AssertionError("the data file was decoded")
+
+        monkeypatch.setattr(supportgen.cli, "import_dataset", no_decode)
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", "--data", str(data_file), "--nn-profile", "--split", "zz"])
+        assert exc.value.code == 2
+
     def test_zipf_on_corpus_file(self, tmp_path):
         corpus = tmp_path / "corpus.txt"
         corpus.write_text(" ".join(

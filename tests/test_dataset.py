@@ -248,6 +248,17 @@ class TestExternalImport:
         with pytest.raises(DataFormatError):
             import_external_record({"command": "walk,to,a,circle"})
 
+    @pytest.mark.parametrize("command", ["walk,a,circle", "walk,to,a,hexagon"])
+    def test_bad_command_is_data_format_error(self, command):
+        record = {
+            "command": command,
+            "target_commands": "walk",
+            "situation": {"grid_size": 6, "agent_position": {"row": 0, "column": 0},
+                          "agent_direction": 0, "placed_objects": []},
+        }
+        with pytest.raises(DataFormatError, match="bad external record"):
+            import_external_record(record)
+
 
 def _attach_oracle_supports(dataset, per_query=3):
     from supportgen.engines import OracleSolver, heuristic_supports

@@ -322,6 +322,34 @@ class TestCovr:
             assert sorted(map(repr, got)) == sorted(map(repr, expected))
 
 
+    def test_build_holds_one_one_hot_matrix(self):
+        """Traced peak of the build over 3,000 states, in units of one float64
+        one-hot matrix: 2.69 when PCA centred a second copy of the samples
+        beside them, 1.58 with the in-place fit. The bound sits between."""
+        import tracemalloc
+
+        from conftest import random_state
+        from supportgen.grammar import INSTRUCTIONS
+        from supportgen.world import CELL_WIDTH
+
+        rng = np.random.default_rng(5)
+        examples = [Example(random_state(rng), INSTRUCTIONS[int(rng.integers(len(INSTRUCTIONS)))],
+                            (), Split.TRAIN) for _ in range(3000)]
+        one_hot_bytes = len(examples) * 36 * CELL_WIDTH * 8
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            base, _ = tracemalloc.get_traced_memory()
+            build_covr_retriever(examples, cells=64, rng=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert (peak - base) / one_hot_bytes < 2.0
+
+
 class TestGandr:
     def test_output_weight_zero_is_instruction_only(self, corpus):
         train = corpus.split(Split.TRAIN)

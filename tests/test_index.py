@@ -5,6 +5,8 @@ import pytest
 
 from supportgen.errors import EncodingError, FitError, QueryError
 from supportgen.index import (
+    _pca_fit_centring,
+    _row_sq_norms,
     brute_force_query,
     hybrid_encode,
     ivf_build,
@@ -60,6 +62,43 @@ def parent_kmeans(points, cells, rng, iters=25):
             counts[big] -= 1
             counts[c] += 1
     return centroids, labels
+
+
+def parent_pca(vectors, k=320):
+    """pca_fit then pca_project as index 0.4.0 wrote them, verbatim: the fit
+    centres a second copy of the samples. The in-place fit must match it
+    bit for bit. Returns (mean, components, projection of `vectors`)."""
+    x = np.asarray(vectors, dtype=np.float64)
+    mean = x.mean(axis=0)
+    centered = x - mean
+    cov = centered.T @ centered / max(1, x.shape[0] - 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    order = np.argsort(eigvals)[::-1]
+    eigvals = eigvals[order]
+    eigvecs = eigvecs[:, order]
+    tol = max(eigvals[0], 0.0) * 1e-12 + 1e-15
+    rank = min(k, int((eigvals > tol).sum()), x.shape[1])
+    rank = max(rank, 1)
+    components = eigvecs[:, :rank].T.copy()
+    for row in components:
+        pivot = np.argmax(np.abs(row))
+        if row[pivot] < 0:
+            row *= -1.0
+    return mean, components, (x - mean) @ components.T
+
+
+def pca_samples(case):
+    rng = np.random.default_rng(8)
+    if case == "gaussian":
+        return rng.standard_normal((700, 24)), 10
+    if case == "low-rank":
+        return rng.standard_normal((300, 4)) @ rng.standard_normal((4, 32)), 8
+    if case == "fortran-order":
+        return np.asfortranarray(rng.standard_normal((200, 12))), 5
+    from supportgen.world import encode_states
+    from conftest import random_state
+
+    return encode_states([random_state(rng) for _ in range(600)], np.float64), 320
 
 
 class TestTfIdf:
@@ -156,6 +195,30 @@ class TestPca:
         with pytest.raises(FitError):
             pca_fit(np.empty((0, 3)))
 
+    @pytest.mark.parametrize("case", ["gaussian", "low-rank", "fortran-order",
+                                      "one-hot-states"])
+    def test_in_place_fit_equal_to_parent(self, case):
+        """The centring fit and the projection of its centred rows equal the
+        copy-then-centre fit and pca_project bit for bit, through both
+        pca_fit and the helper the CovR build calls."""
+        data, k = pca_samples(case)
+        mean, components, projected = parent_pca(data, k)
+        p = pca_fit(data, k)
+        assert p.mean.tobytes() == mean.tobytes()
+        assert p.components.tobytes() == components.tobytes()
+        assert pca_project(p, data).tobytes() == projected.tobytes()
+        owned = np.array(data, dtype=np.float64)
+        q = _pca_fit_centring(owned, k)
+        assert q.components.tobytes() == components.tobytes()
+        assert (owned @ q.components.T).tobytes() == projected.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_fit_leaves_input_unchanged(self, dtype):
+        data = np.random.default_rng(9).standard_normal((50, 6)).astype(dtype) + 3.0
+        before = data.copy()
+        pca_fit(data, k=3)
+        assert data.tobytes() == before.tobytes()
+
     def test_linearity(self):
         rng = np.random.default_rng(5)
         p = pca_fit(rng.standard_normal((100, 8)), k=4)
@@ -231,6 +294,13 @@ class TestKmeans:
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
 
+    @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1200])
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_blocked_sq_norms_equal_one_pass(self, rows, order):
+        x = np.asarray(unit_rows(np.random.default_rng(rows), rows, 338) * 3.7, order=order)
+        assert _row_sq_norms(x).tobytes() == np.sum(x * x, axis=1).tobytes()
+
+
 class TestIvf:
     def test_query_indexed_vector_first(self):
         rng = np.random.default_rng(0)
@@ -248,6 +318,18 @@ class TestIvf:
             exact = brute_force_query(x, None, x[qi], k=10)
             got = ivf_query(index, x[qi], k=10, probes=32)
             assert got == exact
+
+    def test_one_matrix_matches_parent_cell_copies(self):
+        """cell_vectors gathers from the kept matrix exactly the per-cell
+        x[members] copies that index 0.4.0 stored."""
+        rng = np.random.default_rng(6)
+        x = unit_rows(rng, 900, 10)
+        index = ivf_build(x, cells=24, rng=3)
+        assert index.vectors is x and index.count == 900
+        _, labels = kmeans(x, 24, rng=3)
+        members = [np.flatnonzero(labels == c) for c in range(24)]
+        assert [ids.tobytes() for ids in index.cell_ids] == [m.tobytes() for m in members]
+        assert [v.tobytes() for v in index.cell_vectors] == [x[m].tobytes() for m in members]
 
     def test_bad_k(self):
         rng = np.random.default_rng(2)

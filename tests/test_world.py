@@ -166,8 +166,11 @@ class TestEncodeOneHot:
 
 class TestEncodeStates:
     @pytest.mark.parametrize("grid, dtype", [(6, np.float64), (6, np.float32),
-                                             (4, np.float64), (9, np.float32)])
+                                             (4, np.float64), (4, np.float32),
+                                             (9, np.float32)])
     def test_bitwise_equal_to_per_cell_reference(self, grid, dtype):
+        """Also: each dtype's encoding is the float64 encoding cast to it, which
+        lets the CovR build encode its float32 cosine matrix directly."""
         rng = np.random.default_rng(grid)
         states = [random_state(rng, grid_size=grid, max_objects=grid * grid - 1)
                   for _ in range(300)]
@@ -176,6 +179,7 @@ class TestEncodeStates:
         got = encode_states(states, dtype)
         assert got.dtype == dtype and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+        assert got.tobytes() == encode_states(states, np.float64).astype(dtype).tobytes()
 
     def test_one_hot_is_the_float64_row(self, s0):
         assert encode_one_hot(s0).tobytes() == per_cell_one_hot(s0).tobytes()
