@@ -98,15 +98,30 @@ def write_manifest(command: str, config: dict, seed: int | None, out: Path) -> d
     return manifest
 
 
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer of at least `low`."""
+    def parse(spec: str) -> int:
+        try:
+            value = int(spec)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {spec!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+        return value
+    return parse
+
+
 def _parse_object_range(spec: str) -> tuple[int, int]:
+    """'3..10' -> (3, 10); '4' -> (4, 4). Counts start at 1; the capacity of
+    the grid is checked by DatasetConfig."""
+    lo, sep, hi = spec.partition("..")
     try:
-        if ".." in spec:
-            lo, hi = spec.split("..", 1)
-            return int(lo), int(hi)
-        value = int(spec)
-        return value, value
+        lo, hi = int(lo), int(hi if sep else lo)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad object range {spec!r}, expected e.g. 3..10")
+    if not 1 <= lo <= hi:
+        raise argparse.ArgumentTypeError(f"bad object range {spec!r}, expected 1 <= lo <= hi")
+    return lo, hi
 
 
 def _parse_split_counts(spec: str) -> dict[Split, int]:
@@ -114,8 +129,8 @@ def _parse_split_counts(spec: str) -> dict[Split, int]:
     names = {s.value: s for s in TEST_SPLITS}
     try:
         pairs = [part.split("=") for part in spec.split(",") if part.strip()]
-        return {names[name.strip().lower()]: int(count) for name, count in pairs}
-    except (KeyError, ValueError):
+        return {names[name.strip().lower()]: _int_at_least(0)(count) for name, count in pairs}
+    except (KeyError, ValueError, argparse.ArgumentTypeError):
         raise argparse.ArgumentTypeError(
             f"bad split counts {spec!r}, expected e.g. 'h=100,c=50' over splits a-h")
 
@@ -390,9 +405,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.zipf:
         corpus_tokens = Path(args.zipf).read_text(encoding="utf-8").split()
     elif args.zipf_commands:
-        corpus_tokens = []
-        for ex in dataset.examples:
-            corpus_tokens.extend(t for t in ex.to_record()["command"].split(","))
+        corpus_tokens = [token for ex in dataset.examples for token in realize(ex.instruction)]
     if corpus_tokens is not None:
         fit = zipf_fit(corpus_tokens)
         report["zipf"] = {"alpha": round(fit.alpha, 6), "rmse": round(fit.rmse, 6),
@@ -508,11 +521,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a dataset with compositional splits")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--train", type=int, default=50_000)
-    p.add_argument("--per-split", type=int, default=2_000)
+    p.add_argument("--train", type=_int_at_least(0), default=50_000)
+    p.add_argument("--per-split", type=_int_at_least(0), default=2_000)
     p.add_argument("--split-counts", type=_parse_split_counts, default={},
                    help="override per-split counts of test splits a-h, e.g. 'h=100,c=50'")
-    p.add_argument("--grid", type=int, default=6)
+    p.add_argument("--grid", type=_int_at_least(1), default=6)
     p.add_argument("--objects", type=_parse_object_range, default=(3, 10),
                    help="object count range, e.g. 3..10")
     p.add_argument("--out", required=True)

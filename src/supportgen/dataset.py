@@ -19,6 +19,7 @@ the generator's candidate filter both evaluate them.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
@@ -33,9 +34,9 @@ from .grammar import (
     Instruction,
     command_string,
     encode_words,
+    ground_descriptions,
     parse_command_string,
     realize,
-    resolve_descriptions,
     resolve_target,
 )
 from .permuter import Permutation, identity_permutation, sample_permutation
@@ -187,31 +188,69 @@ _BY_DESCRIPTION: dict[tuple, list[Instruction]] = {}
 for _instr in INSTRUCTIONS:
     _BY_DESCRIPTION.setdefault(_instr.description(), []).append(_instr)
 _VERB_ADVERBS = tuple((i.verb, i.adverb) for i in _BY_DESCRIPTION[INSTRUCTIONS[0].description()])
-#: Target size -> the verb/adverb flags of each pair in _VERB_ADVERBS.
-_ACTION_FLAGS = {
-    size: tuple(_flags(_ACTION_PREDICATES, verb, adverb, size) for verb, adverb in _VERB_ADVERBS)
-    for size in SIZES
-}
 
 
-def _candidate_instructions(state: WorldState, want: frozenset[Split]
-                            ) -> list[Instruction]:
-    """All unique-referent instructions whose classify set equals `want`,
-    (verb, adverb) outermost, then by description in resolve_descriptions
-    order.
+@functools.cache
+def _pair_admits(want_action: frozenset[Split]) -> dict[int, tuple[int, ...]]:
+    """Target size -> 1 for each pair of _VERB_ADVERBS whose verb/adverb
+    flags are exactly `want_action`, else 0: a 4 x 15 table per wanted set."""
+    return {size: tuple(int(_flags(_ACTION_PREDICATES, verb, adverb, size) == want_action)
+                        for verb, adverb in _VERB_ADVERBS)
+            for size in SIZES}
 
-    Description and verb/adverb predicates flag disjoint splits, so a
-    candidate must match `want` on each level separately."""
-    want_action = want.intersection(_ACTION_PREDICATES)
-    want_description = want - want_action
-    kept = [
-        (_BY_DESCRIPTION[description], _ACTION_FLAGS[res.object.size])
-        for description, res in resolve_descriptions(state).items()
-        if res.unique and want_description == _flags(_DESCRIPTION_PREDICATES, *description,
-                                                     res.object, state.agent)
-    ]
-    return [instructions[i] for i in range(len(_VERB_ADVERBS))
-            for instructions, flags in kept if flags[i] == want_action]
+
+class _Candidates:
+    """The unique-referent instructions of `state` whose classify set equals
+    `want`, as a sequence: (verb, adverb) outermost, then by description in
+    ground_descriptions order. Deleting an entry removes that candidate.
+
+    Only the kept descriptions and each pair's candidate count are held;
+    indexing walks the counts. Description and verb/adverb predicates flag
+    disjoint splits, so a candidate must match `want` on each level
+    separately."""
+
+    def __init__(self, state: WorldState, want: frozenset[Split]) -> None:
+        want_action = want.intersection(_ACTION_PREDICATES)
+        admits = _pair_admits(want_action)
+        # each description predicate with whether `want` needs it to hold
+        expect = [(holds, split in want) for split, holds in _DESCRIPTION_PREDICATES.items()]
+        agent = state.agent
+        # (the description's instructions, its target's row of admits)
+        self._kept = []
+        for description, referent, unique in ground_descriptions(state):
+            if not unique:
+                continue
+            for holds, wanted in expect:
+                if holds(*description, referent, agent) != wanted:
+                    break
+            else:
+                self._kept.append((_BY_DESCRIPTION[description], admits[referent.size]))
+        self._counts = [sum(column) for column in zip(*(row for _, row in self._kept))]
+        self._removed: set[tuple[int, int]] = set()
+
+    def __len__(self) -> int:
+        return sum(self._counts)
+
+    def _locate(self, idx: int) -> tuple[int, int]:
+        """(pair, kept row) of the idx-th candidate."""
+        if not 0 <= idx < len(self):
+            raise IndexError(idx)
+        pair = 0
+        while idx >= self._counts[pair]:
+            idx -= self._counts[pair]
+            pair += 1
+        rows = (row for row, (_, admit) in enumerate(self._kept)
+                if admit[pair] and (pair, row) not in self._removed)
+        return pair, next(itertools.islice(rows, idx, None))
+
+    def __getitem__(self, idx: int) -> Instruction:
+        pair, row = self._locate(idx)
+        return self._kept[row][0][pair]
+
+    def __delitem__(self, idx: int) -> None:
+        pair, row = self._locate(idx)
+        self._removed.add((pair, row))
+        self._counts[pair] -= 1
 
 
 def generate_example(rng: np.random.Generator, config: DatasetConfig, split: Split
@@ -223,7 +262,7 @@ def generate_example(rng: np.random.Generator, config: DatasetConfig, split: Spl
     for _ in range(MAX_ATTEMPTS):
         n_obj = int(rng.integers(config.min_objects, config.max_objects + 1))
         state = new_random_state(rng, config.grid_size, n_obj)
-        candidates = _candidate_instructions(state, want)
+        candidates = _Candidates(state, want)
         while candidates:
             idx = int(rng.choice(len(candidates)))
             instr = candidates[idx]

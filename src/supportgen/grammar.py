@@ -203,28 +203,36 @@ def enumerate_instructions() -> Iterator[Instruction]:
     return iter(INSTRUCTIONS)
 
 
-def resolve_descriptions(state: WorldState) -> dict[tuple, TargetResolution]:
+def ground_descriptions(state: WorldState) -> list[tuple[tuple, ObjectSpec, bool]]:
     """Every object description (size, color, shape) that grounds in
-    `state`, mapped to what resolve_target gives it, in shape-major (shape,
-    color, size) order. Dataset generation lists its candidates in this
-    order, so reordering it changes generated data."""
+    `state`, as (description, referent, unique) with the referent and
+    uniqueness resolve_target gives it. The order is shape-major (shape,
+    color, size), None first in each slot; dataset generation indexes its
+    candidates in this order, so reordering it changes generated data."""
     # state.objects is in (y, x) order, so each group's first object wins ties
     groups: dict[tuple, list[ObjectSpec]] = {}
     for obj in state.objects:
         groups.setdefault((obj.shape, None), []).append(obj)
         groups.setdefault((obj.shape, obj.color), []).append(obj)
-    out = {}
+    out = []
     for shape in SHAPE_WORDS:
         for color in (None,) + COLOR_WORDS:
             group = groups.get((shape, color))
             if group is None:
                 continue
-            out[(None, color, shape)] = TargetResolution(group[0], len(group) == 1)
-            for size_word, pick in (("small", min), ("big", max)):
-                chosen = pick(o.size for o in group)
-                matches = [o for o in group if o.size == chosen]
-                out[(size_word, color, shape)] = TargetResolution(matches[0], len(matches) == 1)
+            out.append(((None, color, shape), group[0], len(group) == 1))
+            sizes = [o.size for o in group]
+            for size_word, size in (("small", min(sizes)), ("big", max(sizes))):
+                out.append(((size_word, color, shape), group[sizes.index(size)],
+                            sizes.count(size) == 1))
     return out
+
+
+def resolve_descriptions(state: WorldState) -> dict[tuple, TargetResolution]:
+    """ground_descriptions as a mapping, in its order: each description that
+    grounds in `state` to what resolve_target gives it."""
+    return {description: TargetResolution(referent, unique)
+            for description, referent, unique in ground_descriptions(state)}
 
 
 def encode_words(tokens: Sequence[str]) -> list[int]:

@@ -171,26 +171,42 @@ class WorldState:
         )
 
 
-#: Entries kept by each cache of decoded record parts. A 6x6 grid has 1,728
-#: object specs and 144 agent poses; a miss only builds the part again.
+#: Entries kept by each cache of state parts, decoded or generated. A 6x6
+#: grid has 1,728 object specs and 144 agent poses; a miss only builds the
+#: part again.
 DECODE_CACHE_SIZE = 8192
 
 
 @functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
 def _agent_pose(x, y, d) -> AgentPose:
-    """The agent pose of record values x, y, d."""
+    """The agent pose of record values x, y, d; equal values give one
+    shared pose."""
     return AgentPose(Position(int(x), int(y)), Heading(int(d)))
 
 
 @functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
 def _object_spec(shape, color, size, x, y) -> ObjectSpec:
-    """The object spec of one record entry's values."""
+    """The object spec of one record entry's values; equal values give one
+    shared spec."""
     return ObjectSpec(shape, color, int(size), Position(int(x), int(y)))
+
+
+#: Per-object bounds of the one attribute draw of new_random_state: shape
+#: index, color index, size.
+_ATTRIBUTE_LOW = [0, 0, 1]
+_ATTRIBUTE_HIGH = [len(SHAPES), len(COLORS), SIZES[-1] + 1]
 
 
 def new_random_state(rng: RngLike, grid_size: int = 6, object_count: int = 3) -> WorldState:
     """Sample a uniform random state. The agent cell is reserved: objects never
-    spawn under the agent, hence the grid_size**2 - 1 capacity bound."""
+    spawn under the agent, hence the grid_size**2 - 1 capacity bound.
+
+    The draws are, in this order: the agent cell, the heading, the object
+    cells (k distinct indices into the cells other than the agent's) and one
+    array of k (shape, color, size) triples, which consumes the stream as k
+    rounds of three scalar draws do. Reordering or merging them changes
+    generated data. Equal agent poses and object specs are shared objects,
+    as in decoded records."""
     if not 0 <= object_count <= grid_size * grid_size - 1:
         raise CapacityError(
             f"cannot place {object_count} objects on a {grid_size}x{grid_size} grid"
@@ -198,23 +214,18 @@ def new_random_state(rng: RngLike, grid_size: int = 6, object_count: int = 3) ->
     gen = as_rng(rng)
     cells = grid_size * grid_size
     agent_cell = int(gen.integers(cells))
-    agent = AgentPose(
-        Position(agent_cell % grid_size, agent_cell // grid_size),
-        Heading(int(gen.integers(4))),
-    )
-    free = [c for c in range(cells) if c != agent_cell]
-    chosen = gen.choice(len(free), size=object_count, replace=False) if object_count else []
+    agent = _agent_pose(agent_cell % grid_size, agent_cell // grid_size, int(gen.integers(4)))
     objects = []
-    for idx in chosen:
-        cell = free[int(idx)]
-        objects.append(
-            ObjectSpec(
-                shape=SHAPES[int(gen.integers(len(SHAPES)))],
-                color=COLORS[int(gen.integers(len(COLORS)))],
-                size=int(gen.integers(1, 5)),
-                pos=Position(cell % grid_size, cell // grid_size),
-            )
-        )
+    if object_count:
+        chosen = gen.choice(cells - 1, size=object_count, replace=False).tolist()
+        values = gen.integers(_ATTRIBUTE_LOW * object_count,
+                              _ATTRIBUTE_HIGH * object_count).tolist()
+        # index c of the cells other than the agent's is cell c + (c >= agent_cell);
+        # ascending indices give the objects in the (y, x) order of WorldState
+        for c, i in sorted(zip(chosen, range(0, 3 * object_count, 3))):
+            cell = c + (c >= agent_cell)
+            objects.append(_object_spec(SHAPES[values[i]], COLORS[values[i + 1]],
+                                        values[i + 2], cell % grid_size, cell // grid_size))
     return WorldState(grid_size=grid_size, agent=agent, objects=tuple(objects))
 
 

@@ -73,6 +73,25 @@ class TestGenData:
                  "--out", str(tmp_path / "x.jsonl")])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--objects", "5..3"], ["--objects", "0..3"], ["--objects", "2.."],
+        ["--train", "-1"], ["--per-split", "-2"], ["--split-counts", "h=-1"],
+        ["--grid", "0"], ["--grid", "six"],
+    ], ids=" ".join)
+    def test_bad_count_is_usage_error_and_writes_nothing(self, flags, tmp_path):
+        out = tmp_path / "x.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-data", "--seed", "1", "--train", "5", "--per-split", "1", *flags,
+                 "--out", str(out)])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_objects_over_grid_capacity_is_data_error(self, tmp_path):
+        out = tmp_path / "x.jsonl"
+        assert run(["gen-data", "--seed", "1", "--train", "5", "--per-split", "1",
+                    "--grid", "3", "--objects", "1..9", "--out", str(out)]) == EXIT_DATA
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("spec", ["train=5", "z=3", "h=x"])
     def test_split_counts_outside_test_splits_is_usage_error(self, spec, tmp_path):
         with pytest.raises(SystemExit) as exc:
@@ -134,6 +153,16 @@ class TestPinnedBytes:
     def test_gen_data_bytes(self, data_file):
         assert digests(data_file) == \
             "a8e607286655a6f6a4c918596ec4f13108389619de1d1e1cae4692088da96e23"
+
+    def test_gen_data_bytes_small_grid(self, tmp_path):
+        """A 4x4 grid up to full (15 objects) with per-split counts, one
+        split empty."""
+        out = tmp_path / "grid4.jsonl"
+        assert run(["gen-data", "--seed", "11", "--train", "80", "--per-split", "5",
+                    "--grid", "4", "--objects", "1..15", "--split-counts", "h=9,d=0,b=7",
+                    "--out", str(out)]) == EXIT_OK
+        assert digests(out) == \
+            "dd3c7eab7dee115ea420e52bea5493d83b487307eb78e5a507c7d980804cc90c"
 
     def test_random_supports_bytes(self, data_file):
         import numpy as np
@@ -477,6 +506,20 @@ class TestAnalyze:
         assert run(["analyze", "--zipf", str(corpus), "--out", str(report)]) == EXIT_OK
         fit = json.loads(report.read_text())["zipf"]
         assert fit["vocabulary"] == 9
+
+    def test_zipf_on_dataset_commands(self, data_file, tmp_path):
+        """The fit over every record's command tokens, in file order."""
+        from supportgen.metrics import zipf_fit
+
+        tokens = [token for line in data_file.read_text(encoding="utf-8").splitlines()
+                  for token in json.loads(line)["command"].split(",")]
+        fit = zipf_fit(tokens)
+        report = tmp_path / "zipf.json"
+        assert run(["analyze", "--data", str(data_file), "--zipf-commands",
+                    "--out", str(report)]) == EXIT_OK
+        assert json.loads(report.read_text())["zipf"] == {
+            "alpha": round(fit.alpha, 6), "rmse": round(fit.rmse, 6),
+            "vocabulary": fit.vocabulary, "tokens": fit.tokens}
 
     def test_no_metric_requested_is_data_error(self, data_file):
         assert run(["analyze", "--data", str(data_file)]) == EXIT_DATA

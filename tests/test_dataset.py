@@ -11,16 +11,17 @@ from supportgen.dataset import (
     DatasetConfig,
     Split,
     TEST_SPLITS,
-    _candidate_instructions,
+    _Candidates,
     classify,
     decode_icl_targets,
     export_dataset,
     export_icl_records,
     generate_dataset,
+    generate_example,
     import_dataset,
     import_external_record,
 )
-from supportgen.errors import DataFormatError, UnresolvableError
+from supportgen.errors import DataFormatError, GenerationError, UnresolvableError
 from supportgen.grammar import (
     ADVERBS,
     COLOR_WORDS,
@@ -31,6 +32,7 @@ from supportgen.grammar import (
     parse,
     resolve_target,
 )
+from supportgen import dataset as dataset_module
 from supportgen.planner import solve
 from supportgen.world import (
     Action,
@@ -41,6 +43,8 @@ from supportgen.world import (
     WorldState,
     new_random_state,
 )
+
+import generation_reference
 
 
 def small_config(seed=7, train=60, per_split=6) -> DatasetConfig:
@@ -102,15 +106,79 @@ def _reference_flags(state):
     return out
 
 
+CANDIDATE_WANTS = [frozenset()] + [frozenset({s}) for s in HOLDOUT_SPLITS]
+
+
 def test_candidate_filter_matches_brute_force():
     rng = np.random.default_rng(2024)
-    wants = [frozenset()] + [frozenset({s}) for s in HOLDOUT_SPLITS]
     for _ in range(200):
         state = new_random_state(rng, 6, int(rng.integers(1, 11)))
         reference = _reference_flags(state)
-        for want in wants:
-            assert _candidate_instructions(state, want) == \
-                [instr for instr, flags in reference if flags == want]
+        for want in CANDIDATE_WANTS:
+            candidates = _Candidates(state, want)
+            expected = [instr for instr, flags in reference if flags == want]
+            assert len(candidates) == len(expected)
+            assert list(candidates) == expected
+
+
+def test_candidate_deletions_match_list_deletions():
+    """Deleting from the counted candidates equals deleting from the full
+    list, entry by entry until none is left."""
+    rng = np.random.default_rng(77)
+    for _ in range(60):
+        state = new_random_state(rng, 6, int(rng.integers(1, 11)))
+        reference = _reference_flags(state)
+        for want in CANDIDATE_WANTS:
+            candidates = _Candidates(state, want)
+            expected = [instr for instr, flags in reference if flags == want]
+            while expected:
+                idx = int(rng.integers(len(expected)))
+                assert candidates[idx] == expected[idx]
+                del candidates[idx]
+                del expected[idx]
+                assert len(candidates) == len(expected)
+                assert list(candidates) == expected
+            with pytest.raises(IndexError):
+                candidates[0]
+
+
+class TestGenerationReference:
+    """Generation against the code it replaced (tests/generation_reference.py):
+    the same examples from the same draws."""
+
+    @pytest.mark.parametrize("grid, objects", [(6, (3, 10)), (4, (1, 15))])
+    @pytest.mark.parametrize("split", list(Split), ids=lambda s: s.value)
+    def test_generate_example_equals_reference(self, split, grid, objects):
+        config = DatasetConfig(seed=0, grid_size=grid, min_objects=objects[0],
+                               max_objects=objects[1])
+        for i in range(40):
+            rng, ref_rng = (np.random.default_rng([grid, i]) for _ in range(2))
+            assert generate_example(rng, config, split) == \
+                generation_reference.generate_example(ref_rng, config, split)
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    def test_generation_error_after_max_attempts(self, monkeypatch):
+        """A stream whose first state holds no split-B candidate fails after
+        one attempt, and the same stream yields an example with more."""
+        config = DatasetConfig(seed=0, train_count=0, split_counts={Split.B: 1},
+                               min_objects=1, max_objects=1)
+        rng = np.random.default_rng(0)
+        first = new_random_state(rng, 6, int(rng.integers(1, 2)))
+        assert len(_Candidates(first, frozenset({Split.B}))) == 0
+        monkeypatch.setattr(dataset_module, "MAX_ATTEMPTS", 1)
+        with pytest.raises(GenerationError, match="split 'b' after 1 attempts"):
+            generate_example(np.random.default_rng(0), config, Split.B)
+        monkeypatch.undo()
+        assert generate_example(np.random.default_rng(0), config, Split.B).split == Split.B
+
+    def test_generated_object_specs_are_shared(self):
+        """A 6x6 grid has 3 shapes x 4 colors x 4 sizes x 36 cells = 1,728
+        distinct object specs; generation shares one object per spec."""
+        data = generate_dataset(DatasetConfig(seed=3, train_count=2000,
+                                              split_counts={s: 10 for s in TEST_SPLITS}))
+        specs = [obj for ex in data.examples for obj in ex.state.objects]
+        assert len(specs) > 10_000
+        assert len({id(obj) for obj in specs}) <= 3 * 4 * 4 * 36
 
 
 class TestGenerateDataset:

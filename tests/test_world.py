@@ -20,6 +20,7 @@ from supportgen.world import (
 )
 
 from conftest import random_state
+import generation_reference
 
 
 def per_cell_one_hot(state: WorldState) -> np.ndarray:
@@ -68,6 +69,23 @@ class TestNewRandomState:
         for seed in range(50):
             state = new_random_state(seed, 4, 15)
             assert all(o.pos != state.agent.pos for o in state.objects)
+
+
+class TestGenerationReference:
+    def test_new_random_state_equals_reference(self):
+        """Every grid 2-9 and object count 0..cells-1, two seeds each (568
+        seeds): the state of tests/generation_reference.py, and the same
+        generator state after it, so the next draw is the same too."""
+        seed = 0
+        for grid in range(2, 10):
+            for count in range(grid * grid):
+                for _ in range(2):
+                    rng, ref_rng = (np.random.default_rng([seed, grid]) for _ in range(2))
+                    seed += 1
+                    state = new_random_state(rng, grid, count)
+                    assert state == generation_reference.new_random_state(ref_rng, grid, count)
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert seed >= 500
 
 
 class TestSimulate:
