@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import shlex
 import sys
 from contextlib import nullcontext
@@ -36,6 +37,7 @@ from .dataset import (
 from .engines import (
     DEFAULT_MASK_RATE,
     DEFAULT_SAMPLE_COUNT,
+    DEFAULT_SOLVER_TIMEOUT,
     DEFAULT_SUPPORT_COUNT,
     ExternalSolver,
     OracleSolver,
@@ -54,8 +56,11 @@ from .engines import (
 )
 from .errors import DataFormatError, ExternalServiceError, SupportgenError
 from .grammar import parse_command_string, realize
+from .index import DEFAULT_CELLS, DEFAULT_PCA_DIM, DEFAULT_PROBES
 from .instruction_model import InstructionModel, fit as fit_instruction_model
 from .metrics import (
+    DEFAULT_NN_SAMPLE,
+    DEFAULT_RANKS,
     NAMED_PATTERNS,
     nn_profile,
     pattern_frequency,
@@ -98,17 +103,39 @@ def write_manifest(command: str, config: dict, seed: int | None, out: Path) -> d
     return manifest
 
 
-def _int_at_least(low: int) -> Callable[[str], int]:
-    """An argparse type: an integer of at least `low`."""
-    def parse(spec: str) -> int:
+def _checked(convert: Callable[[str], object], accept: Callable[[object], bool],
+             expected: str) -> Callable[[str], object]:
+    """An argparse type: `convert` of the argument, which `accept` must
+    hold for; `expected` describes such a value in the error."""
+    def parse(spec: str):
         try:
-            value = int(spec)
+            value = convert(spec)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"expected an integer, got {spec!r}") from None
-        if value < low:
-            raise argparse.ArgumentTypeError(f"expected an integer >= {low}, got {value}")
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {spec!r}") from None
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {spec!r}")
         return value
     return parse
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type: an integer of at least `low`."""
+    return _checked(int, lambda value: value >= low, f"an integer >= {low}")
+
+
+# argparse types of a rate in [0, 1] and of a finite duration above 0
+_unit_rate = _checked(float, lambda value: 0.0 <= value <= 1.0, "a number in [0, 1]")
+_positive_seconds = _checked(float, lambda value: 0.0 < value < math.inf,
+                             "a finite number > 0")
+
+
+def _parse_ranks(spec: str) -> tuple[int, ...]:
+    """'1,2,4' -> (1, 2, 4); every rank is at least 1."""
+    rank = _int_at_least(1)
+    ranks = tuple(rank(part) for part in spec.split(",") if part.strip())
+    if not ranks:
+        raise argparse.ArgumentTypeError(f"expected a comma list of ranks, got {spec!r}")
+    return ranks
 
 
 def _parse_object_range(spec: str) -> tuple[int, int]:
@@ -383,8 +410,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.nn_profile:
         train_states = [ex.state for ex in dataset.split(Split.TRAIN)]
         split_states = [ex.state for ex in dataset.split(args.split)]
-        ranks = [int(r) for r in args.ranks.split(",") if r]
-        profile = nn_profile(split_states, train_states, ranks=ranks,
+        profile = nn_profile(split_states, train_states, ranks=args.ranks,
                              sample=args.sample, rng=args.seed or 0)
         report["nn_profile"] = {str(r): round(v, 6) for r, v in profile}
         print("rank " + " ".join(f"{r}:{v:.3f}" for r, v in profile))
@@ -539,18 +565,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--splits", type=_parse_split_list, default="all",
                    help="comma list of splits or 'all'")
-    p.add_argument("--limit", type=int, default=None, help="max queries per split")
-    p.add_argument("--n", type=int, default=DEFAULT_SUPPORT_COUNT)
-    p.add_argument("--k", type=int, default=DEFAULT_SAMPLE_COUNT)
-    p.add_argument("--mask-rate", type=float, default=DEFAULT_MASK_RATE)
+    p.add_argument("--limit", type=_int_at_least(0), default=None,
+                   help="max queries per split")
+    p.add_argument("--n", type=_int_at_least(1), default=DEFAULT_SUPPORT_COUNT)
+    p.add_argument("--k", type=_int_at_least(1), default=DEFAULT_SAMPLE_COUNT)
+    p.add_argument("--mask-rate", type=_unit_rate, default=DEFAULT_MASK_RATE)
     p.add_argument("--alpha", type=float, default=None,
                    help="hybrid weight (default: the retriever's own)")
-    p.add_argument("--cells", type=int, default=512)
-    p.add_argument("--probes", type=int, default=10)
-    p.add_argument("--pca-dim", type=int, default=320)
+    p.add_argument("--cells", type=_int_at_least(1), default=DEFAULT_CELLS)
+    p.add_argument("--probes", type=_int_at_least(1), default=DEFAULT_PROBES)
+    p.add_argument("--pca-dim", type=_int_at_least(1), default=DEFAULT_PCA_DIM)
     p.add_argument("--solver", choices=("oracle", "external"), default="oracle")
     p.add_argument("--solver-cmd", default=None)
-    p.add_argument("--solver-timeout", type=float, default=30.0)
+    p.add_argument("--solver-timeout", type=_positive_seconds, default=DEFAULT_SOLVER_TIMEOUT)
     p.add_argument("--model-file", default=None,
                    help="count-table file: loaded if present, else fit and saved")
     p.add_argument("--replace-invalid", action="store_true",
@@ -563,8 +590,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--criteria", action="store_true")
     p.add_argument("--validity", action="store_true")
     p.add_argument("--nn-profile", action="store_true")
-    p.add_argument("--ranks", default="1,2,4,8,16,32,64,128,256,512,1024,2048,4096,8192")
-    p.add_argument("--sample", type=int, default=1000)
+    p.add_argument("--ranks", type=_parse_ranks, default=DEFAULT_RANKS,
+                   help="comma list of neighbour ranks, each >= 1")
+    p.add_argument("--sample", type=_int_at_least(1), default=DEFAULT_NN_SAMPLE)
     p.add_argument("--split", type=_parse_split, default="h")
     p.add_argument("--pattern", default=None,
                    help=f"named pattern ({', '.join(NAMED_PATTERNS)}) or expression")

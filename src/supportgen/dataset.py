@@ -87,7 +87,7 @@ HOLDOUT_SPLITS = (*_DESCRIPTION_PREDICATES, *_ACTION_PREDICATES)
 MAX_ATTEMPTS = 200
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Example:
     state: WorldState
     instruction: Instruction

@@ -20,8 +20,11 @@ import numpy as np
 from .dataset import Example
 from .errors import ProtocolError, RetrievalError, SolverError, SolverTimeout, UnresolvableError
 from .grammar import (INSTRUCTION_ROW, INSTRUCTIONS, REALIZED, STRING_RANK, Instruction,
-                      realize, resolve_descriptions)
+                      ground_descriptions, realize)
 from .index import (
+    DEFAULT_CELLS,
+    DEFAULT_PCA_DIM,
+    DEFAULT_PROBES,
     IvfIndex,
     PcaProjector,
     TfIdfEncoder,
@@ -41,6 +44,8 @@ DEFAULT_SUPPORT_COUNT = 16
 DEFAULT_SAMPLE_COUNT = 2048
 DEFAULT_MASK_RATE = 0.2
 RETRIEVAL_POOL = 128
+#: Seconds ExternalSolver waits for each reply by default.
+DEFAULT_SOLVER_TIMEOUT = 30.0
 
 
 @dataclass
@@ -141,9 +146,9 @@ def random_supports(query: Example, solver: Solver, rng: RngLike,
     """n distinct instructions sampled uniformly over everything resolvable
     in the query state (the query instruction excluded)."""
     gen = as_rng(rng)
-    resolvable = resolve_descriptions(query.state)
+    grounded = {description for description, _, _ in ground_descriptions(query.state)}
     legal = [instr for instr in INSTRUCTIONS
-             if instr.description() in resolvable and instr != query.instruction]
+             if instr.description() in grounded and instr != query.instruction]
     take = min(n, len(legal))
     chosen = gen.choice(len(legal), size=take, replace=False) if take else []
     supports = []
@@ -295,8 +300,8 @@ def _encode_instructions(examples: Sequence[Example]) -> tuple[TfIdfEncoder, lis
     return tfidf, [vectors[row] for row in rows]
 
 
-def build_covr_retriever(examples: Sequence[Example], cells: int = 512,
-                         pca_dim: int = 320, alpha: float = 0.125,
+def build_covr_retriever(examples: Sequence[Example], cells: int = DEFAULT_CELLS,
+                         pca_dim: int = DEFAULT_PCA_DIM, alpha: float = 0.125,
                          rng: RngLike = 0) -> CovrRetriever:
     examples = list(examples)
     if not examples:
@@ -322,7 +327,7 @@ def build_covr_retriever(examples: Sequence[Example], cells: int = 512,
 
 def covr_supports(query: Example, retriever: CovrRetriever,
                   n: int = DEFAULT_SUPPORT_COUNT, pool: int = RETRIEVAL_POOL,
-                  probes: int = 10) -> SupportSet:
+                  probes: int = DEFAULT_PROBES) -> SupportSet:
     """Retrieve `pool` nearest hybrid vectors, stable-sort by (matching
     two-grams, one-grams, state cosine) descending, then greedily cover the
     query's n-grams and fill to n."""
@@ -371,7 +376,7 @@ class GandrRetriever:
     alpha: float
 
 
-def build_gandr_retriever(examples: Sequence[Example], cells: int = 512,
+def build_gandr_retriever(examples: Sequence[Example], cells: int = DEFAULT_CELLS,
                           alpha: float = 0.5, rng: RngLike = 0) -> GandrRetriever:
     examples = list(examples)
     if not examples:
@@ -389,7 +394,7 @@ def build_gandr_retriever(examples: Sequence[Example], cells: int = 512,
 
 def gandr_supports(query: Example, helper: Solver, retriever: GandrRetriever,
                    n: int = DEFAULT_SUPPORT_COUNT, pool: int = RETRIEVAL_POOL,
-                   probes: int = 10) -> SupportSet:
+                   probes: int = DEFAULT_PROBES) -> SupportSet:
     """Encode (query instruction, helper's guessed output), retrieve similar
     (instruction, stored output) pairs, greedily cover the query input.
 
@@ -437,7 +442,7 @@ class ExternalSolver:
     Only an "error" reply raises SolverError (the pair is unsolvable); a
     protocol violation, a timeout or a dead child raises an ExternalServiceError."""
 
-    def __init__(self, command: Sequence[str], timeout: float = 30.0):
+    def __init__(self, command: Sequence[str], timeout: float = DEFAULT_SOLVER_TIMEOUT):
         self.timeout = timeout
         self._proc = subprocess.Popen(
             list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE,

@@ -47,7 +47,6 @@ WORD_CODES = {
     "square": 12, "to": 13, "walk": 14, "while spinning": 15,
     "while zigzagging": 16, "yellow": 17,
 }
-CODE_WORDS = {v: k for k, v in WORD_CODES.items()}
 WORD_TABLE_SIZE = len(WORD_CODES)
 
 
@@ -152,25 +151,28 @@ def parse(tokens: Sequence[str]) -> Instruction:
     return Instruction(verb, size_word, color_word, shape_word, adverb)
 
 
-def resolve_target(instr: Instruction, state: WorldState) -> TargetResolution:
-    """Ground an instruction in a state.
+def _referent(group: Sequence[ObjectSpec], size_word: str | None) -> tuple[ObjectSpec, bool]:
+    """The object `size_word` picks from `group`, a description's matches in
+    (y, x) order, and whether it is unique: a size word keeps the strictly
+    smallest or largest size, and ties go to the first object."""
+    if size_word is None:
+        return group[0], len(group) == 1
+    sizes = [o.size for o in group]
+    size = min(sizes) if size_word == "small" else max(sizes)
+    return group[sizes.index(size)], sizes.count(size) == 1
 
-    Candidates match shape and (when given) color; a size word keeps the
-    strictly smallest/largest size among candidates. Ties break on position
-    (lowest y, then lowest x)."""
-    candidates = [
+
+def resolve_target(instr: Instruction, state: WorldState) -> TargetResolution:
+    """Ground an instruction in a state: its referent among the objects that
+    match shape and (when given) color, by the rule of _referent."""
+    group = [
         o for o in state.objects
         if o.shape == instr.shape_word
         and (instr.color_word is None or o.color == instr.color_word)
     ]
-    if instr.size_word and candidates:
-        pick = min if instr.size_word == "small" else max
-        chosen_size = pick(o.size for o in candidates)
-        candidates = [o for o in candidates if o.size == chosen_size]
-    if not candidates:
+    if not group:
         raise UnresolvableError(f"no object matches {' '.join(realize(instr))!r}")
-    candidates.sort(key=lambda o: (o.pos.y, o.pos.x))
-    return TargetResolution(object=candidates[0], unique=len(candidates) == 1)
+    return TargetResolution(*_referent(group, instr.size_word))
 
 
 #: Values of the five instruction slots (verb, size, color, shape, adverb);
@@ -209,7 +211,7 @@ def ground_descriptions(state: WorldState) -> list[tuple[tuple, ObjectSpec, bool
     uniqueness resolve_target gives it. The order is shape-major (shape,
     color, size), None first in each slot; dataset generation indexes its
     candidates in this order, so reordering it changes generated data."""
-    # state.objects is in (y, x) order, so each group's first object wins ties
+    # state.objects is in (y, x) order, and so is each group
     groups: dict[tuple, list[ObjectSpec]] = {}
     for obj in state.objects:
         groups.setdefault((obj.shape, None), []).append(obj)
@@ -218,21 +220,11 @@ def ground_descriptions(state: WorldState) -> list[tuple[tuple, ObjectSpec, bool
     for shape in SHAPE_WORDS:
         for color in (None,) + COLOR_WORDS:
             group = groups.get((shape, color))
-            if group is None:
-                continue
-            out.append(((None, color, shape), group[0], len(group) == 1))
-            sizes = [o.size for o in group]
-            for size_word, size in (("small", min(sizes)), ("big", max(sizes))):
-                out.append(((size_word, color, shape), group[sizes.index(size)],
-                            sizes.count(size) == 1))
+            if group is not None:
+                for size_word in (None,) + SIZE_WORDS:
+                    referent, unique = _referent(group, size_word)
+                    out.append(((size_word, color, shape), referent, unique))
     return out
-
-
-def resolve_descriptions(state: WorldState) -> dict[tuple, TargetResolution]:
-    """ground_descriptions as a mapping, in its order: each description that
-    grounds in `state` to what resolve_target gives it."""
-    return {description: TargetResolution(referent, unique)
-            for description, referent, unique in ground_descriptions(state)}
 
 
 def encode_words(tokens: Sequence[str]) -> list[int]:
@@ -249,16 +241,6 @@ def encode_words(tokens: Sequence[str]) -> list[int]:
         codes.append(WORD_CODES[tokens[i]])
         i += 1
     return codes
-
-
-def decode_words(codes: Sequence[int]) -> list[str]:
-    """Inverse of encode_words: codes back to surface tokens."""
-    tokens: list[str] = []
-    for code in codes:
-        if code not in CODE_WORDS:
-            raise LexicalError(f"code {code} outside the word table")
-        tokens.extend(CODE_WORDS[code].split(" "))
-    return tokens
 
 
 def command_string(instr: Instruction) -> str:

@@ -19,6 +19,13 @@ import numpy as np
 from .errors import EncodingError, FitError, QueryError, RetrievalError
 from .world import RngLike, as_rng
 
+#: Components pca_fit keeps by default.
+DEFAULT_PCA_DIM = 320
+#: Cells ivf_build partitions into by default.
+DEFAULT_CELLS = 512
+#: Cells ivf_query searches by default.
+DEFAULT_PROBES = 10
+
 # ---------------------------------------------------------------------------
 # TF-IDF
 # ---------------------------------------------------------------------------
@@ -76,7 +83,7 @@ class PcaProjector:
         return self.components.shape[0]
 
 
-def pca_fit(vectors: np.ndarray, k: int = 320) -> PcaProjector:
+def pca_fit(vectors: np.ndarray, k: int = DEFAULT_PCA_DIM) -> PcaProjector:
     """Project onto the top-k covariance eigenvectors after mean-centering.
 
     Fits on a float64 copy of `vectors`, so the caller's array is never
@@ -243,7 +250,7 @@ class IvfIndex:
         return [self.vectors[ids] for ids in self.cell_ids]
 
 
-def ivf_build(vectors: np.ndarray, cells: int = 512, rng: RngLike = 0,
+def ivf_build(vectors: np.ndarray, cells: int = DEFAULT_CELLS, rng: RngLike = 0,
               iters: int = 25) -> IvfIndex:
     """Ids are row numbers, ascending within each cell. A float64 `vectors`
     is kept by the index as it is, so the caller must not change it later."""
@@ -255,7 +262,7 @@ def ivf_build(vectors: np.ndarray, cells: int = 512, rng: RngLike = 0,
     return IvfIndex(centroids=centroids, cell_ids=cell_ids, vectors=x)
 
 
-def ivf_query(index: IvfIndex, query: np.ndarray, k: int, probes: int = 10
+def ivf_query(index: IvfIndex, query: np.ndarray, k: int, probes: int = DEFAULT_PROBES
               ) -> list[tuple[int, float]]:
     """Top-k ids by inner product over the `probes` nearest cells.
 

@@ -133,10 +133,3 @@ def sample_infill(model: InstructionModel, query: Instruction, mask_rate: float,
     probs = infill_distribution(model, query, mask_rate)
     return INSTRUCTIONS[int(as_rng(rng).choice(probs.size, p=probs))]
 
-
-def slot_marginal(model: InstructionModel, slot: int) -> np.ndarray:
-    """Marginal distribution of one slot under the smoothed joint."""
-    table = model.smoothed
-    other = tuple(a for a in range(table.ndim) if a != slot)
-    weights = table.sum(axis=other)
-    return weights / weights.sum()

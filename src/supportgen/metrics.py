@@ -135,10 +135,12 @@ def validity_correctness(supports: Iterable[Support], oracle: Solver) -> Validit
 
 
 DEFAULT_RANKS = tuple(2 ** i for i in range(14))  # 1 .. 8192
+#: Split states nn_profile samples by default.
+DEFAULT_NN_SAMPLE = 1000
 
 
 def nn_profile(split_states: Sequence[WorldState], train_states: Sequence[WorldState],
-               ranks: Sequence[int] = DEFAULT_RANKS, sample: int = 1000,
+               ranks: Sequence[int] = DEFAULT_RANKS, sample: int = DEFAULT_NN_SAMPLE,
                rng: RngLike = 0, chunk: int = 128) -> list[tuple[int, float]]:
     """Mean cosine similarity between sampled split states and their Nth
     nearest training state, over unit one-hot encodings (exact search).

@@ -10,8 +10,9 @@ decorate that walk stream:
                     merged spin + reorientation turns
   while_zigzagging  alternate one horizontal and one vertical step (starting
                     horizontal) until the smaller displacement runs out
-  cautiously        a look-both-ways turn sequence before every WALK
-                    (net-zero by default, configurable)
+  cautiously        a look-both-ways sequence before every WALK; any sequence
+                    of LTURN, RTURN and STAY with no net rotation, else
+                    ValueError
 
 push/pull append PUSH/PULL actions once the agent stands on the target:
 the object moves forward (push) or backward (pull) until blocked by a wall
@@ -32,7 +33,6 @@ from .world import (
     Position,
     WorldState,
     free_run,
-    simulate,
 )
 
 #: Net-zero look-both-ways sequence used for "cautiously".
@@ -129,31 +129,38 @@ def _decorate(steps: list[tuple[tuple[Action, ...], Action]], adverb: str | None
     return out
 
 
+def _net_turns(actions: tuple[Action, ...]) -> int:
+    """Clockwise quarter turns of `actions`, mod 4."""
+    return (actions.count(Action.RTURN) - actions.count(Action.LTURN)) % 4
+
+
 def apply_adverb(plan: Plan, adverb: str | None,
                  cautious_sequence: tuple[Action, ...] = DEFAULT_CAUTIOUS_SEQUENCE
                  ) -> tuple[Action, ...]:
+    if adverb == "cautiously" and (
+            not {Action.LTURN, Action.RTURN, Action.STAY}.issuperset(cautious_sequence)
+            or _net_turns(cautious_sequence)):
+        raise ValueError(f"cautious sequence {cautious_sequence!r} is not turns and STAY "
+                         "with no net rotation")
     steps = _walk_steps(plan, zigzag=(adverb == "while_zigzagging"))
     return tuple(_decorate(steps, adverb, cautious_sequence))
 
 
 def apply_verb(state: WorldState, actions: tuple[Action, ...], verb: str,
-               adverb: str | None, target: ObjectSpec,
-               cautious_sequence: tuple[Action, ...] = DEFAULT_CAUTIOUS_SEQUENCE
-               ) -> tuple[Action, ...]:
-    """Append decorated verb actions to an already-decorated navigation."""
+               adverb: str | None, target: ObjectSpec) -> tuple[Action, ...]:
+    """Append decorated verb actions to `actions`, which must be a
+    navigation apply_adverb built from `state` to `target`."""
     if verb == "walk_to":
         return actions
-    end = simulate(state, actions)
-    if end.agent.pos != target.pos:
-        raise PlannerError(f"navigation ended at {end.agent.pos}, target at {target.pos}")
+    heading = Heading((state.agent.direction + _net_turns(actions)) % 4)
     if verb == "push":
-        verb_action, move_dir = Action.PUSH, end.agent.direction
+        verb_action, move_dir = Action.PUSH, heading
     else:
-        verb_action, move_dir = Action.PULL, Heading((end.agent.direction + 2) % 4)
+        verb_action, move_dir = Action.PULL, Heading((heading + 2) % 4)
     cells = free_run(state.objects, state.grid_size, target.pos, move_dir, moving=target)
     count = cells * (2 if target.heavy else 1)
     steps = [((), verb_action)] * count
-    return actions + tuple(_decorate(steps, adverb, cautious_sequence))
+    return actions + tuple(_decorate(steps, adverb, ()))  # no WALK, no cautious sequence
 
 
 def solve(state: WorldState, instr: Instruction,
@@ -166,7 +173,7 @@ def solve(state: WorldState, instr: Instruction,
     target = resolve_target(instr, state).object
     plan = plan_navigation(state, target.pos)
     nav = apply_adverb(plan, instr.adverb, cautious_sequence)
-    return apply_verb(state, nav, instr.verb, instr.adverb, target, cautious_sequence)
+    return apply_verb(state, nav, instr.verb, instr.adverb, target)
 
 
 def goal_satisfied(state: WorldState, instr: Instruction, final: WorldState) -> bool:

@@ -112,7 +112,7 @@ class AgentPose:
     direction: Heading
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WorldState:
     """Immutable grid-world snapshot: the S in every (S, I, A) triple."""
 
@@ -309,29 +309,23 @@ _AGENT_OFF = _SIZE_OFF + len(SIZES) + 1
 _HEADING_OFF = _AGENT_OFF + 1
 
 
-#: Cell code of each object (shape, color, size); code 0 is an empty cell.
-_CELL_CODES = {key: code for code, key in
-               enumerate(itertools.product(SHAPES, COLORS, SIZES), start=1)}
+#: Cell code of each object (shape, color, size), from 1 in product order;
+#: 0 is an empty cell. Only state_codes reads it.
+_CELL_CODES = {}
 #: The shape, color and size bits of each cell code.
-_CELL_ROWS = np.zeros((1 + len(_CELL_CODES), CELL_WIDTH))
+_CELL_ROWS = np.zeros((1 + len(SHAPES) * len(COLORS) * len(SIZES), CELL_WIDTH))
 _CELL_ROWS[0, [_SHAPE_OFF + len(SHAPES), _COLOR_OFF + len(COLORS), _SIZE_OFF + len(SIZES)]] = 1.0
-for (_shape, _color, _size), _code in _CELL_CODES.items():
+for _code, (_shape, _color, _size) in enumerate(itertools.product(SHAPES, COLORS, SIZES), 1):
+    _CELL_CODES[_shape, _color, _size] = _code
     _CELL_ROWS[_code, [_SHAPE_OFF + SHAPES.index(_shape), _COLOR_OFF + COLORS.index(_color),
                        _SIZE_OFF + _size - 1]] = 1.0
 
 
-def encode_states(states: Iterable[WorldState], dtype=np.float32) -> np.ndarray:
-    """Unit-norm one-hot encodings of same-size states, one row per state.
-
-    Cells are laid out row-major; see CELL_WIDTH block order above. Every
-    state activates exactly 3*cells + 2 slots, so normalization is a constant
-    scale and the encoding stays injective on valid states."""
-    states = list(states)
-    if not states:
-        return np.zeros((0, 0), dtype=dtype)
-    n = states[0].grid_size
-    cells = n * n
-    codes = np.zeros((len(states), cells), dtype=np.intp)
+def state_codes(states: Sequence[WorldState]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each state's row-major cell codes (0 empty, else _CELL_CODES), agent
+    cell and heading, as three arrays. Raises DimensionError on mixed sizes."""
+    n = states[0].grid_size if states else 0
+    codes = np.zeros((len(states), n * n), dtype=np.intp)
     agent_cells = np.empty(len(states), dtype=np.intp)
     headings = np.empty(len(states), dtype=np.intp)
     for row, state in enumerate(states):
@@ -341,13 +335,25 @@ def encode_states(states: Iterable[WorldState], dtype=np.float32) -> np.ndarray:
             codes[row, obj.pos.y * n + obj.pos.x] = _CELL_CODES[(obj.shape, obj.color, obj.size)]
         agent_cells[row] = state.agent.pos.y * n + state.agent.pos.x
         headings[row] = state.agent.direction
+    return codes, agent_cells, headings
+
+
+def encode_states(states: Iterable[WorldState], dtype=np.float32) -> np.ndarray:
+    """Unit-norm one-hot encodings of same-size states, one row per state:
+    the expansion of their state_codes.
+
+    Cells are laid out row-major; see CELL_WIDTH block order above. Every
+    state activates exactly 3*cells + 2 slots, so normalization is a constant
+    scale and the encoding stays injective on valid states."""
+    codes, agent_cells, headings = state_codes(list(states))
+    count, cells = codes.shape
     # 1 / ‖v‖ with ‖v‖ = sqrt(3*cells + 2): the value of each active slot
     scale = 1.0 / np.sqrt(3.0 * cells + 2.0)
     vecs = (_CELL_ROWS * scale).astype(dtype)[codes]
-    rows = np.arange(len(states))
+    rows = np.arange(count)
     vecs[rows, agent_cells, _AGENT_OFF] = scale
     vecs[rows, agent_cells, _HEADING_OFF + headings] = scale
-    return vecs.reshape(len(states), cells * CELL_WIDTH)
+    return vecs.reshape(count, cells * CELL_WIDTH)
 
 
 def encode_one_hot(state: WorldState) -> np.ndarray:
@@ -357,17 +363,9 @@ def encode_one_hot(state: WorldState) -> np.ndarray:
 
 
 def hamming_similarity(a: WorldState, b: WorldState) -> float:
-    """Fraction of cells whose full descriptor (object triple or emptiness,
-    agent-presence flag) is identical in both states."""
-    if a.grid_size != b.grid_size:
-        raise DimensionError(f"grid sizes differ: {a.grid_size} vs {b.grid_size}")
-    n = a.grid_size
-    a_objs = {o.pos: o.description() for o in a.objects}
-    b_objs = {o.pos: o.description() for o in b.objects}
-    same = 0
-    for cy in range(n):
-        for cx in range(n):
-            pos = Position(cx, cy)
-            if a_objs.get(pos) == b_objs.get(pos) and (pos == a.agent.pos) == (pos == b.agent.pos):
-                same += 1
-    return same / (n * n)
+    """Fraction of cells whose descriptor (state_codes cell code, agent
+    presence) is identical in both states; the heading is not compared."""
+    codes, agent_cells, _ = state_codes([a, b])
+    same = codes[0] == codes[1]
+    same[agent_cells] &= agent_cells[0] == agent_cells[1]
+    return int(same.sum()) / same.size

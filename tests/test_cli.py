@@ -421,6 +421,26 @@ class TestGenSupports:
         assert exc.value.code == 2
         assert not marker.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--n", "0"], ["--k", "0"], ["--cells", "0"], ["--probes", "0"],
+        ["--pca-dim", "0"], ["--pca-dim", "-5"], ["--limit", "-1"], ["--cells", "many"],
+        ["--mask-rate", "1.5"], ["--mask-rate", "-0.1"], ["--mask-rate", "nan"],
+        ["--solver-timeout", "0"], ["--solver-timeout", "-1"], ["--solver-timeout", "inf"],
+    ], ids=" ".join)
+    def test_out_of_range_is_usage_error_before_decode(self, data_file, tmp_path,
+                                                       monkeypatch, flags):
+        import supportgen.cli
+
+        def no_decode(path):
+            raise AssertionError("the data file was decoded")
+
+        monkeypatch.setattr(supportgen.cli, "import_dataset", no_decode)
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-supports", "--data", str(data_file), "--strategy", "covr",
+                 "--seed", "3", "--splits", "h", *flags, "--out", str(tmp_path / "x.jsonl")])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("child, timeout", [
         # answers the first request, then exits
         ("line = sys.stdin.readline()\n"
@@ -496,6 +516,41 @@ class TestAnalyze:
         with pytest.raises(SystemExit) as exc:
             run(["analyze", "--data", str(data_file), "--nn-profile", "--split", "zz"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--sample", "0"], ["--sample", "-2"], ["--ranks", "0"], ["--ranks", "1,0,4"],
+        ["--ranks", "-3"], ["--ranks", "1,x"], ["--ranks", ","],
+    ], ids=" ".join)
+    def test_out_of_range_is_usage_error_before_decode(self, data_file, tmp_path,
+                                                       monkeypatch, flags):
+        import supportgen.cli
+
+        def no_decode(path):
+            raise AssertionError("the data file was decoded")
+
+        monkeypatch.setattr(supportgen.cli, "import_dataset", no_decode)
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", "--data", str(data_file), "--nn-profile", *flags,
+                 "--out", str(tmp_path / "nn.json")])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
+    def test_default_ranks_and_sample(self, data_file, tmp_path):
+        """Without --ranks and --sample the report is nn_profile's own
+        default profile."""
+        from supportgen.dataset import Split, import_dataset
+        from supportgen.metrics import nn_profile
+
+        dataset = import_dataset(data_file)
+        with pytest.warns(UserWarning):
+            want = nn_profile([ex.state for ex in dataset.split(Split.H)],
+                              [ex.state for ex in dataset.split(Split.TRAIN)])
+        report = tmp_path / "nn.json"
+        with pytest.warns(UserWarning):
+            assert run(["analyze", "--data", str(data_file), "--nn-profile",
+                        "--out", str(report)]) == EXIT_OK
+        assert json.loads(report.read_text())["nn_profile"] == \
+            {str(r): round(v, 6) for r, v in want}
 
     def test_zipf_on_corpus_file(self, tmp_path):
         corpus = tmp_path / "corpus.txt"

@@ -3,15 +3,15 @@ import pytest
 from supportgen.errors import GrammarError, LexicalError, UnresolvableError
 from supportgen.grammar import (
     Instruction,
+    TargetResolution,
     WORD_CODES,
     command_string,
-    decode_words,
     encode_words,
     enumerate_instructions,
+    ground_descriptions,
     parse,
     parse_command_string,
     realize,
-    resolve_descriptions,
     resolve_target,
 )
 from supportgen.world import AgentPose, Heading, ObjectSpec, Position, WorldState
@@ -111,6 +111,13 @@ class TestResolveTarget:
         assert not res.unique
 
 
+def resolve_descriptions(state):
+    """ground_descriptions as a mapping from each description to its
+    TargetResolution, in its order."""
+    return {description: TargetResolution(referent, unique)
+            for description, referent, unique in ground_descriptions(state)}
+
+
 class TestResolveDescriptions:
     @staticmethod
     def probe_all(state):
@@ -151,6 +158,23 @@ class TestResolveDescriptions:
         assert got[("big", None, "square")].unique
         assert got == self.probe_all(state)
 
+    def test_ground_descriptions_equal_reference(self):
+        """The grounding pass equals the reference copy in tests/
+        generation_reference.py, entry by entry and in order: generation
+        indexes its candidates in this order."""
+        import numpy as np
+
+        import generation_reference
+        from conftest import random_state
+
+        rng = np.random.default_rng(2024)
+        for _ in range(600):
+            grid = int(rng.integers(2, 8))
+            state = random_state(rng, grid, max_objects=grid * grid - 1)
+            want = [(description, res.object, res.unique) for description, res
+                    in generation_reference.resolve_descriptions(state).items()]
+            assert ground_descriptions(state) == want
+
 
 class TestWordSymbols:
     def test_table_is_bijective(self):
@@ -168,8 +192,3 @@ class TestWordSymbols:
         assert codes == [8, 0, 17, 11, 5, 7]
         codes = encode_words(["push", "a", "green", "small", "square", "while", "spinning"])
         assert codes == [9, 0, 6, 11, 12, 15]
-
-    def test_decode_inverts_encode(self):
-        for instr in list(enumerate_instructions())[::37]:
-            tokens = realize(instr)
-            assert decode_words(encode_words(tokens)) == tokens

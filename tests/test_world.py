@@ -202,6 +202,11 @@ class TestEncodeStates:
     def test_one_hot_is_the_float64_row(self, s0):
         assert encode_one_hot(s0).tobytes() == per_cell_one_hot(s0).tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_no_states(self, dtype):
+        got = encode_states([], dtype)
+        assert got.shape == (0, 0) and got.dtype == dtype
+
     def test_mixed_grid_sizes_rejected(self, s0):
         small = WorldState(4, AgentPose(Position(0, 0), Heading.NORTH), ())
         with pytest.raises(DimensionError):
@@ -229,13 +234,35 @@ class TestHammingSimilarity:
         with pytest.raises(DimensionError):
             hamming_similarity(s0, other)
 
+    def test_heading_is_not_compared(self, s0):
+        for heading in Heading:
+            turned = WorldState(6, AgentPose(s0.agent.pos, heading), s0.objects)
+            assert hamming_similarity(s0, turned) == 1.0
+
+    @given(st.integers(0, 10_000), st.integers(0, 10_000), st.sampled_from(list(Heading)))
+    @settings(max_examples=50, deadline=None)
+    def test_symmetric_and_identity(self, seed_a, seed_b, heading):
+        """1.0 exactly when the states agree on everything but the heading."""
+        a = random_state(np.random.default_rng(seed_a))
+        for b in (random_state(np.random.default_rng(seed_b)),
+                  WorldState(6, AgentPose(a.agent.pos, heading), a.objects)):
+            assert hamming_similarity(a, b) == hamming_similarity(b, a)
+            same_cells = a.agent.pos == b.agent.pos and a.objects == b.objects
+            assert (hamming_similarity(a, b) == 1.0) == same_cells
+
     @given(st.integers(0, 10_000), st.integers(0, 10_000))
     @settings(max_examples=50, deadline=None)
-    def test_symmetric_and_identity(self, seed_a, seed_b):
-        a = random_state(np.random.default_rng(seed_a))
-        b = random_state(np.random.default_rng(seed_b))
-        assert hamming_similarity(a, b) == hamming_similarity(b, a)
-        assert (hamming_similarity(a, b) == 1.0) == (a == b)
+    def test_equals_per_cell_count(self, seed_a, seed_b):
+        """The share of cells whose object triple (or emptiness) and agent
+        presence agree, counted cell by cell."""
+        a = random_state(np.random.default_rng(seed_a), max_objects=20)
+        b = random_state(np.random.default_rng(seed_b), max_objects=20)
+        a_objs = {o.pos: o.description() for o in a.objects}
+        b_objs = {o.pos: o.description() for o in b.objects}
+        same = sum(a_objs.get(pos) == b_objs.get(pos)
+                   and (pos == a.agent.pos) == (pos == b.agent.pos)
+                   for pos in (Position(x, y) for y in range(6) for x in range(6)))
+        assert hamming_similarity(a, b) == same / 36
 
 
 class TestRecordRoundTrip:
