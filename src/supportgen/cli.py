@@ -28,6 +28,8 @@ from .dataset import (
     Example,
     Split,
     TEST_SPLITS,
+    _read_jsonl,
+    _write_jsonl,
     export_dataset,
     export_icl_records,
     generate_dataset,
@@ -123,10 +125,12 @@ def _int_at_least(low: int) -> Callable[[str], int]:
     return _checked(int, lambda value: value >= low, f"an integer >= {low}")
 
 
-# argparse types of a rate in [0, 1] and of a finite duration above 0
+# argparse types of a rate in [0, 1], of a finite duration above 0 and of a
+# finite weight of at least 0
 _unit_rate = _checked(float, lambda value: 0.0 <= value <= 1.0, "a number in [0, 1]")
 _positive_seconds = _checked(float, lambda value: 0.0 < value < math.inf,
                              "a finite number > 0")
+_finite_weight = _checked(float, lambda value: 0.0 <= value < math.inf, "a finite number >= 0")
 
 
 def _parse_ranks(spec: str) -> tuple[int, ...]:
@@ -220,46 +224,34 @@ def _support_to_record(support: Support) -> dict:
 
 
 def write_support_file(path: str | Path, pairs: Iterable[tuple[Example, SupportSet]]) -> None:
-    """One sorted-key JSON line per (query, support set); inverts `read_support_file`."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for query, sset in pairs:
-            rec = {
-                "query": query.to_record(),
-                "strategy": sset.strategy,
-                "meta": {key: _plain(value) for key, value in sset.meta.items()},
-                "supports": [_support_to_record(s) for s in sset.supports],
-            }
-            fh.write(json.dumps(rec, sort_keys=True, separators=(",", ":")) + "\n")
+    """One canonical JSON line per (query, support set); inverts `read_support_file`."""
+    _write_jsonl(path, ({
+        "query": query.to_record(),
+        "strategy": sset.strategy,
+        "meta": {key: _plain(value) for key, value in sset.meta.items()},
+        "supports": [_support_to_record(s) for s in sset.supports],
+    } for query, sset in pairs))
 
 
 def read_support_file(path: str | Path) -> list[tuple[Example, SupportSet]]:
     """Every support keeps its provenance keys (all but the state, `command`
     and `target`) as meta, and each set keeps its line's `meta`."""
-    out = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                query = Example.from_record(rec["query"])
-                supports = []
-                for srec in rec["supports"]:
-                    actions = (parse_target_string(srec["target"])
-                               if srec.get("target") is not None else None)
-                    supports.append(Support(
-                        state=WorldState.from_record(srec),
-                        instruction=parse_command_string(srec["command"]),
-                        actions=actions,
-                        meta={k: v for k, v in srec.items() if k not in
-                              ("grid_size", "agent", "objects", "command", "target")},
-                    ))
-                out.append((query, SupportSet(strategy=rec.get("strategy", "?"),
-                                              supports=supports, meta=rec.get("meta", {}))))
-            except (KeyError, ValueError, TypeError, SupportgenError) as exc:
-                raise DataFormatError(f"line {lineno}: {exc}") from None
-    return out
+    return _read_jsonl(path, _support_pair_from_record)
+
+
+def _support_pair_from_record(rec: dict) -> tuple[Example, SupportSet]:
+    """The (query, support set) of one support-file line."""
+    query = Example.from_record(rec["query"])
+    supports = [Support(
+        state=WorldState.from_record(srec),
+        instruction=parse_command_string(srec["command"]),
+        actions=(parse_target_string(srec["target"])
+                 if srec.get("target") is not None else None),
+        meta={k: v for k, v in srec.items() if k not in
+              ("grid_size", "agent", "objects", "command", "target")},
+    ) for srec in rec["supports"]]
+    return query, SupportSet(strategy=rec.get("strategy", "?"), supports=supports,
+                             meta=rec.get("meta", {}))
 
 
 def _alpha(args: argparse.Namespace) -> dict:
@@ -455,12 +447,8 @@ def cmd_export_icl(args: argparse.Namespace) -> int:
     pairs = read_support_file(args.supports)
     entries = ((query, [s.triple() for s in sset.supports]) for query, sset in pairs)
     out = Path(args.out)
-    count = 0
-    with open(out, "w", encoding="utf-8") as fh:
-        for record in export_icl_records(entries, policy=args.policy, seed=args.seed,
-                                         permute_words=args.permute_words):
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n")
-            count += 1
+    count = _write_jsonl(out, export_icl_records(entries, policy=args.policy, seed=args.seed,
+                                                 permute_words=args.permute_words))
     config = {"policy": args.policy, "permute_words": args.permute_words,
               "supports": Path(args.supports).name}
     write_manifest("export-icl", config, args.seed, out)
@@ -472,19 +460,19 @@ def cmd_permute(args: argparse.Namespace) -> int:
     from .permuter import sample_permutation, apply as apply_permutation
     from .world import ACTION_TABLE_SIZE
 
+    def record(idx: int, ex: Example) -> dict:
+        perm = sample_permutation(np.random.default_rng([args.seed, idx]), ACTION_TABLE_SIZE)
+        codes = [int(a) for a in ex.actions]
+        return {
+            "target_codes": codes,
+            "permuted_codes": list(apply_permutation(perm, codes)),
+            "permutation": perm.to_codes(),
+            "split": ex.split.value,
+        }
+
     dataset = import_dataset(args.data)
     out = Path(args.out)
-    with open(out, "w", encoding="utf-8") as fh:
-        for idx, ex in enumerate(dataset.examples):
-            perm = sample_permutation(np.random.default_rng([args.seed, idx]),
-                                      ACTION_TABLE_SIZE)
-            codes = [int(a) for a in ex.actions]
-            fh.write(json.dumps({
-                "target_codes": codes,
-                "permuted_codes": list(apply_permutation(perm, codes)),
-                "permutation": perm.to_codes(),
-                "split": ex.split.value,
-            }, sort_keys=True, separators=(",", ":")) + "\n")
+    _write_jsonl(out, (record(idx, ex) for idx, ex in enumerate(dataset.examples)))
     write_manifest("permute", {"data": Path(args.data).name}, args.seed, out)
     print(f"wrote {len(dataset)} permuted records to {out}")
     return EXIT_OK
@@ -570,7 +558,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_int_at_least(1), default=DEFAULT_SUPPORT_COUNT)
     p.add_argument("--k", type=_int_at_least(1), default=DEFAULT_SAMPLE_COUNT)
     p.add_argument("--mask-rate", type=_unit_rate, default=DEFAULT_MASK_RATE)
-    p.add_argument("--alpha", type=float, default=None,
+    p.add_argument("--alpha", type=_finite_weight, default=None,
                    help="hybrid weight (default: the retriever's own)")
     p.add_argument("--cells", type=_int_at_least(1), default=DEFAULT_CELLS)
     p.add_argument("--probes", type=_int_at_least(1), default=DEFAULT_PROBES)
@@ -626,7 +614,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--template", action="store_true")
     p.add_argument("--dry-run", action="store_true")
     p.add_argument("--cache", default=None)
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--workers", type=_int_at_least(1), default=4)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_paraphrase)
 

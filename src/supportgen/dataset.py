@@ -19,12 +19,11 @@ the generator's candidate filter both evaluate them.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -199,58 +198,29 @@ def _pair_admits(want_action: frozenset[Split]) -> dict[int, tuple[int, ...]]:
             for size in SIZES}
 
 
-class _Candidates:
+def _candidates(state: WorldState, want: frozenset[Split]) -> list[Instruction]:
     """The unique-referent instructions of `state` whose classify set equals
-    `want`, as a sequence: (verb, adverb) outermost, then by description in
-    ground_descriptions order. Deleting an entry removes that candidate.
+    `want`: (verb, adverb) outermost, then by description in
+    ground_descriptions order.
 
-    Only the kept descriptions and each pair's candidate count are held;
-    indexing walks the counts. Description and verb/adverb predicates flag
-    disjoint splits, so a candidate must match `want` on each level
-    separately."""
-
-    def __init__(self, state: WorldState, want: frozenset[Split]) -> None:
-        want_action = want.intersection(_ACTION_PREDICATES)
-        admits = _pair_admits(want_action)
-        # each description predicate with whether `want` needs it to hold
-        expect = [(holds, split in want) for split, holds in _DESCRIPTION_PREDICATES.items()]
-        agent = state.agent
-        # (the description's instructions, its target's row of admits)
-        self._kept = []
-        for description, referent, unique in ground_descriptions(state):
-            if not unique:
-                continue
-            for holds, wanted in expect:
-                if holds(*description, referent, agent) != wanted:
-                    break
-            else:
-                self._kept.append((_BY_DESCRIPTION[description], admits[referent.size]))
-        self._counts = [sum(column) for column in zip(*(row for _, row in self._kept))]
-        self._removed: set[tuple[int, int]] = set()
-
-    def __len__(self) -> int:
-        return sum(self._counts)
-
-    def _locate(self, idx: int) -> tuple[int, int]:
-        """(pair, kept row) of the idx-th candidate."""
-        if not 0 <= idx < len(self):
-            raise IndexError(idx)
-        pair = 0
-        while idx >= self._counts[pair]:
-            idx -= self._counts[pair]
-            pair += 1
-        rows = (row for row, (_, admit) in enumerate(self._kept)
-                if admit[pair] and (pair, row) not in self._removed)
-        return pair, next(itertools.islice(rows, idx, None))
-
-    def __getitem__(self, idx: int) -> Instruction:
-        pair, row = self._locate(idx)
-        return self._kept[row][0][pair]
-
-    def __delitem__(self, idx: int) -> None:
-        pair, row = self._locate(idx)
-        self._removed.add((pair, row))
-        self._counts[pair] -= 1
+    Description and verb/adverb predicates flag disjoint splits, so a
+    candidate must match `want` on each level separately."""
+    admits = _pair_admits(want.intersection(_ACTION_PREDICATES))
+    # each description predicate with whether `want` needs it to hold
+    expect = [(holds, split in want) for split, holds in _DESCRIPTION_PREDICATES.items()]
+    agent = state.agent
+    # (the description's instructions, its target's row of admits)
+    kept = []
+    for description, referent, unique in ground_descriptions(state):
+        if not unique:
+            continue
+        for holds, wanted in expect:
+            if holds(*description, referent, agent) != wanted:
+                break
+        else:
+            kept.append((_BY_DESCRIPTION[description], admits[referent.size]))
+    return [instructions[pair] for pair in range(len(_VERB_ADVERBS))
+            for instructions, admit in kept if admit[pair]]
 
 
 def generate_example(rng: np.random.Generator, config: DatasetConfig, split: Split
@@ -262,7 +232,7 @@ def generate_example(rng: np.random.Generator, config: DatasetConfig, split: Spl
     for _ in range(MAX_ATTEMPTS):
         n_obj = int(rng.integers(config.min_objects, config.max_objects + 1))
         state = new_random_state(rng, config.grid_size, n_obj)
-        candidates = _Candidates(state, want)
+        candidates = _candidates(state, want)
         while candidates:
             idx = int(rng.choice(len(candidates)))
             instr = candidates[idx]
@@ -292,27 +262,42 @@ def generate_dataset(config: DatasetConfig) -> Dataset:
     return Dataset(examples)
 
 
-def export_dataset(dataset: Dataset, path: str | Path) -> None:
-    """One canonical JSON record per line, sorted keys, UTF-8: byte-identical
-    for identical datasets."""
+def _write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
+    """Write each record as one canonical JSON line (sorted keys, compact
+    separators, UTF-8), so equal records give equal bytes; returns the
+    number of records written."""
+    count = 0
     with open(path, "w", encoding="utf-8") as fh:
-        for example in dataset.examples:
-            fh.write(json.dumps(example.to_record(), sort_keys=True, separators=(",", ":")))
+        for count, record in enumerate(records, start=1):
+            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
             fh.write("\n")
+    return count
 
 
-def import_dataset(path: str | Path) -> Dataset:
-    examples = []
+def _read_jsonl(path: str | Path, decode: Callable[[dict], object]) -> list:
+    """`decode` of the JSON object on each non-blank line; a line that fails
+    to parse or decode raises DataFormatError naming its number."""
+    out = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                examples.append(Example.from_record(json.loads(line)))
+                out.append(decode(json.loads(line)))
             except (SupportgenError, ValueError, KeyError, TypeError) as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from None
-    return Dataset(examples)
+    return out
+
+
+def export_dataset(dataset: Dataset, path: str | Path) -> None:
+    """One canonical JSON record per line: byte-identical for identical
+    datasets."""
+    _write_jsonl(path, (example.to_record() for example in dataset.examples))
+
+
+def import_dataset(path: str | Path) -> Dataset:
+    return Dataset(_read_jsonl(path, Example.from_record))
 
 
 #: Action spellings accepted from the original environment's files.

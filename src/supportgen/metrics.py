@@ -214,10 +214,6 @@ def relevance(embeddings: np.ndarray, query_embedding: np.ndarray) -> float:
     return float((e @ np.asarray(query_embedding, dtype=np.float64)).mean())
 
 
-def support_diversity(support_set: SupportSet) -> float:
-    return diversity(embed_instructions([s.instruction for s in support_set.supports]))
-
-
 # ---------------------------------------------------------------------------
 # Zipf fit
 # ---------------------------------------------------------------------------

@@ -207,6 +207,24 @@ class TestPinnedBytes:
                     "--seed", "3", "--splits", "h,c", *flags, "--out", str(out)]) == EXIT_OK
         assert digests(out) == digest
 
+    def test_export_icl_bytes(self, data_file, tmp_path):
+        """Pins the ICL record layout and its action and word permutations
+        over heuristic supports of two splits."""
+        sup, icl = tmp_path / "sup.jsonl", tmp_path / "icl.jsonl"
+        assert run(["gen-supports", "--data", str(data_file), "--strategy", "heuristic",
+                    "--seed", "3", "--splits", "h,c", "--out", str(sup)]) == EXIT_OK
+        assert run(["export-icl", "--supports", str(sup), "--policy", "permute",
+                    "--permute-words", "--seed", "11", "--out", str(icl)]) == EXIT_OK
+        assert digests(icl) == \
+            "ee4f74f4a98ce01bbea4019a60dc042b70f2b156bcc825200810b40e80a225f7"
+
+    def test_permute_bytes(self, data_file, tmp_path):
+        out = tmp_path / "perm.jsonl"
+        assert run(["permute", "--data", str(data_file), "--seed", "2",
+                    "--out", str(out)]) == EXIT_OK
+        assert digests(out) == \
+            "8334ec73efdd38ff04c8e3545eb46fdc4fd63353444fa806e6197bc135c9ba17"
+
 
 class TestGenSupports:
     def test_heuristic_then_criteria_all_ones(self, data_file, tmp_path):
@@ -426,6 +444,9 @@ class TestGenSupports:
         ["--pca-dim", "0"], ["--pca-dim", "-5"], ["--limit", "-1"], ["--cells", "many"],
         ["--mask-rate", "1.5"], ["--mask-rate", "-0.1"], ["--mask-rate", "nan"],
         ["--solver-timeout", "0"], ["--solver-timeout", "-1"], ["--solver-timeout", "inf"],
+        ["--alpha", "nan"], ["--alpha", "inf"], ["--alpha", "-3"],
+        ["--strategy", "gandr", "--alpha", "nan"], ["--strategy", "gandr", "--alpha", "inf"],
+        ["--strategy", "gandr", "--alpha", "-3"],
     ], ids=" ".join)
     def test_out_of_range_is_usage_error_before_decode(self, data_file, tmp_path,
                                                        monkeypatch, flags):
@@ -649,6 +670,18 @@ class TestParaphraseCli:
         code = run(["paraphrase", "--query", "push a red square",
                     "--out", str(tmp_path / "p.jsonl")])
         assert code == EXIT_EXTERNAL
+
+    @pytest.mark.parametrize("workers", ["0", "-1", "two"])
+    def test_bad_workers_is_usage_error_before_any_request(self, tmp_path, monkeypatch,
+                                                           workers):
+        from supportgen.paraphrase import ENDPOINT_ENV
+
+        monkeypatch.setenv(ENDPOINT_ENV, "http://127.0.0.1:9/")
+        with pytest.raises(SystemExit) as exc:
+            run(["paraphrase", "--query", "push a red square", "--workers", workers,
+                 "--out", str(tmp_path / "p.jsonl")])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestServeOracle:

@@ -11,7 +11,7 @@ from supportgen.dataset import (
     DatasetConfig,
     Split,
     TEST_SPLITS,
-    _Candidates,
+    _candidates,
     classify,
     decode_icl_targets,
     export_dataset,
@@ -115,31 +115,8 @@ def test_candidate_filter_matches_brute_force():
         state = new_random_state(rng, 6, int(rng.integers(1, 11)))
         reference = _reference_flags(state)
         for want in CANDIDATE_WANTS:
-            candidates = _Candidates(state, want)
             expected = [instr for instr, flags in reference if flags == want]
-            assert len(candidates) == len(expected)
-            assert list(candidates) == expected
-
-
-def test_candidate_deletions_match_list_deletions():
-    """Deleting from the counted candidates equals deleting from the full
-    list, entry by entry until none is left."""
-    rng = np.random.default_rng(77)
-    for _ in range(60):
-        state = new_random_state(rng, 6, int(rng.integers(1, 11)))
-        reference = _reference_flags(state)
-        for want in CANDIDATE_WANTS:
-            candidates = _Candidates(state, want)
-            expected = [instr for instr, flags in reference if flags == want]
-            while expected:
-                idx = int(rng.integers(len(expected)))
-                assert candidates[idx] == expected[idx]
-                del candidates[idx]
-                del expected[idx]
-                assert len(candidates) == len(expected)
-                assert list(candidates) == expected
-            with pytest.raises(IndexError):
-                candidates[0]
+            assert _candidates(state, want) == expected
 
 
 class TestGenerationReference:
@@ -164,7 +141,7 @@ class TestGenerationReference:
                                min_objects=1, max_objects=1)
         rng = np.random.default_rng(0)
         first = new_random_state(rng, 6, int(rng.integers(1, 2)))
-        assert len(_Candidates(first, frozenset({Split.B}))) == 0
+        assert _candidates(first, frozenset({Split.B})) == []
         monkeypatch.setattr(dataset_module, "MAX_ATTEMPTS", 1)
         with pytest.raises(GenerationError, match="split 'b' after 1 attempts"):
             generate_example(np.random.default_rng(0), config, Split.B)

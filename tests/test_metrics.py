@@ -17,7 +17,6 @@ from supportgen.metrics import (
     pattern_frequency,
     relevance,
     support_criteria,
-    support_diversity,
     validity_correctness,
     zipf_fit,
 )
@@ -230,11 +229,6 @@ class TestDiversityRelevance:
         e = np.array([[1.0, 0.0], [0.0, 1.0]])
         q = np.array([1.0, 0.0])
         assert relevance(e, q) == pytest.approx(0.5)
-
-    def test_support_diversity_zero_for_identical(self):
-        query, sset = example_with_duplicate_support()
-        doubled = SupportSet("x", sset.supports * 2)
-        assert support_diversity(doubled) == pytest.approx(0.0)
 
 
 class TestZipfFit:
