@@ -57,7 +57,7 @@ from .engines import (
     serve_solver,
 )
 from .errors import DataFormatError, ExternalServiceError, SupportgenError
-from .grammar import parse_command_string, realize
+from .grammar import command_string, parse_command_string, realize
 from .index import DEFAULT_CELLS, DEFAULT_PCA_DIM, DEFAULT_PROBES
 from .instruction_model import InstructionModel, fit as fit_instruction_model
 from .metrics import (
@@ -217,7 +217,7 @@ def _plain(value):
 def _support_to_record(support: Support) -> dict:
     rec = {key: _plain(value) for key, value in support.meta.items()}
     rec.update(support.state.to_record())
-    rec["command"] = ",".join(realize(support.instruction))
+    rec["command"] = command_string(support.instruction)
     rec["target"] = ",".join(a.name for a in support.actions) if support.actions is not None else None
     rec["valid"] = support.actions is not None
     return rec

@@ -131,13 +131,13 @@ def heuristic_supports(query: Example, solver: Solver,
                        n: int = DEFAULT_SUPPORT_COUNT) -> SupportSet:
     supports = []
     for cand in heuristic_candidates(query.instruction):
+        if len(supports) >= n:
+            break
         try:
             actions = solver.solve(query.state, cand)
         except SolverError:
             continue
         supports.append(Support(query.state, cand, actions))
-        if len(supports) >= n:
-            break
     return SupportSet(strategy="heuristic", supports=supports)
 
 
@@ -177,13 +177,13 @@ def other_states_supports(query: Example,
     gen = as_rng(rng)
     supports = []
     for cand in heuristic_candidates(query.instruction):
+        if len(supports) >= n:
+            break
         matches = [ex for ex in train_index.get(cand, ()) if ex.state != query.state]
         if not matches:
             continue
         pick = matches[int(gen.integers(len(matches)))]
         supports.append(Support(pick.state, cand, pick.actions, {"from_train": True}))
-        if len(supports) >= n:
-            break
     return SupportSet(strategy="other_states", supports=supports)
 
 

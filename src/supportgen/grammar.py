@@ -2,9 +2,9 @@
 
 Instructions have the shape "[verb] a [size] [color] [shape] [adverb]" where
 size, color and adverb may be omitted. realize() always emits that canonical
-order; parse() additionally tolerates the color-before-size adjective order
-seen in the wild, so parse(realize(i)) == i holds while foreign realizations
-still round-trip through parse.
+order. parse() accepts exactly the 675 canonical realizations plus the 360
+color-before-size variants of the instructions that carry both adjectives, so
+parse(realize(i)) is i while foreign realizations still round-trip.
 """
 
 from __future__ import annotations
@@ -33,12 +33,6 @@ _ADVERB_TOKENS = {
     "cautiously": ("cautiously",),
 }
 
-#: Surface tokens accepted by the lexer.
-LEXICON = frozenset(
-    {"walk", "to", "push", "pull", "a", "while", "spinning", "zigzagging",
-     "hesitantly", "cautiously"} | set(SIZE_WORDS) | set(COLOR_WORDS) | set(SHAPE_WORDS)
-)
-
 #: Token-to-code table. Multiword adverbs are single symbols; "yellow" takes
 #: the remaining code 17.
 WORD_CODES = {
@@ -59,16 +53,10 @@ class Instruction:
     adverb: str | None
 
     def __post_init__(self) -> None:
-        if self.verb not in VERBS:
-            raise ValueError(f"unknown verb {self.verb!r}")
-        if self.size_word is not None and self.size_word not in SIZE_WORDS:
-            raise ValueError(f"unknown size word {self.size_word!r}")
-        if self.color_word is not None and self.color_word not in COLOR_WORDS:
-            raise ValueError(f"unknown color word {self.color_word!r}")
-        if self.shape_word not in SHAPE_WORDS:
-            raise ValueError(f"unknown shape word {self.shape_word!r}")
-        if self.adverb is not None and self.adverb not in ADVERBS:
-            raise ValueError(f"unknown adverb {self.adverb!r}")
+        for name, domain in zip(self.__dataclass_fields__, SLOT_DOMAINS):
+            value = getattr(self, name)
+            if value not in domain:
+                raise ValueError(f"unknown {name.replace('_', ' ')} {value!r}")
 
     def description(self) -> tuple[str | None, str | None, str]:
         """The surface object description (size, color, shape) triple."""
@@ -96,59 +84,16 @@ def realize(instr: Instruction) -> list[str]:
 
 
 def parse(tokens: Sequence[str]) -> Instruction:
-    for tok in tokens:
-        if tok not in LEXICON:
-            raise LexicalError(f"unknown token {tok!r}")
-    toks = list(tokens)
-
-    def fail(reason: str) -> GrammarError:
-        return GrammarError(f"cannot parse {' '.join(tokens)!r}: {reason}")
-
-    if not toks:
-        raise fail("empty instruction")
-    if toks[0] == "walk":
-        if len(toks) < 2 or toks[1] != "to":
-            raise fail("'walk' must be followed by 'to'")
-        verb, toks = "walk_to", toks[2:]
-    elif toks[0] in ("push", "pull"):
-        verb, toks = toks[0], toks[1:]
-    else:
-        raise fail(f"expected a verb, got {toks[0]!r}")
-
-    if not toks or toks[0] != "a":
-        raise fail("expected 'a' after the verb")
-    toks = toks[1:]
-
-    size_word = color_word = None
-    while toks and (toks[0] in SIZE_WORDS or toks[0] in COLOR_WORDS):
-        tok = toks.pop(0)
-        if tok in SIZE_WORDS:
-            if size_word is not None:
-                raise fail("duplicate size word")
-            size_word = tok
-        else:
-            if color_word is not None:
-                raise fail("duplicate color word")
-            color_word = tok
-
-    if not toks or toks[0] not in SHAPE_WORDS:
-        raise fail("expected a shape word")
-    shape_word, toks = toks[0], toks[1:]
-
-    adverb = None
-    if toks:
-        if toks == ["hesitantly"]:
-            adverb = "hesitantly"
-        elif toks == ["cautiously"]:
-            adverb = "cautiously"
-        elif toks == ["while", "spinning"]:
-            adverb = "while_spinning"
-        elif toks == ["while", "zigzagging"]:
-            adverb = "while_zigzagging"
-        else:
-            raise fail(f"trailing tokens {toks!r}")
-
-    return Instruction(verb, size_word, color_word, shape_word, adverb)
+    """The INSTRUCTIONS entry that `tokens` realize; a token outside LEXICON
+    raises LexicalError, any other token list GrammarError."""
+    key = tuple(tokens)
+    instr = _PARSED.get(key)
+    if instr is None:
+        for tok in key:
+            if tok not in LEXICON:
+                raise LexicalError(f"unknown token {tok!r}")
+        raise GrammarError(f"cannot parse {' '.join(key)!r}: not an instruction of the grammar")
+    return instr
 
 
 def _referent(group: Sequence[ObjectSpec], size_word: str | None) -> tuple[ObjectSpec, bool]:
@@ -195,6 +140,18 @@ INSTRUCTION_ROW = {instr: row for row, instr in enumerate(INSTRUCTIONS)}
 #: realize() of each INSTRUCTIONS row.
 REALIZED = tuple(tuple(realize(instr)) for instr in INSTRUCTIONS)
 
+#: Surface tokens accepted by the lexer: every token of the grammar.
+LEXICON = frozenset(itertools.chain.from_iterable(REALIZED))
+
+#: The instruction of each accepted token tuple: every REALIZED row, and for
+#: the 360 rows with both a size and a color word the same tuple with the
+#: two adjectives swapped.
+_PARSED = dict(zip(REALIZED, INSTRUCTIONS))
+for _tokens, _instr in zip(REALIZED, INSTRUCTIONS):
+    if _instr.size_word and _instr.color_word:
+        _at = _tokens.index(_instr.size_word)
+        _PARSED[_tokens[:_at] + (_instr.color_word, _instr.size_word) + _tokens[_at + 2:]] = _instr
+
 #: Rank of each row's space-joined realized string among all 675; the
 #: strings are distinct, so this is a permutation of range(675).
 STRING_RANK = np.argsort(np.argsort([" ".join(tokens) for tokens in REALIZED]))
@@ -228,12 +185,14 @@ def ground_descriptions(state: WorldState) -> list[tuple[tuple, ObjectSpec, bool
 
 
 def encode_words(tokens: Sequence[str]) -> list[int]:
-    """Map surface tokens to word-symbol codes, merging multiword adverbs."""
+    """Map surface tokens to word-symbol codes; two tokens whose space-joined
+    form is a symbol (a multiword adverb) take that one code."""
     codes = []
     i = 0
     while i < len(tokens):
-        if tokens[i] == "while" and i + 1 < len(tokens) and tokens[i + 1] in ("spinning", "zigzagging"):
-            codes.append(WORD_CODES[f"while {tokens[i + 1]}"])
+        pair = f"{tokens[i]} {tokens[i + 1]}" if i + 1 < len(tokens) else None
+        if pair in WORD_CODES:
+            codes.append(WORD_CODES[pair])
             i += 2
             continue
         if tokens[i] not in WORD_CODES:

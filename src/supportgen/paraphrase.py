@@ -246,13 +246,18 @@ class HttpTransport:
 
 class ParaphraseClient:
     """Caches prompt -> paraphrases (one entry per query, mode and template
-    setting) so interrupted runs are resumable."""
+    setting) so interrupted runs are resumable. The cache file is rewritten
+    as each new entry arrives; a cache path whose directory does not exist is
+    rejected before any request is sent."""
 
     def __init__(self, transport: Transport, cache_path: str | Path | None = None,
                  synonyms: Mapping[str, Sequence[str]] | None = None,
                  max_workers: int = 4):
         self.transport = transport
         self.cache_path = Path(cache_path) if cache_path else None
+        if self.cache_path and not self.cache_path.parent.is_dir():
+            raise FileNotFoundError(
+                f"cache directory {str(self.cache_path.parent)!r} does not exist")
         self.synonyms = synonyms
         self.max_workers = max_workers
         self._cache: dict[str, list[str]] = {}

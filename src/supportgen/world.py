@@ -61,7 +61,6 @@ class Action(IntEnum):
     WALK = 5
 
 
-ACTION_NAMES = tuple(a.name for a in Action)
 ACTION_TABLE_SIZE = len(Action)
 
 RngLike = Union[int, np.random.Generator]

@@ -1,12 +1,18 @@
 """Reference generation: the per-example code dataset generation ran before
-states drew their attributes in one call and candidates became counts.
+states drew their attributes in one call and candidates became counts, and
+the hand-written parser and word encoder the grammar had before both became
+lookups over its sentences and symbols.
 
 Each function is kept as it was, fresh objects and full candidate lists
 included, so tests can require the current generator to draw the same
-stream and build the same examples. Only the names it reads from supportgen
-are imported; the split predicate tables stay the single definition."""
+stream and build the same examples, and the current parse and encode_words
+to give the same results and raise the same errors. Only the names it reads
+from supportgen are imported; the split predicate tables stay the single
+definition."""
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -23,8 +29,15 @@ from supportgen.dataset import (
     Split,
     _flags,
 )
-from supportgen.errors import CapacityError, GenerationError
-from supportgen.grammar import COLOR_WORDS, SHAPE_WORDS, Instruction, TargetResolution
+from supportgen.errors import CapacityError, GenerationError, GrammarError, LexicalError
+from supportgen.grammar import (
+    COLOR_WORDS,
+    SHAPE_WORDS,
+    SIZE_WORDS,
+    WORD_CODES,
+    Instruction,
+    TargetResolution,
+)
 from supportgen.world import (
     COLORS,
     SHAPES,
@@ -144,3 +157,82 @@ def generate_example(rng: np.random.Generator, config: DatasetConfig, split: Spl
     raise GenerationError(
         f"no admissible example for split {split.value!r} after {MAX_ATTEMPTS} attempts"
     )
+
+
+#: Surface tokens accepted by the lexer, as the literal they were written as.
+LEXICON = frozenset(
+    {"walk", "to", "push", "pull", "a", "while", "spinning", "zigzagging",
+     "hesitantly", "cautiously"} | set(SIZE_WORDS) | set(COLOR_WORDS) | set(SHAPE_WORDS)
+)
+
+
+def parse(tokens: Sequence[str]) -> Instruction:
+    for tok in tokens:
+        if tok not in LEXICON:
+            raise LexicalError(f"unknown token {tok!r}")
+    toks = list(tokens)
+
+    def fail(reason: str) -> GrammarError:
+        return GrammarError(f"cannot parse {' '.join(tokens)!r}: {reason}")
+
+    if not toks:
+        raise fail("empty instruction")
+    if toks[0] == "walk":
+        if len(toks) < 2 or toks[1] != "to":
+            raise fail("'walk' must be followed by 'to'")
+        verb, toks = "walk_to", toks[2:]
+    elif toks[0] in ("push", "pull"):
+        verb, toks = toks[0], toks[1:]
+    else:
+        raise fail(f"expected a verb, got {toks[0]!r}")
+
+    if not toks or toks[0] != "a":
+        raise fail("expected 'a' after the verb")
+    toks = toks[1:]
+
+    size_word = color_word = None
+    while toks and (toks[0] in SIZE_WORDS or toks[0] in COLOR_WORDS):
+        tok = toks.pop(0)
+        if tok in SIZE_WORDS:
+            if size_word is not None:
+                raise fail("duplicate size word")
+            size_word = tok
+        else:
+            if color_word is not None:
+                raise fail("duplicate color word")
+            color_word = tok
+
+    if not toks or toks[0] not in SHAPE_WORDS:
+        raise fail("expected a shape word")
+    shape_word, toks = toks[0], toks[1:]
+
+    adverb = None
+    if toks:
+        if toks == ["hesitantly"]:
+            adverb = "hesitantly"
+        elif toks == ["cautiously"]:
+            adverb = "cautiously"
+        elif toks == ["while", "spinning"]:
+            adverb = "while_spinning"
+        elif toks == ["while", "zigzagging"]:
+            adverb = "while_zigzagging"
+        else:
+            raise fail(f"trailing tokens {toks!r}")
+
+    return Instruction(verb, size_word, color_word, shape_word, adverb)
+
+
+def encode_words(tokens: Sequence[str]) -> list[int]:
+    """Map surface tokens to word-symbol codes, merging multiword adverbs."""
+    codes = []
+    i = 0
+    while i < len(tokens):
+        if tokens[i] == "while" and i + 1 < len(tokens) and tokens[i + 1] in ("spinning", "zigzagging"):
+            codes.append(WORD_CODES[f"while {tokens[i + 1]}"])
+            i += 2
+            continue
+        if tokens[i] not in WORD_CODES:
+            raise LexicalError(f"token {tokens[i]!r} has no symbol code")
+        codes.append(WORD_CODES[tokens[i]])
+        i += 1
+    return codes

@@ -683,6 +683,21 @@ class TestParaphraseCli:
         assert exc.value.code == 2
         assert list(tmp_path.iterdir()) == []
 
+    def test_missing_cache_directory_is_data_error_before_any_request(self, tmp_path,
+                                                                      monkeypatch):
+        from supportgen.paraphrase import ENDPOINT_ENV, HttpTransport
+
+        sent = []
+        monkeypatch.setenv(ENDPOINT_ENV, "http://127.0.0.1:9/")
+        monkeypatch.setattr(HttpTransport, "complete",
+                            lambda self, prompt: sent.append(prompt) or "1. Push a red square")
+        code = run(["paraphrase", "--query", "push a red square",
+                    "--cache", str(tmp_path / "no_dir" / "cache.json"),
+                    "--out", str(tmp_path / "p.jsonl")])
+        assert code == EXIT_DATA
+        assert sent == []
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestServeOracle:
     def test_subprocess_smoke(self, s0):

@@ -350,6 +350,25 @@ class TestCovr:
         assert (peak - base) / one_hot_bytes < 2.0
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_support_count_caps_every_strategy(corpus, model, covr_retriever, gandr_retriever, n):
+    """No strategy returns more than n supports, n = 0 included."""
+    index = build_instruction_index(corpus.split(Split.TRAIN))
+    oracle = OracleSolver()
+    queries = [h_query(), *corpus.split(Split.TRAIN)[:5], *corpus.split(Split.H)]
+    for query in queries:
+        ssets = [
+            heuristic_supports(query, oracle, n=n),
+            random_supports(query, oracle, rng=0, n=n),
+            other_states_supports(query, index, rng=0, n=n),
+            demogen_supports(query, model, oracle, rng=0, n=n),
+            covr_supports(query, covr_retriever, n=n, probes=16),
+            gandr_supports(query, oracle, gandr_retriever, n=n, probes=16),
+        ]
+        for sset in ssets:
+            assert len(sset.supports) <= n, sset.strategy
+
+
 class TestGandr:
     def test_output_weight_zero_is_instruction_only(self, corpus):
         train = corpus.split(Split.TRAIN)

@@ -2,6 +2,9 @@ import pytest
 
 from supportgen.errors import GrammarError, LexicalError, UnresolvableError
 from supportgen.grammar import (
+    INSTRUCTIONS,
+    LEXICON,
+    REALIZED,
     Instruction,
     TargetResolution,
     WORD_CODES,
@@ -15,6 +18,39 @@ from supportgen.grammar import (
     resolve_target,
 )
 from supportgen.world import AgentPose, Heading, ObjectSpec, Position, WorldState
+
+import generation_reference
+
+
+def sentences():
+    """The token tuples parse accepts: the 675 canonical realizations and,
+    for the 360 instructions with both a size and a color word, the tuple
+    with those two words swapped."""
+    out = list(REALIZED)
+    for tokens, instr in zip(REALIZED, INSTRUCTIONS):
+        if instr.size_word and instr.color_word:
+            swap = {instr.size_word: instr.color_word, instr.color_word: instr.size_word}
+            out.append(tuple(swap.get(t, t) for t in tokens))
+    return out
+
+
+def edits(tokens, vocabulary):
+    """Every one-token insertion, substitution and deletion of `tokens`."""
+    for i in range(len(tokens) + 1):
+        for word in vocabulary:
+            yield tokens[:i] + (word,) + tokens[i:]
+    for i in range(len(tokens)):
+        for word in vocabulary:
+            yield tokens[:i] + (word,) + tokens[i + 1:]
+        yield tokens[:i] + tokens[i + 1:]
+
+
+def outcome(fn, tokens):
+    """fn(tokens), or the class of the exception it raises."""
+    try:
+        return fn(list(tokens))
+    except Exception as exc:  # the class is the compared outcome
+        return type(exc)
 
 
 class TestParse:
@@ -51,6 +87,30 @@ class TestParse:
         with pytest.raises(GrammarError):
             parse(tokens)
 
+    def test_lexicon_equals_reference(self):
+        assert LEXICON == generation_reference.LEXICON
+
+    def test_parse_equals_reference_on_sentences_and_edits(self):
+        """On every accepted sentence and every one-token edit of one over
+        the lexicon plus an unknown word, parse gives the reference's
+        instruction or raises the reference's exception class."""
+        keys = sentences()
+        assert len(set(keys)) == 1035
+        vocabulary = sorted(generation_reference.LEXICON) + ["foo"]
+        for key in keys:
+            assert isinstance(parse(list(key)), Instruction)
+            for tokens in [key, *edits(key, vocabulary)]:
+                assert outcome(parse, tokens) == outcome(generation_reference.parse, tokens)
+
+    def test_parse_equals_reference_on_random_lists(self):
+        import numpy as np
+
+        vocabulary = sorted(generation_reference.LEXICON) + ["foo"]
+        rng = np.random.default_rng(13)
+        for _ in range(20_000):
+            tokens = [vocabulary[i] for i in rng.integers(len(vocabulary), size=rng.integers(10))]
+            assert outcome(parse, tokens) == outcome(generation_reference.parse, tokens)
+
 
 class TestRealize:
     def test_plain(self):
@@ -65,7 +125,7 @@ class TestRealize:
         forms = list(enumerate_instructions())
         assert len(forms) == 675
         for instr in forms:
-            assert parse(realize(instr)) == instr
+            assert parse(realize(instr)) is instr
 
     def test_command_string_round_trip(self):
         instr = Instruction("pull", "small", "yellow", "cylinder", "while_spinning")
@@ -164,7 +224,6 @@ class TestResolveDescriptions:
         indexes its candidates in this order."""
         import numpy as np
 
-        import generation_reference
         from conftest import random_state
 
         rng = np.random.default_rng(2024)
@@ -192,3 +251,15 @@ class TestWordSymbols:
         assert codes == [8, 0, 17, 11, 5, 7]
         codes = encode_words(["push", "a", "green", "small", "square", "while", "spinning"])
         assert codes == [9, 0, 6, 11, 12, 15]
+
+    def test_encode_words_equals_reference(self):
+        """On every realized row and every one-token edit of an accepted
+        sentence, encode_words gives the reference's codes or raises the
+        reference's exception class."""
+        vocabulary = sorted(generation_reference.LEXICON) + ["foo"]
+        for tokens in REALIZED:
+            assert encode_words(list(tokens)) == generation_reference.encode_words(list(tokens))
+        for key in sentences():
+            for tokens in edits(key, vocabulary):
+                assert (outcome(encode_words, tokens)
+                        == outcome(generation_reference.encode_words, tokens))

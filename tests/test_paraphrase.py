@@ -192,6 +192,14 @@ class TestParaphraseClient:
         again = ParaphraseClient(FakeTransport([]), cache_path=cache)
         assert len(again.paraphrase_many("simple", queries)) == 200
 
+    def test_missing_cache_directory_fails_before_any_request(self, tmp_path):
+        transport = FakeTransport(["1. Pull the circle"])
+        with pytest.raises(FileNotFoundError, match="does not exist"):
+            client = ParaphraseClient(transport, cache_path=tmp_path / "no_dir" / "cache.json")
+            client.paraphrase_many("simple", ["pull a circle"])
+        assert transport.calls == 0
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestHttpTransport:
     def test_requires_endpoint(self, monkeypatch):
