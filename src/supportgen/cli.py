@@ -175,9 +175,13 @@ def _parse_split(spec: str) -> Split:
 
 
 def _parse_split_list(spec: str) -> list[Split]:
+    """'h,c' -> [Split.H, Split.C]; 'all' -> every split; names at least one."""
     if spec == "all":
         return [Split.TRAIN, *TEST_SPLITS]
-    return [_parse_split(part) for part in spec.split(",") if part.strip()]
+    splits = [_parse_split(part) for part in spec.split(",") if part.strip()]
+    if not splits:
+        raise argparse.ArgumentTypeError(f"expected a comma list of splits or 'all', got {spec!r}")
+    return splits
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import functools
 import json
+import os
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -265,12 +266,21 @@ def generate_dataset(config: DatasetConfig) -> Dataset:
 def _write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
     """Write each record as one canonical JSON line (sorted keys, compact
     separators, UTF-8), so equal records give equal bytes; returns the
-    number of records written."""
+    number of records written. The lines go to a sibling temporary file
+    that replaces `path` only once every record is written, so an error
+    leaves `path` as it was."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
     count = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for count, record in enumerate(records, start=1):
-            fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
-            fh.write("\n")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            for count, record in enumerate(records, start=1):
+                fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
+                fh.write("\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return count
 
 

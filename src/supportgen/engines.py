@@ -12,7 +12,7 @@ import itertools
 import json
 import subprocess
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Protocol, Sequence
 
 import numpy as np
@@ -92,53 +92,55 @@ class OracleSolver:
 # Heuristic templates
 # ---------------------------------------------------------------------------
 
+#: Verb swaps by (query verb, query is "while spinning").
+_VERB_SWAPS = {
+    ("pull", False): ("walk_to", "push"), ("pull", True): ("walk_to", "push"),
+    ("walk_to", False): ("push", "pull"), ("walk_to", True): (),
+    ("push", False): ("walk_to", "pull"), ("push", True): (),
+}
+#: Adverb swaps by (query adverb, query verb is push); absent pairs swap nothing.
+_ADVERB_SWAPS = {
+    ("while_zigzagging", False): ("hesitantly", None, "while_spinning"),
+    ("hesitantly", False): ("while_zigzagging", None, "while_spinning"),
+    ("while_spinning", False): ("hesitantly", "while_zigzagging", None),
+    ("while_spinning", True): ("hesitantly", "while_zigzagging", None),
+}
+
+
 def heuristic_candidates(instr: Instruction) -> list[Instruction]:
-    """Template swaps on the query instruction.
+    """Template swaps on the query instruction: first its verb, then its
+    adverb, each by the swap tables above. The query combination itself is
+    never produced."""
+    verbs = _VERB_SWAPS[instr.verb, instr.adverb == "while_spinning"]
+    adverbs = _ADVERB_SWAPS.get((instr.adverb, instr.verb == "push"), ())
+    return ([replace(instr, verb=verb) for verb in verbs]
+            + [replace(instr, adverb=adverb) for adverb in adverbs])
 
-    Verb rules: pull -> walk to, push; walk to -> push, pull and
-    push -> walk to, pull, both skipped entirely under "while spinning".
-    Adverb rules: while zigzagging / hesitantly swap into each other, nothing
-    and "while spinning" (skipped entirely for push); "while spinning" swaps
-    into hesitantly, while zigzagging and nothing. The query combination
-    itself is never produced."""
-    out = []
-    spinning = instr.adverb == "while_spinning"
-    if instr.verb == "pull":
-        verb_swaps: tuple[str, ...] = ("walk_to", "push")
-    elif instr.verb == "walk_to":
-        verb_swaps = () if spinning else ("push", "pull")
-    else:  # push
-        verb_swaps = () if spinning else ("walk_to", "pull")
-    for verb in verb_swaps:
-        out.append(Instruction(verb, instr.size_word, instr.color_word,
-                               instr.shape_word, instr.adverb))
 
-    if instr.adverb == "while_zigzagging":
-        adverb_swaps: tuple = () if instr.verb == "push" else ("hesitantly", None, "while_spinning")
-    elif instr.adverb == "hesitantly":
-        adverb_swaps = () if instr.verb == "push" else ("while_zigzagging", None, "while_spinning")
-    elif instr.adverb == "while_spinning":
-        adverb_swaps = ("hesitantly", "while_zigzagging", None)
-    else:
-        adverb_swaps = ()
-    for adverb in adverb_swaps:
-        out.append(Instruction(instr.verb, instr.size_word, instr.color_word,
-                               instr.shape_word, adverb))
-    return out
+def _solve_in_state(query: Example, candidates: Iterable[tuple[Instruction, dict]],
+                    solver: Solver, n: int, keep_invalid: bool = False) -> list[Support]:
+    """Solve the (instruction, meta) candidates in the query state, in order,
+    until n supports exist. An unsolvable candidate is skipped, or with
+    keep_invalid kept with no actions."""
+    supports = []
+    for instr, meta in candidates:
+        if len(supports) >= n:
+            break
+        try:
+            actions = solver.solve(query.state, instr)
+        except SolverError:
+            if not keep_invalid:
+                continue
+            actions = None
+        supports.append(Support(query.state, instr, actions, meta))
+    return supports
 
 
 def heuristic_supports(query: Example, solver: Solver,
                        n: int = DEFAULT_SUPPORT_COUNT) -> SupportSet:
-    supports = []
-    for cand in heuristic_candidates(query.instruction):
-        if len(supports) >= n:
-            break
-        try:
-            actions = solver.solve(query.state, cand)
-        except SolverError:
-            continue
-        supports.append(Support(query.state, cand, actions))
-    return SupportSet(strategy="heuristic", supports=supports)
+    candidates = ((cand, {}) for cand in heuristic_candidates(query.instruction))
+    return SupportSet(strategy="heuristic",
+                      supports=_solve_in_state(query, candidates, solver, n))
 
 
 def random_supports(query: Example, solver: Solver, rng: RngLike,
@@ -151,15 +153,9 @@ def random_supports(query: Example, solver: Solver, rng: RngLike,
              if instr.description() in grounded and instr != query.instruction]
     take = min(n, len(legal))
     chosen = gen.choice(len(legal), size=take, replace=False) if take else []
-    supports = []
-    for idx in sorted(int(i) for i in chosen):
-        instr = legal[idx]
-        try:
-            actions = solver.solve(query.state, instr)
-        except SolverError:
-            continue
-        supports.append(Support(query.state, instr, actions))
-    return SupportSet(strategy="random", supports=supports)
+    candidates = ((legal[idx], {}) for idx in sorted(int(i) for i in chosen))
+    return SupportSet(strategy="random",
+                      supports=_solve_in_state(query, candidates, solver, n))
 
 
 def build_instruction_index(examples: Iterable[Example]) -> dict[Instruction, list[Example]]:
@@ -196,8 +192,8 @@ def demogen_supports(query: Example, model: InstructionModel, solver: Solver,
     deduplicate, drop the query, rank by model score (the model's log_table;
     ties on the realized string), then solve the top n in the query state.
 
-    With keep_invalid (default) unsolvable candidates stay in the set with a
-    failure marker; otherwise each is replaced by the next-ranked candidate
+    With keep_invalid (default) unsolvable candidates stay in the set with no
+    actions; otherwise each is replaced by the next-ranked candidate
     until n supports exist or candidates run out."""
     probs = infill_distribution(model, query.instruction, mask_rate)
     rows = np.unique(as_rng(rng).choice(probs.size, size=k, p=probs))
@@ -205,20 +201,8 @@ def demogen_supports(query: Example, model: InstructionModel, solver: Solver,
     log_table = model.log_table
     ranked = rows[np.lexsort((STRING_RANK[rows], -log_table[rows]))]
 
-    supports: list[Support] = []
-    for row in ranked:
-        if len(supports) >= n:
-            break
-        cand = INSTRUCTIONS[row]
-        try:
-            actions: tuple[Action, ...] | None = solver.solve(query.state, cand)
-            valid = True
-        except SolverError:
-            if not keep_invalid:
-                continue
-            actions, valid = None, False
-        supports.append(Support(query.state, cand, actions,
-                                {"score": float(log_table[row]), "valid": valid}))
+    candidates = ((INSTRUCTIONS[row], {"score": float(log_table[row])}) for row in ranked)
+    supports = _solve_in_state(query, candidates, solver, n, keep_invalid)
     return SupportSet(strategy="demogen",
                       supports=supports,
                       meta={"sampled": k, "unique": len(ranked), "keep_invalid": keep_invalid})
@@ -275,6 +259,16 @@ def _greedy_cover(query: Example, ordered: list[tuple[Example, dict]], n: int) -
     chosen.sort()
     return [Support(ordered[i][0].state, ordered[i][0].instruction,
                     ordered[i][0].actions, ordered[i][1]) for i in chosen[:n]]
+
+
+def _pool(query: Example, retriever: CovrRetriever | GandrRetriever, qvec: np.ndarray,
+          pool: int, probes: int) -> list[tuple[int, Example, float]]:
+    """The (corpus index, example, retrieval score) of the `pool` IVF
+    neighbours of qvec, nearest first, the query pair itself dropped."""
+    hits = ivf_query(retriever.ivf, qvec, k=pool, probes=probes)
+    pairs = [(idx, retriever.examples[idx], score) for idx, score in hits]
+    return [(idx, ex, score) for idx, ex, score in pairs
+            if ex.state != query.state or ex.instruction != query.instruction]
 
 
 # ---------------------------------------------------------------------------
@@ -335,13 +329,10 @@ def covr_supports(query: Example, retriever: CovrRetriever,
     qvec = hybrid_encode(pca_project(retriever.pca, state_vec),
                          tfidf_encode(retriever.tfidf, realize(query.instruction)),
                          retriever.alpha)
-    hits = ivf_query(retriever.ivf, qvec, k=pool, probes=probes)
     query_grams = _GRAMS[INSTRUCTION_ROW[query.instruction]]
     candidates = []
-    for rank, (idx, retrieval_score) in enumerate(hits):
-        ex = retriever.examples[idx]
-        if ex.state == query.state and ex.instruction == query.instruction:
-            continue
+    for rank, (idx, ex, retrieval_score) in enumerate(
+            _pool(query, retriever, qvec, pool, probes)):
         shared = _GRAMS[INSTRUCTION_ROW[ex.instruction]] & query_grams
         one = (shared & _ONE_GRAM_BITS).bit_count()
         two = shared.bit_count() - one
@@ -409,13 +400,8 @@ def gandr_supports(query: Example, helper: Solver, retriever: GandrRetriever,
     instr_vec = tfidf_encode(retriever.instr_tfidf, realize(query.instruction))
     out_vec = tfidf_encode(retriever.out_tfidf, [a.name for a in guess])
     qvec = combine_io(instr_vec, out_vec, 0.0 if helper_failed else retriever.alpha)
-    hits = ivf_query(retriever.ivf, qvec, k=pool, probes=probes)
-    ordered = []
-    for idx, retrieval_score in hits:
-        ex = retriever.examples[idx]
-        if ex.state == query.state and ex.instruction == query.instruction:
-            continue
-        ordered.append((ex, {"retrieval": retrieval_score}))
+    ordered = [(ex, {"retrieval": retrieval_score})
+               for _, ex, retrieval_score in _pool(query, retriever, qvec, pool, probes)]
     return SupportSet(strategy="gandr", supports=_greedy_cover(query, ordered, n),
                       meta={"helper_failed": helper_failed})
 

@@ -275,75 +275,32 @@ NAMED_PATTERNS = {
 _PATTERN_TOKEN = re.compile(r"\.\.|\(|\)|[A-Za-z_]+|\d+")
 
 
-@dataclass(frozen=True)
-class _Atom:
-    symbol: str | None  # None for the ".." gap
-    count: int | str | None  # int fixed, str variable, None single
-
-
-@dataclass(frozen=True)
-class _Group:
-    atoms: tuple[_Atom, ...]
-    count: int | str | None
-
-
 @dataclass
 class CompiledPattern:
-    elements: tuple
-    symbols: tuple[str, ...]
+    template: str  # the regex, with a %s in place of each action symbol
+    slots: tuple[str, ...]  # the action symbol of each %s, in order
+    symbols: tuple[str, ...]  # the distinct symbols, in order of appearance
 
     def regex_for(self, assignment: Mapping[str, int]) -> re.Pattern:
-        return re.compile(_regex_of(self.elements, assignment))
+        return re.compile(self.template % tuple(
+            re.escape(_char(assignment[symbol])) for symbol in self.slots))
 
 
 def _char(code: int) -> str:
     return chr(ord("0") + code)
 
 
-def _regex_of(elements, assignment: Mapping[str, int]) -> str:
-    parts = []
-    seen_vars: set[str] = set()
-    var_symbol: dict[str, str] = {}
-    for el in elements:
-        if isinstance(el, _Atom):
-            if el.symbol is None:
-                parts.append(".*")
-                continue
-            c = re.escape(_char(assignment[el.symbol]))
-            if el.count is None:
-                parts.append(c)
-            elif isinstance(el.count, int):
-                parts.append(f"{c}{{{el.count}}}")
-            else:
-                prior = var_symbol.setdefault(el.count, el.symbol)
-                if prior != el.symbol:
-                    raise PatternError(
-                        f"variable {el.count!r} reused across symbols {prior}/{el.symbol}"
-                    )
-                if el.count in seen_vars:
-                    parts.append(f"(?P={el.count})")
-                else:
-                    seen_vars.add(el.count)
-                    parts.append(f"(?P<{el.count}>{c}+)")
-        else:
-            inner = _regex_of(el.atoms, assignment)
-            if el.count is None:
-                parts.append(f"(?:{inner})")
-            elif isinstance(el.count, int):
-                parts.append(f"(?:{inner}){{{el.count}}}")
-            else:
-                parts.append(f"(?:{inner})+")
-    return "".join(parts)
-
-
 def compile_pattern(text: str) -> CompiledPattern:
-    """Parse the pattern language into matchable elements."""
+    """Translate the pattern language in one recursive pass into regex text
+    with a %s in place of each action symbol."""
     text = NAMED_PATTERNS.get(text.strip(), text)
     tokens = _PATTERN_TOKEN.findall(text)
     if re.sub(r"\s+", "", text) != "".join(tokens):
         raise PatternError(f"unrecognized characters in pattern {text!r}")
     pos = 0
     action_names = {a.name for a in Action}
+    slots: list[str] = []
+    var_symbol: dict[str, str] = {}  # the symbol each variable repeats
 
     def parse_count() -> int | str | None:
         nonlocal pos
@@ -361,54 +318,56 @@ def compile_pattern(text: str) -> CompiledPattern:
                     return inner
         return None
 
-    def parse_elements(depth: int) -> list:
+    def atom(symbol: str, count: int | str | None, depth: int) -> str:
+        if isinstance(count, str):
+            if depth:
+                raise PatternError("variable repeats inside groups are not supported")
+            prior = var_symbol.get(count)
+            if prior is not None:
+                if prior != symbol:
+                    raise PatternError(
+                        f"variable {count!r} reused across symbols {prior}/{symbol}")
+                return f"(?P={count})"
+            var_symbol[count] = symbol
+        slots.append(symbol)
+        if count is None:
+            return "%s"
+        if isinstance(count, int):
+            return f"%s{{{count}}}"
+        return f"(?P<{count}>%s+)"
+
+    def parse_sequence(depth: int) -> str:
         nonlocal pos
-        out: list = []
+        parts: list[str] = []
         while pos < len(tokens):
             tok = tokens[pos]
             if tok == ")":
                 if depth == 0:
                     raise PatternError(f"unbalanced ')' in {text!r}")
-                return out
+                return "".join(parts)
+            pos += 1
             if tok == "..":
-                pos += 1
-                out.append(_Atom(None, None))
-                continue
-            if tok == "(":
-                pos += 1
-                inner = parse_elements(depth + 1)
+                parts.append(".*")
+            elif tok == "(":
+                inner = parse_sequence(depth + 1)
                 if pos >= len(tokens) or tokens[pos] != ")":
                     raise PatternError(f"unbalanced '(' in {text!r}")
                 pos += 1
                 count = parse_count()
-                if any(isinstance(a, _Atom) and isinstance(a.count, str) for a in inner):
-                    raise PatternError("variable repeats inside groups are not supported")
-                out.append(_Group(tuple(inner), count))
-                continue
-            if tok.upper() in action_names:
-                pos += 1
-                out.append(_Atom(tok.upper(), parse_count()))
-                continue
-            raise PatternError(f"unknown pattern token {tok!r}")
+                suffix = "" if count is None else "+" if isinstance(count, str) else f"{{{count}}}"
+                parts.append(f"(?:{inner}){suffix}")
+            elif tok.upper() in action_names:
+                parts.append(atom(tok.upper(), parse_count(), depth))
+            else:
+                raise PatternError(f"unknown pattern token {tok!r}")
         if depth:
             raise PatternError(f"unbalanced '(' in {text!r}")
-        return out
+        return "".join(parts)
 
-    elements = parse_elements(0)
-    symbols: list[str] = []
-
-    def collect(els) -> None:
-        for el in els:
-            if isinstance(el, _Atom):
-                if el.symbol and el.symbol not in symbols:
-                    symbols.append(el.symbol)
-            else:
-                collect(el.atoms)
-
-    collect(elements)
-    compiled = CompiledPattern(elements=tuple(elements), symbols=tuple(symbols))
-    if symbols:
-        compiled.regex_for({s: Action[s].value for s in symbols})  # syntax check
+    template = parse_sequence(0)
+    compiled = CompiledPattern(template, tuple(slots), tuple(dict.fromkeys(slots)))
+    if slots:
+        compiled.regex_for({s: Action[s].value for s in compiled.symbols})  # syntax check
     return compiled
 
 
@@ -435,7 +394,7 @@ def pattern_frequency(sequences: Iterable[Sequence[int]], pattern: str,
     total = sum(strings.values())
     if total == 0:
         raise MetricError("pattern_frequency needs at least one sequence")
-    if not compiled.elements:
+    if not compiled.template:
         return PatternReport(pattern, 1.0, total, total, over_permutations)
 
     if over_permutations:

@@ -245,8 +245,9 @@ class HttpTransport:
 
 
 class ParaphraseClient:
-    """Caches prompt -> paraphrases (one entry per query, mode and template
-    setting) so interrupted runs are resumable. The cache file is rewritten
+    """Caches prompt -> paraphrases (one entry per prompt; under the template
+    setting, queries that differ only in the object description share one)
+    so interrupted runs are resumable. The cache file is rewritten
     as each new entry arrives; a cache path whose directory does not exist is
     rejected before any request is sent."""
 
@@ -278,19 +279,28 @@ class ParaphraseClient:
                 tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
                 os.replace(tmp, self.cache_path)
 
-    def paraphrase(self, mode: PromptMode | str, query: str,
-                   template_mode: bool = False) -> ParaphraseRecord:
-        prompt = build_prompt(mode, query, template_mode=template_mode)
+    def _paraphrases(self, prompt: str) -> list[str]:
+        """The cached paraphrases of prompt, requested first if not cached."""
         if prompt not in self._cache:
             self._store(prompt, parse_response(self.transport.complete(prompt)))
-        paraphrases = self._cache[prompt]
+        return self._cache[prompt]
+
+    def _record(self, query: str, paraphrases: list[str]) -> ParaphraseRecord:
         retained = [check_retention(query, p, self.synonyms) for p in paraphrases]
         return ParaphraseRecord(original=query, paraphrases=list(paraphrases),
                                 retained=retained)
 
+    def paraphrase(self, mode: PromptMode | str, query: str,
+                   template_mode: bool = False) -> ParaphraseRecord:
+        prompt = build_prompt(mode, query, template_mode=template_mode)
+        return self._record(query, self._paraphrases(prompt))
+
     def paraphrase_many(self, mode: PromptMode | str, queries: Sequence[str],
                         template_mode: bool = False) -> list[ParaphraseRecord]:
+        """One record per query, in order. Each distinct prompt is requested
+        once, up to max_workers at a time, however many queries share it."""
+        prompts = [build_prompt(mode, q, template_mode=template_mode) for q in queries]
+        distinct = list(dict.fromkeys(prompts))
         with ThreadPoolExecutor(max_workers=self.max_workers) as pool:
-            return list(pool.map(
-                lambda q: self.paraphrase(mode, q, template_mode=template_mode), queries
-            ))
+            paraphrases = dict(zip(distinct, pool.map(self._paraphrases, distinct)))
+        return [self._record(q, paraphrases[p]) for q, p in zip(queries, prompts)]

@@ -1,18 +1,22 @@
 """Reference generation: the per-example code dataset generation ran before
-states drew their attributes in one call and candidates became counts, and
-the hand-written parser and word encoder the grammar had before both became
-lookups over its sentences and symbols.
+states drew their attributes in one call and candidates became counts, the
+hand-written parser and word encoder the grammar had before both became
+lookups over its sentences and symbols, the if/elif heuristic templates
+that became two swap tables, and the action-pattern compiler that parsed
+into a tree and walked it again before it became one pass.
 
 Each function is kept as it was, fresh objects and full candidate lists
 included, so tests can require the current generator to draw the same
-stream and build the same examples, and the current parse and encode_words
-to give the same results and raise the same errors. Only the names it reads
-from supportgen are imported; the split predicate tables stay the single
-definition."""
+stream and build the same examples, and the current parse, encode_words,
+heuristic_candidates and compile_pattern to give the same results and raise
+the same errors. Only the names it reads from supportgen are imported; the
+split predicate tables stay the single definition."""
 
 from __future__ import annotations
 
-from typing import Sequence
+import re
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -29,7 +33,8 @@ from supportgen.dataset import (
     Split,
     _flags,
 )
-from supportgen.errors import CapacityError, GenerationError, GrammarError, LexicalError
+from supportgen.errors import (CapacityError, GenerationError, GrammarError, LexicalError,
+                               PatternError)
 from supportgen.grammar import (
     COLOR_WORDS,
     SHAPE_WORDS,
@@ -38,6 +43,7 @@ from supportgen.grammar import (
     Instruction,
     TargetResolution,
 )
+from supportgen.metrics import _PATTERN_TOKEN, NAMED_PATTERNS, _char
 from supportgen.world import (
     COLORS,
     SHAPES,
@@ -236,3 +242,171 @@ def encode_words(tokens: Sequence[str]) -> list[int]:
         codes.append(WORD_CODES[tokens[i]])
         i += 1
     return codes
+
+
+def heuristic_candidates(instr: Instruction) -> list[Instruction]:
+    """Template swaps on the query instruction.
+
+    Verb rules: pull -> walk to, push; walk to -> push, pull and
+    push -> walk to, pull, both skipped entirely under "while spinning".
+    Adverb rules: while zigzagging / hesitantly swap into each other, nothing
+    and "while spinning" (skipped entirely for push); "while spinning" swaps
+    into hesitantly, while zigzagging and nothing. The query combination
+    itself is never produced."""
+    out = []
+    spinning = instr.adverb == "while_spinning"
+    if instr.verb == "pull":
+        verb_swaps: tuple[str, ...] = ("walk_to", "push")
+    elif instr.verb == "walk_to":
+        verb_swaps = () if spinning else ("push", "pull")
+    else:  # push
+        verb_swaps = () if spinning else ("walk_to", "pull")
+    for verb in verb_swaps:
+        out.append(Instruction(verb, instr.size_word, instr.color_word,
+                               instr.shape_word, instr.adverb))
+
+    if instr.adverb == "while_zigzagging":
+        adverb_swaps: tuple = () if instr.verb == "push" else ("hesitantly", None, "while_spinning")
+    elif instr.adverb == "hesitantly":
+        adverb_swaps = () if instr.verb == "push" else ("while_zigzagging", None, "while_spinning")
+    elif instr.adverb == "while_spinning":
+        adverb_swaps = ("hesitantly", "while_zigzagging", None)
+    else:
+        adverb_swaps = ()
+    for adverb in adverb_swaps:
+        out.append(Instruction(instr.verb, instr.size_word, instr.color_word,
+                               instr.shape_word, adverb))
+    return out
+
+
+@dataclass(frozen=True)
+class _Atom:
+    symbol: str | None  # None for the ".." gap
+    count: int | str | None  # int fixed, str variable, None single
+
+
+@dataclass(frozen=True)
+class _Group:
+    atoms: tuple[_Atom, ...]
+    count: int | str | None
+
+
+@dataclass
+class CompiledPattern:
+    elements: tuple
+    symbols: tuple[str, ...]
+
+    def regex_for(self, assignment: Mapping[str, int]) -> re.Pattern:
+        return re.compile(_regex_of(self.elements, assignment))
+
+
+def _regex_of(elements, assignment: Mapping[str, int]) -> str:
+    parts = []
+    seen_vars: set[str] = set()
+    var_symbol: dict[str, str] = {}
+    for el in elements:
+        if isinstance(el, _Atom):
+            if el.symbol is None:
+                parts.append(".*")
+                continue
+            c = re.escape(_char(assignment[el.symbol]))
+            if el.count is None:
+                parts.append(c)
+            elif isinstance(el.count, int):
+                parts.append(f"{c}{{{el.count}}}")
+            else:
+                prior = var_symbol.setdefault(el.count, el.symbol)
+                if prior != el.symbol:
+                    raise PatternError(
+                        f"variable {el.count!r} reused across symbols {prior}/{el.symbol}"
+                    )
+                if el.count in seen_vars:
+                    parts.append(f"(?P={el.count})")
+                else:
+                    seen_vars.add(el.count)
+                    parts.append(f"(?P<{el.count}>{c}+)")
+        else:
+            inner = _regex_of(el.atoms, assignment)
+            if el.count is None:
+                parts.append(f"(?:{inner})")
+            elif isinstance(el.count, int):
+                parts.append(f"(?:{inner}){{{el.count}}}")
+            else:
+                parts.append(f"(?:{inner})+")
+    return "".join(parts)
+
+
+def compile_pattern(text: str) -> CompiledPattern:
+    """Parse the pattern language into matchable elements."""
+    text = NAMED_PATTERNS.get(text.strip(), text)
+    tokens = _PATTERN_TOKEN.findall(text)
+    if re.sub(r"\s+", "", text) != "".join(tokens):
+        raise PatternError(f"unrecognized characters in pattern {text!r}")
+    pos = 0
+    action_names = {a.name for a in Action}
+
+    def parse_count() -> int | str | None:
+        nonlocal pos
+        if pos < len(tokens) and tokens[pos] == "(":
+            if pos + 2 < len(tokens) and tokens[pos + 2] == ")":
+                inner = tokens[pos + 1]
+                if inner.isdigit():
+                    pos += 3
+                    count = int(inner)
+                    if count <= 0:
+                        raise PatternError("repeat count must be positive")
+                    return count
+                if inner.isidentifier() and inner not in action_names:
+                    pos += 3
+                    return inner
+        return None
+
+    def parse_elements(depth: int) -> list:
+        nonlocal pos
+        out: list = []
+        while pos < len(tokens):
+            tok = tokens[pos]
+            if tok == ")":
+                if depth == 0:
+                    raise PatternError(f"unbalanced ')' in {text!r}")
+                return out
+            if tok == "..":
+                pos += 1
+                out.append(_Atom(None, None))
+                continue
+            if tok == "(":
+                pos += 1
+                inner = parse_elements(depth + 1)
+                if pos >= len(tokens) or tokens[pos] != ")":
+                    raise PatternError(f"unbalanced '(' in {text!r}")
+                pos += 1
+                count = parse_count()
+                if any(isinstance(a, _Atom) and isinstance(a.count, str) for a in inner):
+                    raise PatternError("variable repeats inside groups are not supported")
+                out.append(_Group(tuple(inner), count))
+                continue
+            if tok.upper() in action_names:
+                pos += 1
+                out.append(_Atom(tok.upper(), parse_count()))
+                continue
+            raise PatternError(f"unknown pattern token {tok!r}")
+        if depth:
+            raise PatternError(f"unbalanced '(' in {text!r}")
+        return out
+
+    elements = parse_elements(0)
+    symbols: list[str] = []
+
+    def collect(els) -> None:
+        for el in els:
+            if isinstance(el, _Atom):
+                if el.symbol and el.symbol not in symbols:
+                    symbols.append(el.symbol)
+            else:
+                collect(el.atoms)
+
+    collect(elements)
+    compiled = CompiledPattern(elements=tuple(elements), symbols=tuple(symbols))
+    if symbols:
+        compiled.regex_for({s: Action[s].value for s in symbols})  # syntax check
+    return compiled

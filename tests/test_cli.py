@@ -446,7 +446,7 @@ class TestGenSupports:
         ["--solver-timeout", "0"], ["--solver-timeout", "-1"], ["--solver-timeout", "inf"],
         ["--alpha", "nan"], ["--alpha", "inf"], ["--alpha", "-3"],
         ["--strategy", "gandr", "--alpha", "nan"], ["--strategy", "gandr", "--alpha", "inf"],
-        ["--strategy", "gandr", "--alpha", "-3"],
+        ["--strategy", "gandr", "--alpha", "-3"], ["--splits", ","], ["--splits", ""],
     ], ids=" ".join)
     def test_out_of_range_is_usage_error_before_decode(self, data_file, tmp_path,
                                                        monkeypatch, flags):
@@ -638,6 +638,30 @@ class TestExportIclAndPermute:
                     "--seed", "0", "--out", str(icl)]) == EXIT_OK
         for line in icl.read_text().splitlines():
             assert json.loads(line)["permutation"] == list(range(6))
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_failed_export_leaves_no_partial_file(self, data_file, tmp_path, existing):
+        sup = tmp_path / "sup.jsonl"
+        run(["gen-supports", "--data", str(data_file), "--strategy", "heuristic",
+             "--seed", "3", "--splits", "h", "--limit", "4", "--out", str(sup)])
+        records = [json.loads(line) for line in sup.read_text().splitlines()]
+        records[2]["supports"] = []
+        sup.write_text("".join(json.dumps(r) + "\n" for r in records))
+        icl = tmp_path / "icl.jsonl"
+        manifest = tmp_path / "icl.jsonl.manifest.json"
+        if existing:
+            icl.write_text("earlier output\n")
+            manifest.write_text("{}\n")
+        assert run(["export-icl", "--supports", str(sup), "--seed", "1",
+                    "--out", str(icl)]) == EXIT_DATA
+        if existing:
+            assert icl.read_text() == "earlier output\n"
+            assert manifest.read_text() == "{}\n"
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "icl.jsonl", "icl.jsonl.manifest.json", "sup.jsonl", "sup.jsonl.manifest.json"]
+        else:
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                "sup.jsonl", "sup.jsonl.manifest.json"]
 
     def test_permute_command_round_trip(self, data_file, tmp_path):
         out = tmp_path / "perm.jsonl"

@@ -23,10 +23,12 @@ from supportgen.engines import (
     serve_solver,
 )
 from supportgen.errors import ProtocolError, SolverError, SolverTimeout
-from supportgen.grammar import enumerate_instructions, parse, realize
+from supportgen.grammar import INSTRUCTIONS, enumerate_instructions, parse, realize
 from supportgen.instruction_model import fit
 from supportgen.planner import solve
 from supportgen.world import AgentPose, Heading, ObjectSpec, Position, WorldState
+
+import generation_reference
 
 
 @pytest.fixture(scope="module")
@@ -80,6 +82,13 @@ class TestHeuristic:
         got = heuristic_candidates(query)
         assert {i.verb for i in got} == {"walk_to", "pull"}
         assert all(i.adverb == "while_zigzagging" for i in got)
+
+    def test_candidates_equal_reference(self):
+        # the if/elif templates they replaced (tests/generation_reference.py),
+        # entry by entry and in order, on every instruction of the grammar
+        assert len(INSTRUCTIONS) == 675
+        for instr in INSTRUCTIONS:
+            assert heuristic_candidates(instr) == generation_reference.heuristic_candidates(instr)
 
     def test_supports_solved_in_query_state(self):
         query = h_query()

@@ -10,6 +10,7 @@ from supportgen.errors import FitError, MetricError, PatternError
 from supportgen.grammar import parse
 from supportgen.metrics import (
     CRITERIA_ROWS,
+    NAMED_PATTERNS,
     compile_pattern,
     diversity,
     embed_instructions,
@@ -23,6 +24,7 @@ from supportgen.metrics import (
 from supportgen.planner import solve
 from supportgen.world import Action, AgentPose, Heading, ObjectSpec, Position, WorldState
 
+import generation_reference
 from conftest import zeta_sample
 
 
@@ -315,3 +317,65 @@ class TestPatternFrequency:
         d = pattern_frequency(sequences, "D", over_permutations=True).fraction
         g = pattern_frequency(sequences, "G", over_permutations=True).fraction
         assert h > d >= g
+
+
+# assignments of action codes the pattern tests compare regexes under: the
+# default codes and three relabelings of them
+_ASSIGNMENTS = [{a.name: perm[a.value] for a in Action}
+                for perm in ((0, 1, 2, 3, 4, 5), (5, 4, 3, 2, 1, 0),
+                             (1, 2, 3, 4, 5, 0), (3, 5, 0, 4, 1, 2))]
+
+
+def _code_strings() -> list[str]:
+    """Every code string of length 0-2, and seeded strings of 1-6 runs of
+    1-5 equal codes."""
+    digits = "012345"
+    strings = ["", *digits, *(a + b for a in digits for b in digits)]
+    rng = np.random.default_rng(29)
+    for _ in range(120):
+        runs = rng.integers(1, 7)
+        strings.append("".join(digits[rng.integers(6)] * int(rng.integers(1, 6))
+                               for _ in range(runs)))
+    return strings
+
+
+_CODE_STRINGS = _code_strings()
+
+
+def _pattern_outcome(compile_fn, text: str):
+    """The exception class compile_fn raises on text, or the compiled
+    symbols and the fullmatch of every code string under each assignment."""
+    try:
+        compiled = compile_fn(text)
+        regexes = [compiled.regex_for(assignment) for assignment in _ASSIGNMENTS]
+    except Exception as exc:  # noqa: BLE001 - the class is what is compared
+        return type(exc)
+    return compiled.symbols, [[rx.fullmatch(s) is not None for s in _CODE_STRINGS]
+                              for rx in regexes]
+
+
+class TestCompilePatternReference:
+    """compile_pattern against the tree-building compiler it replaced
+    (tests/generation_reference.py)."""
+
+    def test_named_patterns_equal_reference(self):
+        for name, text in NAMED_PATTERNS.items():
+            for pattern in (name, text, text.lower(), f" {name} "):
+                got = _pattern_outcome(compile_pattern, pattern)
+                assert not isinstance(got, type)
+                assert got == _pattern_outcome(generation_reference.compile_pattern, pattern)
+
+    def test_random_token_strings_equal_reference(self):
+        # single tokens plus fragments that make counts, variables and groups common
+        vocabulary = ["..", "(", ")", "(n)", "(3)", "(0)", ")(n)", "(walk", "WALK", "LTURN",
+                      "rturn", "Pull", "stay", "WALK(n)", "lturn(m)", "m", "0", "1", "4", "12",
+                      "fly"]
+        rng = np.random.default_rng(17)
+        valid = 0
+        for _ in range(20_000):
+            tokens = [vocabulary[i] for i in rng.integers(len(vocabulary), size=rng.integers(9))]
+            text = " ".join(tokens)
+            got = _pattern_outcome(compile_pattern, text)
+            assert got == _pattern_outcome(generation_reference.compile_pattern, text), text
+            valid += not isinstance(got, type)
+        assert valid >= 2_000

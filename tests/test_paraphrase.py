@@ -1,5 +1,7 @@
 import io
 import json
+import threading
+import time
 
 import pytest
 
@@ -179,6 +181,31 @@ class TestParaphraseClient:
         client = ParaphraseClient(FakeTransport(replies), max_workers=1)
         records = client.paraphrase_many("simple", ["pull a circle", "push a square"])
         assert [r.original for r in records] == ["pull a circle", "push a square"]
+
+    @pytest.mark.parametrize("template_mode", [False, True])
+    def test_paraphrase_many_requests_each_prompt_once(self, template_mode):
+        class SlowCountingTransport:
+            def __init__(self):
+                self.prompts = []
+                self.lock = threading.Lock()
+
+            def complete(self, prompt):
+                with self.lock:
+                    self.prompts.append(prompt)
+                time.sleep(0.1)
+                return "1. Push the red square\n2. Shove a blue circle"
+
+        queries = ["push a red square"] * 8 + ["push a blue circle"] * 3 + ["pull a circle"]
+        transport = SlowCountingTransport()
+        client = ParaphraseClient(transport, max_workers=4)
+        records = client.paraphrase_many("simple", queries, template_mode=template_mode)
+        prompts = [build_prompt("simple", q, template_mode=template_mode) for q in queries]
+        assert sorted(transport.prompts) == sorted(set(prompts))
+        assert len(transport.prompts) == (2 if template_mode else 3)
+        assert [r.original for r in records] == queries
+        assert [r.retained for r in records] == [
+            [check_retention(q, p) for p in r.paraphrases] for q, r in zip(queries, records)]
+        assert records[0].retained == [True, False] and records[8].retained == [False, True]
 
     def test_concurrent_cache_writes_keep_every_prompt(self, tmp_path):
         cache = tmp_path / "cache.json"
