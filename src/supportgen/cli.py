@@ -59,7 +59,7 @@ from .engines import (
 from .errors import DataFormatError, ExternalServiceError, SupportgenError
 from .grammar import command_string, parse_command_string, realize
 from .index import DEFAULT_CELLS, DEFAULT_PCA_DIM, DEFAULT_PROBES
-from .instruction_model import InstructionModel, fit as fit_instruction_model
+from .instruction_model import fit as fit_instruction_model
 from .metrics import (
     DEFAULT_NN_SAMPLE,
     DEFAULT_RANKS,
@@ -269,14 +269,9 @@ def _alpha(args: argparse.Namespace) -> dict:
 # installed on this module's names (span tracing) see every call.
 
 def _prepare_demogen(train, args, solver):
-    if args.model_file and Path(args.model_file).exists():
-        model = InstructionModel.load(args.model_file)
-    elif not train:
+    if not train:
         raise DataFormatError("demogen needs a train split in the data file")
-    else:
-        model = fit_instruction_model(ex.instruction for ex in train)
-        if args.model_file:
-            model.save(args.model_file)
+    model = fit_instruction_model(ex.instruction for ex in train)
     return lambda query, rng: demogen_supports(
         query, model, solver, rng, k=args.k, n=args.n, mask_rate=args.mask_rate,
         keep_invalid=not args.replace_invalid)
@@ -333,11 +328,12 @@ def cmd_gen_supports(args: argparse.Namespace) -> int:
     if strategy is None:
         raise DataFormatError(f"unknown strategy {args.strategy!r}")
     wanted = set(args.splits)
-    if args.solver == "external" and not args.solver_cmd:
+    solver_cmd = shlex.split(args.solver_cmd or "")
+    if args.solver == "external" and not solver_cmd:
         raise DataFormatError("--solver external requires --solver-cmd")
     # The solver child starts before the data is read, so its interpreter
     # start-up overlaps the decode.
-    with (ExternalSolver(shlex.split(args.solver_cmd), timeout=args.solver_timeout)
+    with (ExternalSolver(solver_cmd, timeout=args.solver_timeout)
           if args.solver == "external" else nullcontext(OracleSolver())) as solver:
         dataset = import_dataset(args.data)
         train = dataset.split(Split.TRAIN)
@@ -407,7 +403,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         train_states = [ex.state for ex in dataset.split(Split.TRAIN)]
         split_states = [ex.state for ex in dataset.split(args.split)]
         profile = nn_profile(split_states, train_states, ranks=args.ranks,
-                             sample=args.sample, rng=args.seed or 0)
+                             sample=args.sample, rng=args.seed)
         report["nn_profile"] = {str(r): round(v, 6) for r, v in profile}
         print("rank " + " ".join(f"{r}:{v:.3f}" for r, v in profile))
 
@@ -538,7 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a dataset with compositional splits")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--train", type=_int_at_least(0), default=50_000)
     p.add_argument("--per-split", type=_int_at_least(0), default=2_000)
     p.add_argument("--split-counts", type=_parse_split_counts, default={},
@@ -553,7 +549,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--strategy", required=True,
                    help=f"one of {STRATEGY_LIST} (name/aliases, any case)")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--splits", type=_parse_split_list, default="all",
                    help="comma list of splits or 'all'")
@@ -570,8 +566,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--solver", choices=("oracle", "external"), default="oracle")
     p.add_argument("--solver-cmd", default=None)
     p.add_argument("--solver-timeout", type=_positive_seconds, default=DEFAULT_SOLVER_TIMEOUT)
-    p.add_argument("--model-file", default=None,
-                   help="count-table file: loaded if present, else fit and saved")
     p.add_argument("--replace-invalid", action="store_true",
                    help="replace unsolvable demogen candidates instead of keeping them")
     p.set_defaults(func=cmd_gen_supports)
@@ -592,21 +586,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--zipf", default=None, help="token corpus file")
     p.add_argument("--zipf-commands", action="store_true",
                    help="fit the zipf law on the dataset's command tokens")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("export-icl", help="serialize (supports, query) records")
     p.add_argument("--supports", required=True)
     p.add_argument("--policy", choices=("permute", "identity"), default="permute")
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--permute-words", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_export_icl)
 
     p = sub.add_parser("permute", help="relabel dataset targets per record")
     p.add_argument("--data", required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_permute)
 

@@ -18,7 +18,8 @@ from typing import Iterable, Mapping, Protocol, Sequence
 import numpy as np
 
 from .dataset import Example
-from .errors import ProtocolError, RetrievalError, SolverError, SolverTimeout, UnresolvableError
+from .errors import (ExternalServiceError, ProtocolError, RetrievalError, SolverError,
+                     SolverTimeout, UnresolvableError)
 from .grammar import (INSTRUCTION_ROW, INSTRUCTIONS, REALIZED, STRING_RANK, Instruction,
                       ground_descriptions, realize)
 from .index import (
@@ -262,10 +263,10 @@ def _greedy_cover(query: Example, ordered: list[tuple[Example, dict]], n: int) -
 
 
 def _pool(query: Example, retriever: CovrRetriever | GandrRetriever, qvec: np.ndarray,
-          pool: int, probes: int) -> list[tuple[int, Example, float]]:
-    """The (corpus index, example, retrieval score) of the `pool` IVF
+          probes: int) -> list[tuple[int, Example, float]]:
+    """The (corpus index, example, retrieval score) of the RETRIEVAL_POOL IVF
     neighbours of qvec, nearest first, the query pair itself dropped."""
-    hits = ivf_query(retriever.ivf, qvec, k=pool, probes=probes)
+    hits = ivf_query(retriever.ivf, qvec, k=RETRIEVAL_POOL, probes=probes)
     pairs = [(idx, retriever.examples[idx], score) for idx, score in hits]
     return [(idx, ex, score) for idx, ex, score in pairs
             if ex.state != query.state or ex.instruction != query.instruction]
@@ -320,9 +321,8 @@ def build_covr_retriever(examples: Sequence[Example], cells: int = DEFAULT_CELLS
 
 
 def covr_supports(query: Example, retriever: CovrRetriever,
-                  n: int = DEFAULT_SUPPORT_COUNT, pool: int = RETRIEVAL_POOL,
-                  probes: int = DEFAULT_PROBES) -> SupportSet:
-    """Retrieve `pool` nearest hybrid vectors, stable-sort by (matching
+                  n: int = DEFAULT_SUPPORT_COUNT, probes: int = DEFAULT_PROBES) -> SupportSet:
+    """Retrieve the RETRIEVAL_POOL nearest hybrid vectors, stable-sort by (matching
     two-grams, one-grams, state cosine) descending, then greedily cover the
     query's n-grams and fill to n."""
     state_vec = encode_one_hot(query.state)
@@ -332,7 +332,7 @@ def covr_supports(query: Example, retriever: CovrRetriever,
     query_grams = _GRAMS[INSTRUCTION_ROW[query.instruction]]
     candidates = []
     for rank, (idx, ex, retrieval_score) in enumerate(
-            _pool(query, retriever, qvec, pool, probes)):
+            _pool(query, retriever, qvec, probes)):
         shared = _GRAMS[INSTRUCTION_ROW[ex.instruction]] & query_grams
         one = (shared & _ONE_GRAM_BITS).bit_count()
         two = shared.bit_count() - one
@@ -384,8 +384,7 @@ def build_gandr_retriever(examples: Sequence[Example], cells: int = DEFAULT_CELL
 
 
 def gandr_supports(query: Example, helper: Solver, retriever: GandrRetriever,
-                   n: int = DEFAULT_SUPPORT_COUNT, pool: int = RETRIEVAL_POOL,
-                   probes: int = DEFAULT_PROBES) -> SupportSet:
+                   n: int = DEFAULT_SUPPORT_COUNT, probes: int = DEFAULT_PROBES) -> SupportSet:
     """Encode (query instruction, helper's guessed output), retrieve similar
     (instruction, stored output) pairs, greedily cover the query input.
 
@@ -401,7 +400,7 @@ def gandr_supports(query: Example, helper: Solver, retriever: GandrRetriever,
     out_vec = tfidf_encode(retriever.out_tfidf, [a.name for a in guess])
     qvec = combine_io(instr_vec, out_vec, 0.0 if helper_failed else retriever.alpha)
     ordered = [(ex, {"retrieval": retrieval_score})
-               for _, ex, retrieval_score in _pool(query, retriever, qvec, pool, probes)]
+               for _, ex, retrieval_score in _pool(query, retriever, qvec, probes)]
     return SupportSet(strategy="gandr", supports=_greedy_cover(query, ordered, n),
                       meta={"helper_failed": helper_failed})
 
@@ -430,10 +429,13 @@ class ExternalSolver:
 
     def __init__(self, command: Sequence[str], timeout: float = DEFAULT_SOLVER_TIMEOUT):
         self.timeout = timeout
-        self._proc = subprocess.Popen(
-            list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-            text=True, bufsize=1,
-        )
+        try:
+            self._proc = subprocess.Popen(
+                list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                text=True, bufsize=1,
+            )
+        except OSError as exc:
+            raise ExternalServiceError(f"cannot start solver {command[0]!r}: {exc}") from None
         self._lock = threading.Lock()
         self._cond = threading.Condition(self._lock)
         self._write_lock = threading.Lock()

@@ -14,21 +14,17 @@ table's slice on the query's unmasked values.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 
-from .errors import DataFormatError, FitError
+from .errors import FitError
 from .grammar import INSTRUCTION_ROW, INSTRUCTIONS, SLOT_DOMAINS, Instruction, realize
 from .world import RngLike, as_rng
 
 SLOT_NAMES = ("verb", "size", "color", "shape", "adverb")
 _SHAPE = tuple(len(d) for d in SLOT_DOMAINS)
-
-FORMAT_VERSION = 1
 
 
 @dataclass
@@ -45,34 +41,6 @@ class InstructionModel:
         """score() of every instruction, indexed like INSTRUCTIONS."""
         table = self.smoothed
         return np.log(table.ravel() / table.sum()) / len(SLOT_NAMES)
-
-    def save(self, path: str | Path) -> None:
-        payload = {
-            "version": FORMAT_VERSION,
-            "k": self.k,
-            "shape": list(_SHAPE),
-            "counts": self.counts.ravel().tolist(),
-        }
-        Path(path).write_text(json.dumps(payload), encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "InstructionModel":
-        """Read a saved count table; a malformed one raises DataFormatError."""
-        try:
-            payload = json.loads(Path(path).read_text(encoding="utf-8"))
-            version, shape = payload["version"], payload["shape"]
-            k = float(payload["k"])
-            counts = np.asarray(payload["counts"], dtype=np.float64)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise DataFormatError(f"{path}: malformed model file ({exc!r})") from None
-        if version != FORMAT_VERSION:
-            raise DataFormatError(f"{path}: model format {version!r}, expected {FORMAT_VERSION}")
-        if shape != list(_SHAPE) or counts.shape != (len(INSTRUCTIONS),):
-            raise DataFormatError(f"{path}: model table must have shape {list(_SHAPE)}")
-        if not (np.isfinite(counts).all() and (counts >= 0).all()
-                and np.isfinite(k) and k >= 0):
-            raise DataFormatError(f"{path}: counts and k must be finite and non-negative")
-        return cls(counts=counts.reshape(_SHAPE), k=k)
 
 
 def fit(corpus: Iterable[Instruction], k: float = 0.1) -> InstructionModel:

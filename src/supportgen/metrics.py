@@ -34,7 +34,7 @@ from .engines import Solver, Support, SupportSet
 from .errors import FitError, MetricError, PatternError, SolverError, UnresolvableError
 from .grammar import Instruction, realize, resolve_target
 from .index import TfIdfEncoder, tfidf_encode, tfidf_fit
-from .world import Action, RngLike, WorldState, as_rng, encode_states
+from .world import ACTION_TABLE_SIZE, Action, RngLike, WorldState, as_rng, encode_states
 
 CRITERIA_ROWS = (
     "(1) described object",
@@ -137,11 +137,13 @@ def validity_correctness(supports: Iterable[Support], oracle: Solver) -> Validit
 DEFAULT_RANKS = tuple(2 ** i for i in range(14))  # 1 .. 8192
 #: Split states nn_profile samples by default.
 DEFAULT_NN_SAMPLE = 1000
+#: Split states nn_profile scores against the train states in one product.
+_NN_CHUNK = 128
 
 
 def nn_profile(split_states: Sequence[WorldState], train_states: Sequence[WorldState],
                ranks: Sequence[int] = DEFAULT_RANKS, sample: int = DEFAULT_NN_SAMPLE,
-               rng: RngLike = 0, chunk: int = 128) -> list[tuple[int, float]]:
+               rng: RngLike = 0) -> list[tuple[int, float]]:
     """Mean cosine similarity between sampled split states and their Nth
     nearest training state, over unit one-hot encodings (exact search).
 
@@ -164,8 +166,8 @@ def nn_profile(split_states: Sequence[WorldState], train_states: Sequence[WorldS
     train_mat = encode_states(train_states)
     max_rank = usable[-1]
     sums = np.zeros(len(usable), dtype=np.float64)
-    for start in range(0, len(split_states), chunk):
-        block = split_states[start:start + chunk]
+    for start in range(0, len(split_states), _NN_CHUNK):
+        block = split_states[start:start + _NN_CHUNK]
         q = encode_states(block)
         sims = q @ train_mat.T
         part = -np.partition(-sims, max_rank - 1, axis=1)[:, :max_rank]
@@ -366,8 +368,10 @@ def compile_pattern(text: str) -> CompiledPattern:
 
     template = parse_sequence(0)
     compiled = CompiledPattern(template, tuple(slots), tuple(dict.fromkeys(slots)))
-    if slots:
-        compiled.regex_for({s: Action[s].value for s in compiled.symbols})  # syntax check
+    try:  # syntax check; a repeat count can be too large for re
+        compiled.regex_for({s: Action[s].value for s in compiled.symbols})
+    except (OverflowError, re.error) as exc:
+        raise PatternError(f"bad pattern {text!r}: {exc}") from None
     return compiled
 
 
@@ -381,8 +385,7 @@ class PatternReport:
 
 
 def pattern_frequency(sequences: Iterable[Sequence[int]], pattern: str,
-                      over_permutations: bool = False, table_size: int = 6
-                      ) -> PatternReport:
+                      over_permutations: bool = False) -> PatternReport:
     """Fraction of action sequences matching the pattern, optionally under
     some relabeling of the symbol table. Only the symbols that occur in the
     pattern matter, so injective assignments of those symbols enumerate the
@@ -400,7 +403,8 @@ def pattern_frequency(sequences: Iterable[Sequence[int]], pattern: str,
     if over_permutations:
         assignments = [
             dict(zip(compiled.symbols, codes))
-            for codes in itertools.permutations(range(table_size), len(compiled.symbols))
+            for codes in itertools.permutations(range(ACTION_TABLE_SIZE),
+                                                len(compiled.symbols))
         ]
     else:
         assignments = [{s: Action[s].value for s in compiled.symbols}]

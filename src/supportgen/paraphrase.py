@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
 
-from .errors import ExternalServiceError, ParaphraseError
+from .errors import DataFormatError, ExternalServiceError, ParaphraseError
 from .grammar import COLOR_WORDS, SHAPE_WORDS, SIZE_WORDS
 
 ENDPOINT_ENV = "PARA_ENDPOINT"
@@ -244,12 +244,29 @@ class HttpTransport:
         raise ExternalServiceError(f"endpoint failed after {self.retries} tries: {last_error}")
 
 
+def _read_cache(path: Path) -> dict[str, list[str]]:
+    """The prompt -> paraphrases map of a cache file; any other shape than
+    an object whose "paraphrases" maps prompts to lists of strings is a
+    DataFormatError."""
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise DataFormatError(f"{path}: malformed paraphrase cache ({exc})") from None
+    cache = payload.get("paraphrases", {}) if isinstance(payload, dict) else None
+    if not isinstance(cache, dict) or not all(
+            isinstance(value, list) and all(isinstance(p, str) for p in value)
+            for value in cache.values()):
+        raise DataFormatError(f"{path}: a paraphrase cache must be an object whose "
+                              "'paraphrases' maps prompts to lists of strings")
+    return cache
+
+
 class ParaphraseClient:
     """Caches prompt -> paraphrases (one entry per prompt; under the template
     setting, queries that differ only in the object description share one)
     so interrupted runs are resumable. The cache file is rewritten
-    as each new entry arrives; a cache path whose directory does not exist is
-    rejected before any request is sent."""
+    as each new entry arrives; a cache path whose directory does not exist,
+    or a malformed cache file, is rejected before any request is sent."""
 
     def __init__(self, transport: Transport, cache_path: str | Path | None = None,
                  synonyms: Mapping[str, Sequence[str]] | None = None,
@@ -264,8 +281,7 @@ class ParaphraseClient:
         self._cache: dict[str, list[str]] = {}
         self._lock = threading.Lock()
         if self.cache_path and self.cache_path.exists():
-            self._cache = json.loads(self.cache_path.read_text(encoding="utf-8")).get(
-                "paraphrases", {})
+            self._cache = _read_cache(self.cache_path)
 
     def _store(self, prompt: str, paraphrases: list[str]) -> None:
         """Add one entry and atomically rewrite the cache file; the lock keeps

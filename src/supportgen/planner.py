@@ -10,9 +10,8 @@ decorate that walk stream:
                     merged spin + reorientation turns
   while_zigzagging  alternate one horizontal and one vertical step (starting
                     horizontal) until the smaller displacement runs out
-  cautiously        a look-both-ways sequence before every WALK; any sequence
-                    of LTURN, RTURN and STAY with no net rotation, else
-                    ValueError
+  cautiously        CAUTIOUS_SEQUENCE (look left, right, right, left) before
+                    every WALK
 
 push/pull append PUSH/PULL actions once the agent stands on the target:
 the object moves forward (push) or backward (pull) until blocked by a wall
@@ -36,7 +35,7 @@ from .world import (
 )
 
 #: Net-zero look-both-ways sequence used for "cautiously".
-DEFAULT_CAUTIOUS_SEQUENCE = (Action.LTURN, Action.RTURN, Action.RTURN, Action.LTURN)
+CAUTIOUS_SEQUENCE = (Action.LTURN, Action.RTURN, Action.RTURN, Action.LTURN)
 
 SPIN = (Action.LTURN,) * 4
 
@@ -107,8 +106,8 @@ def _walk_steps(plan: Plan, zigzag: bool) -> list[tuple[tuple[Action, ...], Acti
     return steps
 
 
-def _decorate(steps: list[tuple[tuple[Action, ...], Action]], adverb: str | None,
-              cautious_sequence: tuple[Action, ...]) -> list[Action]:
+def _decorate(steps: list[tuple[tuple[Action, ...], Action]],
+              adverb: str | None) -> list[Action]:
     out: list[Action] = []
     for turns, action in steps:
         if adverb == "while_spinning":
@@ -121,7 +120,7 @@ def _decorate(steps: list[tuple[tuple[Action, ...], Action]], adverb: str | None
             out.append(Action.STAY)
         elif adverb == "cautiously" and action == Action.WALK:
             out.extend(turns)
-            out.extend(cautious_sequence)
+            out.extend(CAUTIOUS_SEQUENCE)
             out.append(action)
         else:
             out.extend(turns)
@@ -134,16 +133,9 @@ def _net_turns(actions: tuple[Action, ...]) -> int:
     return (actions.count(Action.RTURN) - actions.count(Action.LTURN)) % 4
 
 
-def apply_adverb(plan: Plan, adverb: str | None,
-                 cautious_sequence: tuple[Action, ...] = DEFAULT_CAUTIOUS_SEQUENCE
-                 ) -> tuple[Action, ...]:
-    if adverb == "cautiously" and (
-            not {Action.LTURN, Action.RTURN, Action.STAY}.issuperset(cautious_sequence)
-            or _net_turns(cautious_sequence)):
-        raise ValueError(f"cautious sequence {cautious_sequence!r} is not turns and STAY "
-                         "with no net rotation")
+def apply_adverb(plan: Plan, adverb: str | None) -> tuple[Action, ...]:
     steps = _walk_steps(plan, zigzag=(adverb == "while_zigzagging"))
-    return tuple(_decorate(steps, adverb, cautious_sequence))
+    return tuple(_decorate(steps, adverb))
 
 
 def apply_verb(state: WorldState, actions: tuple[Action, ...], verb: str,
@@ -160,19 +152,17 @@ def apply_verb(state: WorldState, actions: tuple[Action, ...], verb: str,
     cells = free_run(state.objects, state.grid_size, target.pos, move_dir, moving=target)
     count = cells * (2 if target.heavy else 1)
     steps = [((), verb_action)] * count
-    return actions + tuple(_decorate(steps, adverb, ()))  # no WALK, no cautious sequence
+    return actions + tuple(_decorate(steps, adverb))  # no WALK, so no cautious sequence
 
 
-def solve(state: WorldState, instr: Instruction,
-          cautious_sequence: tuple[Action, ...] = DEFAULT_CAUTIOUS_SEQUENCE
-          ) -> tuple[Action, ...]:
+def solve(state: WorldState, instr: Instruction) -> tuple[Action, ...]:
     """Full oracle: resolve, navigate, decorate, apply the verb.
 
     Raises UnresolvableError when the instruction has no referent in the
     state; the result always passes simulate() and the goal predicate."""
     target = resolve_target(instr, state).object
     plan = plan_navigation(state, target.pos)
-    nav = apply_adverb(plan, instr.adverb, cautious_sequence)
+    nav = apply_adverb(plan, instr.adverb)
     return apply_verb(state, nav, instr.verb, instr.adverb, target)
 
 

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shlex
 import subprocess
 import sys
@@ -14,10 +15,14 @@ from supportgen.cli import (
     EXIT_OK,
     STRATEGIES,
     STRATEGY_LIST,
+    build_parser,
     main,
     read_support_file,
     write_support_file,
 )
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def run(argv):
@@ -76,7 +81,7 @@ class TestGenData:
     @pytest.mark.parametrize("flags", [
         ["--objects", "5..3"], ["--objects", "0..3"], ["--objects", "2.."],
         ["--train", "-1"], ["--per-split", "-2"], ["--split-counts", "h=-1"],
-        ["--grid", "0"], ["--grid", "six"],
+        ["--grid", "0"], ["--grid", "six"], ["--seed", "-1"],
     ], ids=" ".join)
     def test_bad_count_is_usage_error_and_writes_nothing(self, flags, tmp_path):
         out = tmp_path / "x.jsonl"
@@ -98,6 +103,27 @@ class TestGenData:
             run(["gen-data", "--seed", "1", "--train", "5", "--per-split", "0",
                  "--split-counts", spec, "--out", str(tmp_path / "x.jsonl")])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["export-icl", "permute"])
+def test_negative_seed_is_usage_error_before_any_read(data_file, tmp_path, monkeypatch,
+                                                      command):
+    """--seed is an integer >= 0 here as in gen-data, gen-supports and
+    analyze (their usage-error tests): a negative one exits 2 before any
+    file is read, and nothing is written."""
+    import supportgen.cli
+
+    def no_read(path):
+        raise AssertionError("an input file was read")
+
+    monkeypatch.setattr(supportgen.cli, "import_dataset", no_read)
+    monkeypatch.setattr(supportgen.cli, "read_support_file", no_read)
+    source = "--supports" if command == "export-icl" else "--data"
+    with pytest.raises(SystemExit) as exc:
+        run([command, source, str(data_file), "--seed", "-1",
+             "--out", str(tmp_path / "x.jsonl")])
+    assert exc.value.code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def reference_example(record: dict):
@@ -130,6 +156,7 @@ def reference_example(record: dict):
 
 
 class TestDecode:
+    @pytest.mark.pins
     def test_decode_equals_reference(self, data_file):
         """import_dataset equals fresh per-record construction, and equal
         immutable parts of different records are one shared object."""
@@ -146,6 +173,7 @@ class TestDecode:
         assert len(first) < len(parts)
 
 
+@pytest.mark.pins
 class TestPinnedBytes:
     """Output digests for fixed seeds. A change to the generator's candidate
     order, its RNG draws or Rand-Instrs' instruction order changes them."""
@@ -248,44 +276,6 @@ class TestGenSupports:
         assert all(l["strategy"] == "demogen" for l in lines)
         assert all(len(l["supports"]) <= 16 for l in lines)
 
-    def test_model_file_cache(self, data_file, tmp_path):
-        model_file = tmp_path / "model.json"
-        base = ["gen-supports", "--data", str(data_file), "--strategy", "demogen",
-                "--seed", "3", "--splits", "h", "--limit", "1", "--k", "32",
-                "--model-file", str(model_file)]
-        a, b = tmp_path / "m1.jsonl", tmp_path / "m2.jsonl"
-        assert run(base + ["--out", str(a)]) == EXIT_OK
-        assert model_file.exists()
-        assert run(base + ["--out", str(b)]) == EXIT_OK  # loads the cached table
-        assert digests(a) == digests(b)
-
-    def test_malformed_model_file_is_data_error(self, data_file, tmp_path):
-        good = {"version": 1, "k": 0.1, "shape": [3, 3, 5, 3, 5], "counts": [0.0] * 675}
-        bad_payloads = [
-            {},
-            [1, 2],
-            {**good, "version": 2},
-            {**good, "shape": [2, 2], "counts": [1.0] * 4},
-            {**good, "counts": [0.0] * 674},
-            {**good, "counts": [-1.0] + [0.0] * 674},
-            {**good, "counts": [float("nan")] + [0.0] * 674},
-            {**good, "counts": "zeros"},
-            {**good, "k": -0.5},
-        ]
-        model_file = tmp_path / "model.json"
-        for payload in bad_payloads:
-            model_file.write_text(json.dumps(payload))
-            code = run(["gen-supports", "--data", str(data_file), "--strategy", "demogen",
-                        "--seed", "3", "--splits", "h", "--limit", "1", "--k", "8",
-                        "--model-file", str(model_file),
-                        "--out", str(tmp_path / "x.jsonl")])
-            assert code == EXIT_DATA, payload
-        model_file.write_text(json.dumps(good))
-        assert run(["gen-supports", "--data", str(data_file), "--strategy", "demogen",
-                    "--seed", "3", "--splits", "h", "--limit", "1", "--k", "8",
-                    "--model-file", str(model_file),
-                    "--out", str(tmp_path / "x.jsonl")]) == EXIT_OK
-
     def test_unknown_strategy_is_data_error(self, data_file, tmp_path):
         code = run(["gen-supports", "--data", str(data_file), "--strategy", "nope",
                     "--seed", "1", "--out", str(tmp_path / "x.jsonl")])
@@ -343,6 +333,15 @@ class TestGenSupports:
                  "--seed", "5", "--workers", "2", "--out", str(tmp_path / "x.jsonl")])
         assert exc.value.code == 2
 
+    def test_model_file_option_is_gone(self, data_file, tmp_path):
+        """DemoGen fits its model from the train split on every run."""
+        with pytest.raises(SystemExit) as exc:
+            run(["gen-supports", "--data", str(data_file), "--strategy", "demogen",
+                 "--seed", "5", "--model-file", str(tmp_path / "model.json"),
+                 "--out", str(tmp_path / "x.jsonl")])
+        assert exc.value.code == 2
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("name, alias", [
         (name, alias) for name, strategy in STRATEGIES.items()
         for alias in (name.upper(), *strategy.aliases)])
@@ -360,8 +359,7 @@ class TestGenSupports:
         with pytest.raises(SystemExit):
             run(["gen-supports", "--help"])
         assert " ".join(STRATEGY_LIST.split()) in " ".join(capsys.readouterr().out.split())
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        assert STRATEGY_LIST in readme.read_text(encoding="utf-8")
+        assert STRATEGY_LIST in README.read_text(encoding="utf-8")
 
     @pytest.mark.parametrize("strategy, flag", [
         ("covr", ["--pca-dim", "8"]),
@@ -378,6 +376,7 @@ class TestGenSupports:
         assert ma["config_digest"] != mb["config_digest"]
         assert {"pca_dim", "replace_invalid"} <= ma["config"].keys()
 
+    @pytest.mark.pins
     @pytest.mark.parametrize("strategy", ["covr", "gandr", "demogen"])
     def test_support_file_round_trip(self, data_file, tmp_path, strategy):
         """Reading a support file and writing it back gives the same bytes."""
@@ -399,11 +398,12 @@ class TestGenSupports:
                           "for line in sys.stdin:\n"
                           "    pass\n"
                           f"open({str(marker)!r}, 'w').close()\n")
-        model_file = tmp_path / "model.json"
-        model_file.write_text("{}")
-        code = run(["gen-supports", "--data", str(data_file), "--strategy", "demogen",
-                    "--seed", "3", "--splits", "h", "--limit", "1",
-                    "--model-file", str(model_file), "--solver", "external",
+        # demogen fails in prepare: the data holds no train split
+        data = tmp_path / "no_train.jsonl"
+        data.write_text("".join(line + "\n" for line in data_file.read_text().splitlines()
+                                if json.loads(line)["split"] != "train"))
+        code = run(["gen-supports", "--data", str(data), "--strategy", "demogen",
+                    "--seed", "3", "--splits", "h", "--limit", "1", "--solver", "external",
                     "--solver-cmd", f"{shlex.quote(sys.executable)} {shlex.quote(str(helper))}",
                     "--out", str(tmp_path / "x.jsonl")])
         assert code == EXIT_DATA
@@ -447,6 +447,7 @@ class TestGenSupports:
         ["--alpha", "nan"], ["--alpha", "inf"], ["--alpha", "-3"],
         ["--strategy", "gandr", "--alpha", "nan"], ["--strategy", "gandr", "--alpha", "inf"],
         ["--strategy", "gandr", "--alpha", "-3"], ["--splits", ","], ["--splits", ""],
+        ["--seed", "-1"],
     ], ids=" ".join)
     def test_out_of_range_is_usage_error_before_decode(self, data_file, tmp_path,
                                                        monkeypatch, flags):
@@ -485,6 +486,30 @@ class TestGenSupports:
                     "--out", str(out)])
         assert code == EXIT_EXTERNAL
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [[], ["--solver-cmd", ""], ["--solver-cmd", "  "]],
+                             ids=["missing", "empty", "blank"])
+    def test_no_solver_cmd_is_data_error(self, data_file, tmp_path, flags):
+        out = tmp_path / "x.jsonl"
+        assert run(["gen-supports", "--data", str(data_file), "--strategy", "random",
+                    "--seed", "5", "--splits", "h", "--solver", "external", *flags,
+                    "--out", str(out)]) == EXIT_DATA
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("executable", [False, True], ids=["missing", "not-executable"])
+    def test_unstartable_solver_exits_4(self, data_file, tmp_path, executable):
+        """A solver command that cannot start fails like a solver that dies."""
+        solver = tmp_path / "solver"
+        if executable:
+            solver.write_text("not a program\n")
+            solver.chmod(0o644)
+        out = tmp_path / "x.jsonl"
+        assert run(["gen-supports", "--data", str(data_file), "--strategy", "random",
+                    "--seed", "5", "--splits", "h", "--solver", "external",
+                    "--solver-cmd", shlex.quote(str(solver)),
+                    "--out", str(out)]) == EXIT_EXTERNAL
+        assert not out.exists()
+        assert list(tmp_path.iterdir()) == ([solver] if executable else [])
 
     def test_solver_cmd_path_with_space(self, data_file, tmp_path):
         folder = tmp_path / "oracle dir"
@@ -527,6 +552,13 @@ class TestAnalyze:
         values = [profile[str(r)] for r in (1, 2, 4, 8, 16, 32)]
         assert values == sorted(values, reverse=True)
 
+    @pytest.mark.parametrize("pattern", ["WALK(99999999999)", "( WALK )(99999999999)"])
+    def test_huge_repeat_count_is_data_error(self, data_file, tmp_path, pattern):
+        report = tmp_path / "pattern.json"
+        assert run(["analyze", "--data", str(data_file), "--pattern", pattern,
+                    "--out", str(report)]) == EXIT_DATA
+        assert not report.exists()
+
     def test_unknown_split_is_usage_error_before_decode(self, data_file, monkeypatch):
         import supportgen.cli
 
@@ -540,7 +572,7 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("flags", [
         ["--sample", "0"], ["--sample", "-2"], ["--ranks", "0"], ["--ranks", "1,0,4"],
-        ["--ranks", "-3"], ["--ranks", "1,x"], ["--ranks", ","],
+        ["--ranks", "-3"], ["--ranks", "1,x"], ["--ranks", ","], ["--seed", "-1"],
     ], ids=" ".join)
     def test_out_of_range_is_usage_error_before_decode(self, data_file, tmp_path,
                                                        monkeypatch, flags):
@@ -612,6 +644,7 @@ class TestAnalyze:
 
 
 class TestExportIclAndPermute:
+    @pytest.mark.pins
     def test_export_icl_round_trip(self, data_file, tmp_path):
         sup = tmp_path / "sup.jsonl"
         run(["gen-supports", "--data", str(data_file), "--strategy", "heuristic",
@@ -663,6 +696,7 @@ class TestExportIclAndPermute:
             assert sorted(p.name for p in tmp_path.iterdir()) == [
                 "sup.jsonl", "sup.jsonl.manifest.json"]
 
+    @pytest.mark.pins
     def test_permute_command_round_trip(self, data_file, tmp_path):
         out = tmp_path / "perm.jsonl"
         assert run(["permute", "--data", str(data_file), "--seed", "2",
@@ -733,3 +767,21 @@ class TestServeOracle:
             timeout=30)
         response = json.loads(proc.stdout.strip())
         assert response == {"id": 0, "actions": ["WALK", "WALK"]}
+
+
+def test_readme_commands_parse():
+    """Every `supportgen` command of README's sh blocks, continuation lines
+    joined, is accepted by the CLI parser, so the walkthrough names no
+    removed flag."""
+    blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+    lines = "".join(blocks).replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line, comments=True) for line in lines
+                if line.startswith("supportgen ")]
+    assert {argv[1] for argv in commands} >= {
+        "gen-data", "gen-supports", "analyze", "export-icl", "permute", "paraphrase"}
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README command rejected: {' '.join(argv)}")

@@ -109,6 +109,7 @@ def _reference_flags(state):
 CANDIDATE_WANTS = [frozenset()] + [frozenset({s}) for s in HOLDOUT_SPLITS]
 
 
+@pytest.mark.pins
 def test_candidate_filter_matches_brute_force():
     rng = np.random.default_rng(2024)
     for _ in range(200):
@@ -119,6 +120,7 @@ def test_candidate_filter_matches_brute_force():
             assert _candidates(state, want) == expected
 
 
+@pytest.mark.pins
 class TestGenerationReference:
     """Generation against the code it replaced (tests/generation_reference.py):
     the same examples from the same draws."""
@@ -203,6 +205,7 @@ class TestGenerateDataset:
 
 
 class TestExportImport:
+    @pytest.mark.pins
     def test_round_trip(self, small_dataset, tmp_path):
         path = tmp_path / "data.jsonl"
         export_dataset(small_dataset, path)

@@ -87,9 +87,11 @@ class TestParse:
         with pytest.raises(GrammarError):
             parse(tokens)
 
+    @pytest.mark.pins
     def test_lexicon_equals_reference(self):
         assert LEXICON == generation_reference.LEXICON
 
+    @pytest.mark.pins
     def test_parse_equals_reference_on_sentences_and_edits(self):
         """On every accepted sentence and every one-token edit of one over
         the lexicon plus an unknown word, parse gives the reference's
@@ -102,6 +104,7 @@ class TestParse:
             for tokens in [key, *edits(key, vocabulary)]:
                 assert outcome(parse, tokens) == outcome(generation_reference.parse, tokens)
 
+    @pytest.mark.pins
     def test_parse_equals_reference_on_random_lists(self):
         import numpy as np
 
@@ -121,12 +124,14 @@ class TestRealize:
         got = realize(Instruction("push", "big", "blue", "cylinder", "while_spinning"))
         assert got == ["push", "a", "big", "blue", "cylinder", "while", "spinning"]
 
+    @pytest.mark.pins
     def test_round_trip_all_675(self):
         forms = list(enumerate_instructions())
         assert len(forms) == 675
         for instr in forms:
             assert parse(realize(instr)) is instr
 
+    @pytest.mark.pins
     def test_command_string_round_trip(self):
         instr = Instruction("pull", "small", "yellow", "cylinder", "while_spinning")
         assert parse_command_string(command_string(instr)) == instr
@@ -218,6 +223,7 @@ class TestResolveDescriptions:
         assert got[("big", None, "square")].unique
         assert got == self.probe_all(state)
 
+    @pytest.mark.pins
     def test_ground_descriptions_equal_reference(self):
         """The grounding pass equals the reference copy in tests/
         generation_reference.py, entry by entry and in order: generation
@@ -252,6 +258,7 @@ class TestWordSymbols:
         codes = encode_words(["push", "a", "green", "small", "square", "while", "spinning"])
         assert codes == [9, 0, 6, 11, 12, 15]
 
+    @pytest.mark.pins
     def test_encode_words_equals_reference(self):
         """On every realized row and every one-token edit of an accepted
         sentence, encode_words gives the reference's codes or raises the

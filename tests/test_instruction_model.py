@@ -9,7 +9,6 @@ from supportgen.grammar import Instruction, enumerate_instructions, parse, reali
 from supportgen.instruction_model import (
     INSTRUCTIONS,
     SLOT_DOMAINS,
-    InstructionModel,
     fit,
     infill_distribution,
     sample_infill,
@@ -238,15 +237,3 @@ class TestScore:
         for probe in probes:
             assert score(model, probe) == pytest.approx(
                 brute_force_score(corpus, 0.1, probe), rel=1e-9)
-
-
-class TestPersistence:
-    def test_save_load_round_trip(self, tmp_path):
-        model = fit(list(enumerate_instructions())[::11], k=0.25)
-        path = tmp_path / "model.json"
-        model.save(path)
-        back = InstructionModel.load(path)
-        assert np.array_equal(back.counts, model.counts)
-        assert back.k == model.k
-        probe = parse("pull a circle".split())
-        assert score(back, probe) == score(model, probe)

@@ -302,10 +302,10 @@ class TestPatternFrequency:
         assert rep.matched == 1
 
     def test_malformed_pattern(self):
-        with pytest.raises(PatternError):
-            pattern_frequency([[0]], "WALK((")
-        with pytest.raises(PatternError):
-            pattern_frequency([[0]], "FLY(2)")
+        """A repeat count too large for re is malformed too."""
+        for pattern in ("WALK((", "FLY(2)", "WALK(99999999999)", "( WALK )(99999999999)"):
+            with pytest.raises(PatternError):
+                pattern_frequency([[0]], pattern)
 
     def test_variable_across_symbols_rejected(self):
         with pytest.raises(PatternError):

@@ -5,7 +5,7 @@ import time
 
 import pytest
 
-from supportgen.errors import ExternalServiceError, ParaphraseError
+from supportgen.errors import DataFormatError, ExternalServiceError, ParaphraseError
 from supportgen.paraphrase import (
     OBJECT_PLACEHOLDER,
     PROMPT_MODES,
@@ -226,6 +226,35 @@ class TestParaphraseClient:
             client.paraphrase_many("simple", ["pull a circle"])
         assert transport.calls == 0
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("text", [
+        "[]", '"cache"', "not json", '{"paraphrases": []}', '{"paraphrases": {"p": 3}}',
+        '{"paraphrases": {"p": "Pull the circle"}}', '{"paraphrases": {"p": ["ok", 3]}}',
+    ])
+    def test_malformed_cache_is_data_error_before_any_request(self, tmp_path, text):
+        cache = tmp_path / "cache.json"
+        cache.write_text(text, encoding="utf-8")
+        transport = FakeTransport(["1. Pull the circle"])
+        with pytest.raises(DataFormatError):
+            client = ParaphraseClient(transport, cache_path=cache)
+            client.paraphrase_many("simple", ["pull a circle"])
+        assert transport.calls == 0
+
+    def test_valid_cache_loads(self, tmp_path):
+        cache = tmp_path / "cache.json"
+        prompt = build_prompt("simple", "pull a circle")
+        cache.write_text(json.dumps({"paraphrases": {prompt: ["Pull the circle"]},
+                                     "metadata": {}}), encoding="utf-8")
+        transport = FakeTransport([])
+        record = ParaphraseClient(transport, cache_path=cache).paraphrase("simple",
+                                                                          "pull a circle")
+        assert record.paraphrases == ["Pull the circle"]
+        assert transport.calls == 0
+        cache.write_text("{}", encoding="utf-8")  # no entries yet
+        transport = FakeTransport(["1. Drag a circle"])
+        record = ParaphraseClient(transport, cache_path=cache).paraphrase("simple",
+                                                                          "pull a circle")
+        assert record.paraphrases == ["Drag a circle"]
 
 
 class TestHttpTransport:

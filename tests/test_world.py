@@ -72,6 +72,7 @@ class TestNewRandomState:
 
 
 class TestGenerationReference:
+    @pytest.mark.pins
     def test_new_random_state_equals_reference(self):
         """Every grid 2-9 and object count 0..cells-1, two seeds each (568
         seeds): the state of tests/generation_reference.py, and the same
@@ -266,6 +267,7 @@ class TestHammingSimilarity:
 
 
 class TestRecordRoundTrip:
+    @pytest.mark.pins
     def test_state_record_round_trip(self, s0):
         assert WorldState.from_record(s0.to_record()) == s0
 
