@@ -17,14 +17,12 @@ from .world import (  # noqa: F401
     Position,
     WorldState,
     encode_one_hot,
-    hamming_similarity,
     new_random_state,
     simulate,
 )
 from .grammar import (  # noqa: F401
     Instruction,
     TargetResolution,
-    enumerate_instructions,
     parse,
     realize,
     resolve_target,
@@ -49,7 +47,7 @@ from .permuter import (  # noqa: F401
     invert,
     sample_permutation,
 )
-from .instruction_model import InstructionModel, fit, sample_infill, score  # noqa: F401
+from .instruction_model import InstructionModel, fit, score  # noqa: F401
 from .engines import (  # noqa: F401
     ExternalSolver,
     OracleSolver,

@@ -17,7 +17,7 @@ import shlex
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .dataset import (
     TEST_SPLITS,
     _read_jsonl,
     _write_jsonl,
+    _write_lines,
     export_dataset,
     export_icl_records,
     generate_dataset,
@@ -227,9 +228,10 @@ def _support_to_record(support: Support) -> dict:
     return rec
 
 
-def write_support_file(path: str | Path, pairs: Iterable[tuple[Example, SupportSet]]) -> None:
-    """One canonical JSON line per (query, support set); inverts `read_support_file`."""
-    _write_jsonl(path, ({
+def write_support_file(path: str | Path, pairs: Iterable[tuple[Example, SupportSet]]) -> int:
+    """One canonical JSON line per (query, support set), written as `pairs`
+    yields them; inverts `read_support_file`. Returns the line count."""
+    return _write_jsonl(path, ({
         "query": query.to_record(),
         "strategy": sset.strategy,
         "meta": {key: _plain(value) for key, value in sset.meta.items()},
@@ -237,9 +239,10 @@ def write_support_file(path: str | Path, pairs: Iterable[tuple[Example, SupportS
     } for query, sset in pairs))
 
 
-def read_support_file(path: str | Path) -> list[tuple[Example, SupportSet]]:
-    """Every support keeps its provenance keys (all but the state, `command`
-    and `target`) as meta, and each set keeps its line's `meta`."""
+def read_support_file(path: str | Path) -> Iterator[tuple[Example, SupportSet]]:
+    """The (query, support set) of each line, decoded as the iterator
+    reaches it. Every support keeps its provenance keys (all but the state,
+    `command` and `target`) as meta, and each set keeps its line's `meta`."""
     return _read_jsonl(path, _support_pair_from_record)
 
 
@@ -332,7 +335,9 @@ def cmd_gen_supports(args: argparse.Namespace) -> int:
     if args.solver == "external" and not solver_cmd:
         raise DataFormatError("--solver external requires --solver-cmd")
     # The solver child starts before the data is read, so its interpreter
-    # start-up overlaps the decode.
+    # start-up overlaps the decode. Each support set is written as soon as it
+    # is built, so only one is held at a time.
+    out = Path(args.out)
     with (ExternalSolver(solver_cmd, timeout=args.solver_timeout)
           if args.solver == "external" else nullcontext(OracleSolver())) as solver:
         dataset = import_dataset(args.data)
@@ -347,11 +352,9 @@ def cmd_gen_supports(args: argparse.Namespace) -> int:
                     filtered.append(ex)
             queries = filtered
         run = STRATEGIES[strategy].prepare(train, args, solver)
-        pairs = [(query, run(query, np.random.default_rng([args.seed, idx])))
-                 for idx, query in enumerate(queries)]
-
-    out = Path(args.out)
-    write_support_file(out, pairs)
+        count = write_support_file(out, (
+            (query, run(query, np.random.default_rng([args.seed, idx])))
+            for idx, query in enumerate(queries)))
     config = {
         "strategy": strategy, "n": args.n, "k": args.k, "mask_rate": args.mask_rate,
         "alpha": args.alpha, "cells": args.cells, "probes": args.probes,
@@ -360,7 +363,7 @@ def cmd_gen_supports(args: argparse.Namespace) -> int:
         "solver": args.solver, "data": Path(args.data).name,
     }
     write_manifest("gen-supports", config, args.seed, out)
-    print(f"wrote supports for {len(pairs)} queries to {out}")
+    print(f"wrote supports for {count} queries to {out}")
     return EXIT_OK
 
 
@@ -373,7 +376,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if args.criteria or args.validity:
         if not args.supports:
             raise DataFormatError("--criteria/--validity need --supports FILE")
-        pairs = read_support_file(args.supports)
+        pairs = list(read_support_file(args.supports))  # read twice below
         if args.criteria:
             crit = support_criteria(pairs)
             report["criteria"] = {name: round(value, 6) for name, value in crit.as_row_list()}
@@ -434,8 +437,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not report:
         raise DataFormatError("no metric requested")
     if args.out:
-        Path(args.out).write_text(json.dumps(report, sort_keys=True, indent=2) + "\n",
-                                  encoding="utf-8")
+        _write_lines(args.out, [json.dumps(report, sort_keys=True, indent=2)])
     return EXIT_OK
 
 
@@ -508,9 +510,7 @@ def cmd_paraphrase(args: argparse.Namespace) -> int:
                               max_workers=args.workers)
     records = client.paraphrase_many(args.mode, queries, template_mode=args.template)
     out = Path(args.out or "paraphrases.jsonl")
-    with open(out, "w", encoding="utf-8") as fh:
-        for rec in records:
-            fh.write(json.dumps(rec.to_dict(), sort_keys=True) + "\n")
+    _write_lines(out, (json.dumps(rec.to_dict(), sort_keys=True) for rec in records))
     retained = sum(sum(r.retained) for r in records)
     total = sum(len(r.retained) for r in records)
     print(f"wrote {len(records)} records to {out}; retention {retained}/{total}")

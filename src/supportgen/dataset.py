@@ -263,19 +263,18 @@ def generate_dataset(config: DatasetConfig) -> Dataset:
     return Dataset(examples)
 
 
-def _write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
-    """Write each record as one canonical JSON line (sorted keys, compact
-    separators, UTF-8), so equal records give equal bytes; returns the
-    number of records written. The lines go to a sibling temporary file
-    that replaces `path` only once every record is written, so an error
-    leaves `path` as it was."""
+def _write_lines(path: str | Path, lines: Iterable[str]) -> int:
+    """Write each string followed by a newline (UTF-8); returns the number
+    of lines written. The lines go to a sibling temporary file that
+    replaces `path` only once every line is written, so an error leaves
+    `path` as it was."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     count = 0
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for count, record in enumerate(records, start=1):
-                fh.write(json.dumps(record, sort_keys=True, separators=(",", ":")))
+            for count, line in enumerate(lines, start=1):
+                fh.write(line)
                 fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
@@ -284,20 +283,26 @@ def _write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
     return count
 
 
-def _read_jsonl(path: str | Path, decode: Callable[[dict], object]) -> list:
-    """`decode` of the JSON object on each non-blank line; a line that fails
-    to parse or decode raises DataFormatError naming its number."""
-    out = []
+def _write_jsonl(path: str | Path, records: Iterable[dict]) -> int:
+    """Write each record as one canonical JSON line (sorted keys, compact
+    separators), so equal records give equal bytes; see `_write_lines`."""
+    return _write_lines(path, (json.dumps(record, sort_keys=True, separators=(",", ":"))
+                               for record in records))
+
+
+def _read_jsonl(path: str | Path, decode: Callable[[dict], object]) -> Iterator:
+    """Yield `decode` of the JSON object on each non-blank line; a line that
+    fails to parse or decode raises DataFormatError naming its number."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                out.append(decode(json.loads(line)))
+                record = decode(json.loads(line))
             except (SupportgenError, ValueError, KeyError, TypeError) as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from None
-    return out
+            yield record
 
 
 def export_dataset(dataset: Dataset, path: str | Path) -> None:
@@ -307,7 +312,7 @@ def export_dataset(dataset: Dataset, path: str | Path) -> None:
 
 
 def import_dataset(path: str | Path) -> Dataset:
-    return Dataset(_read_jsonl(path, Example.from_record))
+    return Dataset(list(_read_jsonl(path, Example.from_record)))
 
 
 #: Action spellings accepted from the original environment's files.

@@ -428,6 +428,8 @@ class ExternalSolver:
     protocol violation, a timeout or a dead child raises an ExternalServiceError."""
 
     def __init__(self, command: Sequence[str], timeout: float = DEFAULT_SOLVER_TIMEOUT):
+        if not command:
+            raise ValueError("the solver command is empty")
         self.timeout = timeout
         try:
             self._proc = subprocess.Popen(

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -155,11 +155,6 @@ for _tokens, _instr in zip(REALIZED, INSTRUCTIONS):
 #: Rank of each row's space-joined realized string among all 675; the
 #: strings are distinct, so this is a permutation of range(675).
 STRING_RANK = np.argsort(np.argsort([" ".join(tokens) for tokens in REALIZED]))
-
-
-def enumerate_instructions() -> Iterator[Instruction]:
-    """All 675 instruction forms of the grammar, in INSTRUCTIONS order."""
-    return iter(INSTRUCTIONS)
 
 
 def ground_descriptions(state: WorldState) -> list[tuple[tuple, ObjectSpec, bool]]:

@@ -237,10 +237,6 @@ class IvfIndex:
         return self.centroids.shape[0]
 
     @property
-    def dim(self) -> int:
-        return self.centroids.shape[1]
-
-    @property
     def count(self) -> int:
         return self.vectors.shape[0]
 

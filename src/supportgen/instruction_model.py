@@ -1,4 +1,4 @@
-"""Masked-infilling generator and scorer over instructions.
+"""Masked-infilling distribution and scorer over instructions.
 
 A smoothed categorical model over the five grammar slots (verb, size, color,
 shape, adverb). Fitting is balanced: every distinct instruction counts once,
@@ -6,8 +6,8 @@ so duplicating the corpus changes nothing. Absent optional slots are ordinary
 "none" values, which makes them maskable like any other position.
 
 Scoring and infilling both read one add-k smoothed joint table over the 675
-instructions: a score is a log joint probability over the slot count, and an
-infill is drawn from the exact mixture, over the 32 mask patterns, of the
+instructions: a score is a log joint probability over the slot count, and the
+infill distribution is the exact mixture, over the 32 mask patterns, of the
 table's slice on the query's unmasked values.
 """
 
@@ -21,7 +21,6 @@ import numpy as np
 
 from .errors import FitError
 from .grammar import INSTRUCTION_ROW, INSTRUCTIONS, SLOT_DOMAINS, Instruction, realize
-from .world import RngLike, as_rng
 
 SLOT_NAMES = ("verb", "size", "color", "shape", "adverb")
 _SHAPE = tuple(len(d) for d in SLOT_DOMAINS)
@@ -91,13 +90,3 @@ def infill_distribution(model: InstructionModel, query: Instruction,
                              f"{' '.join(realize(query))!r} under some mask")
         dist[index] += weight * table[index] / mass
     return dist.ravel()
-
-
-def sample_infill(model: InstructionModel, query: Instruction, mask_rate: float,
-                  rng: RngLike) -> Instruction:
-    """Draw one instruction from infill_distribution: mask each slot with
-    probability mask_rate and fill the masked slots from the joint
-    conditioned on the unmasked ones."""
-    probs = infill_distribution(model, query, mask_rate)
-    return INSTRUCTIONS[int(as_rng(rng).choice(probs.size, p=probs))]
-

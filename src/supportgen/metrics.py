@@ -1,6 +1,6 @@
 """Quantitative analyses: the nine support criteria, validity/correctness,
-nearest-neighbour similarity profiles, diversity/relevance, the Zipf fit, and
-permutation-invariant action-pattern frequencies.
+nearest-neighbour similarity profiles, the Zipf fit, and permutation-invariant
+action-pattern frequencies.
 
 Criteria semantics. Rows (1)-(5) are pooled per-support fractions; rows
 (6)-(9) are per-query indicators averaged over queries:
@@ -32,8 +32,7 @@ import numpy as np
 from .dataset import Example
 from .engines import Solver, Support, SupportSet
 from .errors import FitError, MetricError, PatternError, SolverError, UnresolvableError
-from .grammar import Instruction, realize, resolve_target
-from .index import TfIdfEncoder, tfidf_encode, tfidf_fit
+from .grammar import resolve_target
 from .world import ACTION_TABLE_SIZE, Action, RngLike, WorldState, as_rng, encode_states
 
 CRITERIA_ROWS = (
@@ -176,44 +175,6 @@ def nn_profile(split_states: Sequence[WorldState], train_states: Sequence[WorldS
         for j, r in enumerate(usable):
             sums[j] += float(part[:, r - 1].sum())
     return [(r, sums[j] / len(split_states)) for j, r in enumerate(usable)]
-
-
-# ---------------------------------------------------------------------------
-# Diversity and relevance
-# ---------------------------------------------------------------------------
-
-def embed_instructions(instructions: Sequence[Instruction],
-                       encoder: TfIdfEncoder | None = None) -> np.ndarray:
-    """Unit tf-idf embeddings of realized instructions. Without an encoder,
-    one is fit on the given instructions themselves."""
-    docs = [realize(i) for i in instructions]
-    if encoder is None:
-        encoder = tfidf_fit(docs)
-    return np.asarray([tfidf_encode(encoder, d) for d in docs])
-
-
-def diversity(embeddings: np.ndarray) -> float:
-    """Mean upper-triangle normalized euclidean distance between unit
-    embeddings: 0 when all are identical, 1 when antipodal, sqrt(2)/2 when
-    pairwise orthogonal."""
-    e = np.asarray(embeddings, dtype=np.float64)
-    if e.shape[0] < 2:
-        raise MetricError("diversity needs at least two supports")
-    gram = e @ e.T
-    sq = np.clip(np.diag(gram)[:, None] + np.diag(gram)[None, :] - 2 * gram, 0.0, None)
-    dist = np.sqrt(sq) / 2.0
-    iu = np.triu_indices(e.shape[0], k=1)
-    return float(dist[iu].mean())
-
-
-def relevance(embeddings: np.ndarray, query_embedding: np.ndarray) -> float:
-    """Mean inner product between support embeddings and the query's."""
-    e = np.asarray(embeddings, dtype=np.float64)
-    if e.ndim == 1:
-        e = e[None, :]
-    if e.shape[0] == 0:
-        raise MetricError("relevance needs at least one support")
-    return float((e @ np.asarray(query_embedding, dtype=np.float64)).mean())
 
 
 # ---------------------------------------------------------------------------

@@ -306,11 +306,6 @@ class ParaphraseClient:
         return ParaphraseRecord(original=query, paraphrases=list(paraphrases),
                                 retained=retained)
 
-    def paraphrase(self, mode: PromptMode | str, query: str,
-                   template_mode: bool = False) -> ParaphraseRecord:
-        prompt = build_prompt(mode, query, template_mode=template_mode)
-        return self._record(query, self._paraphrases(prompt))
-
     def paraphrase_many(self, mode: PromptMode | str, queries: Sequence[str],
                         template_mode: bool = False) -> list[ParaphraseRecord]:
         """One record per query, in order. Each distinct prompt is requested

@@ -77,9 +77,9 @@ class Position:
     x: int
     y: int
 
-    def shifted(self, heading: Heading, steps: int = 1) -> "Position":
+    def shifted(self, heading: Heading) -> "Position":
         dx, dy = heading.delta
-        return Position(self.x + dx * steps, self.y + dy * steps)
+        return Position(self.x + dx, self.y + dy)
 
 
 @dataclass(frozen=True)
@@ -359,12 +359,3 @@ def encode_one_hot(state: WorldState) -> np.ndarray:
     """Fixed-length unit-norm one-hot encoding of one state: its float64
     encode_states row."""
     return encode_states([state], np.float64)[0]
-
-
-def hamming_similarity(a: WorldState, b: WorldState) -> float:
-    """Fraction of cells whose descriptor (state_codes cell code, agent
-    presence) is identical in both states; the heading is not compared."""
-    codes, agent_cells, _ = state_codes([a, b])
-    same = codes[0] == codes[1]
-    same[agent_cells] &= agent_cells[0] == agent_cells[1]
-    return int(same.sum()) / same.size

@@ -17,7 +17,7 @@ from supportgen.cli import main as cli_main
 from supportgen.dataset import DatasetConfig, Split, generate_dataset
 from supportgen.engines import ExternalSolver, OracleSolver, demogen_supports, heuristic_supports
 from supportgen.errors import UnresolvableError
-from supportgen.grammar import enumerate_instructions, realize
+from supportgen.grammar import INSTRUCTIONS, realize
 from supportgen.instruction_model import fit as fit_model
 from supportgen.metrics import (
     CRITERIA_ROWS,
@@ -144,7 +144,7 @@ def test_criterion_2_heuristic_criteria(h1000):
 
 def test_criterion_3_oracle_soundness(h1000):
     rng = np.random.default_rng(8080)
-    instructions = list(enumerate_instructions())
+    instructions = list(INSTRUCTIONS)
     combos = Counter()
     checked = failures = 0
     while checked < 1000:
@@ -286,7 +286,7 @@ def test_criterion_9_determinism(tmp_path):
 def test_criterion_10_differential_solver():
     rng = np.random.default_rng(1234)
     oracle = OracleSolver()
-    instructions = list(enumerate_instructions())
+    instructions = list(INSTRUCTIONS)
     mismatches = 0
     with ExternalSolver([sys.executable, "-m", "supportgen.cli", "serve-oracle"],
                         timeout=30.0) as external:

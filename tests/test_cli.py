@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import re
 import shlex
@@ -384,12 +385,27 @@ class TestGenSupports:
         assert run(["gen-supports", "--data", str(data_file), "--strategy", strategy,
                     "--seed", "2", "--splits", "c,h", "--limit", "3", "--k", "64",
                     "--cells", "8", "--pca-dim", "16", "--out", str(out)]) == EXIT_OK
-        pairs = read_support_file(out)
+        pairs = list(read_support_file(out))
         if strategy == "demogen":
             assert any(s.actions is None for _, sset in pairs for s in sset.supports)
         again = tmp_path / "again.jsonl"
         write_support_file(again, pairs)
         assert again.read_bytes() == out.read_bytes()
+
+    def test_support_file_is_read_lazily(self, data_file, tmp_path):
+        """Lines are decoded as the iterator reaches them; a bad line fails
+        there, naming its number."""
+        from supportgen.errors import DataFormatError
+
+        out = tmp_path / "sup.jsonl"
+        assert run(["gen-supports", "--data", str(data_file), "--strategy", "heuristic",
+                    "--seed", "3", "--splits", "h", "--limit", "4", "--out", str(out)]) == EXIT_OK
+        lines = out.read_text().splitlines()
+        out.write_text("\n".join(lines[:2] + ["not json"] + lines[3:]) + "\n")
+        pairs = read_support_file(out)
+        assert [query.split.value for query, _ in itertools.islice(pairs, 2)] == ["h", "h"]
+        with pytest.raises(DataFormatError, match="line 3"):
+            next(pairs)
 
     def test_external_solver_closed_when_run_fails(self, data_file, tmp_path):
         marker = tmp_path / "closed"
@@ -486,6 +502,39 @@ class TestGenSupports:
                     "--out", str(out)])
         assert code == EXIT_EXTERNAL
         assert not out.exists()
+
+    @pytest.mark.parametrize("existing", [False, True])
+    def test_solver_death_mid_stream_leaves_no_partial_file(self, data_file, tmp_path,
+                                                            monkeypatch, existing):
+        """Support sets are written as they are built; a solver that dies
+        after the first set is written still leaves the old output alone."""
+        import supportgen.cli
+
+        written = []
+        to_record = supportgen.cli._support_to_record
+        monkeypatch.setattr(supportgen.cli, "_support_to_record",
+                            lambda support: written.append(support) or to_record(support))
+        helper = tmp_path / "child.py"
+        helper.write_text("import json, sys\n"
+                          "for _ in range(20):\n"
+                          "    key = json.loads(sys.stdin.readline())['id']\n"
+                          "    print(json.dumps({'id': key, 'actions': ['WALK']}), flush=True)\n")
+        out = tmp_path / "x.jsonl"
+        manifest = tmp_path / "x.jsonl.manifest.json"
+        if existing:
+            out.write_text("earlier output\n")
+            manifest.write_text("{}\n")
+        code = run(["gen-supports", "--data", str(data_file), "--strategy", "random",
+                    "--seed", "5", "--splits", "h", "--limit", "3", "--solver", "external",
+                    "--solver-cmd", f"{shlex.quote(sys.executable)} {shlex.quote(str(helper))}",
+                    "--out", str(out)])
+        assert code == EXIT_EXTERNAL
+        assert len(written) == 16  # the first query's line, and no more
+        names = ["child.py", "x.jsonl", "x.jsonl.manifest.json"] if existing else ["child.py"]
+        assert sorted(p.name for p in tmp_path.iterdir()) == names
+        if existing:
+            assert out.read_text() == "earlier output\n"
+            assert manifest.read_text() == "{}\n"
 
     @pytest.mark.parametrize("flags", [[], ["--solver-cmd", ""], ["--solver-cmd", "  "]],
                              ids=["missing", "empty", "blank"])
@@ -677,24 +726,29 @@ class TestExportIclAndPermute:
         sup = tmp_path / "sup.jsonl"
         run(["gen-supports", "--data", str(data_file), "--strategy", "heuristic",
              "--seed", "3", "--splits", "h", "--limit", "4", "--out", str(sup)])
-        records = [json.loads(line) for line in sup.read_text().splitlines()]
-        records[2]["supports"] = []
-        sup.write_text("".join(json.dumps(r) + "\n" for r in records))
+        lines = sup.read_text().splitlines()
+        no_supports = json.loads(lines[2])
+        no_supports["supports"] = []
         icl = tmp_path / "icl.jsonl"
         manifest = tmp_path / "icl.jsonl.manifest.json"
         if existing:
             icl.write_text("earlier output\n")
             manifest.write_text("{}\n")
-        assert run(["export-icl", "--supports", str(sup), "--seed", "1",
-                    "--out", str(icl)]) == EXIT_DATA
-        if existing:
-            assert icl.read_text() == "earlier output\n"
-            assert manifest.read_text() == "{}\n"
-            assert sorted(p.name for p in tmp_path.iterdir()) == [
-                "icl.jsonl", "icl.jsonl.manifest.json", "sup.jsonl", "sup.jsonl.manifest.json"]
-        else:
-            assert sorted(p.name for p in tmp_path.iterdir()) == [
-                "sup.jsonl", "sup.jsonl.manifest.json"]
+        # line 3 fails after lines 1 and 2 are written: it holds no supports,
+        # or it is not JSON
+        for bad_line in (json.dumps(no_supports), "not json"):
+            sup.write_text("\n".join(lines[:2] + [bad_line] + lines[3:]) + "\n")
+            assert run(["export-icl", "--supports", str(sup), "--seed", "1",
+                        "--out", str(icl)]) == EXIT_DATA
+            if existing:
+                assert icl.read_text() == "earlier output\n"
+                assert manifest.read_text() == "{}\n"
+                assert sorted(p.name for p in tmp_path.iterdir()) == [
+                    "icl.jsonl", "icl.jsonl.manifest.json", "sup.jsonl",
+                    "sup.jsonl.manifest.json"]
+            else:
+                assert sorted(p.name for p in tmp_path.iterdir()) == [
+                    "sup.jsonl", "sup.jsonl.manifest.json"]
 
     @pytest.mark.pins
     def test_permute_command_round_trip(self, data_file, tmp_path):
@@ -755,6 +809,42 @@ class TestParaphraseCli:
         assert code == EXIT_DATA
         assert sent == []
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["paraphrase", "analyze"])
+def test_failed_write_keeps_earlier_output(data_file, tmp_path, monkeypatch, command):
+    """paraphrase and analyze --out write through the same temporary file
+    as the JSONL outputs, in their own JSON layouts: when the final replace
+    fails, the earlier output is unchanged and no temporary file is left."""
+    import os
+
+    from supportgen.paraphrase import ENDPOINT_ENV, HttpTransport
+
+    monkeypatch.setenv(ENDPOINT_ENV, "http://127.0.0.1:9/")
+    monkeypatch.setattr(HttpTransport, "complete", lambda self, prompt: "1. Push a red square")
+    queries = tmp_path / "queries.txt"
+    queries.write_text("push a red square\npull a circle\n")
+    out = tmp_path / "out.json"
+    if command == "paraphrase":
+        argv = ["paraphrase", "--input", str(queries), "--out", str(out)]
+        layout = lambda text: "".join(json.dumps(json.loads(line), sort_keys=True) + "\n"
+                                      for line in text.splitlines())
+    else:
+        argv = ["analyze", "--data", str(data_file), "--zipf-commands", "--out", str(out)]
+        layout = lambda text: json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    assert run(argv) == EXIT_OK
+    text = out.read_text()
+    assert text == layout(text)
+    assert len(text.splitlines()) > 1
+
+    def fail(src, dst):
+        raise OSError("no space left on device")
+
+    out.write_text("earlier output\n")
+    monkeypatch.setattr(os, "replace", fail)
+    assert run(argv) == EXIT_DATA
+    assert out.read_text() == "earlier output\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "queries.txt"]
 
 
 class TestServeOracle:

@@ -23,7 +23,7 @@ from supportgen.engines import (
     serve_solver,
 )
 from supportgen.errors import ProtocolError, SolverError, SolverTimeout
-from supportgen.grammar import INSTRUCTIONS, enumerate_instructions, parse, realize
+from supportgen.grammar import INSTRUCTIONS, parse, realize
 from supportgen.instruction_model import fit
 from supportgen.planner import solve
 from supportgen.world import AgentPose, Heading, ObjectSpec, Position, WorldState
@@ -234,7 +234,7 @@ class TestDemogen:
 
     def test_ties_rank_on_realized_string(self, model):
         # n covers every unique candidate, so the whole ranking is returned
-        joint = dict(zip(enumerate_instructions(), model.smoothed.ravel()))
+        joint = dict(zip(INSTRUCTIONS, model.smoothed.ravel()))
         query = h_query()
         full = demogen_supports(query, model, OracleSolver(), rng=5, k=2048, n=1000)
         instrs = [s.instruction for s in full.supports]
@@ -459,6 +459,16 @@ class TestExternalSolver:
         with ExternalSolver([sys.executable, "-c", ECHO_SERVER]) as solver:
             got = solver.solve(s0, parse("walk to a red circle".split()))
         assert got == (Action.WALK, Action.WALK)
+
+    def test_empty_command_raises_before_any_process(self, monkeypatch):
+        import subprocess
+
+        def no_start(*args, **kwargs):
+            raise AssertionError("a process was started")
+
+        monkeypatch.setattr(subprocess, "Popen", no_start)
+        with pytest.raises(ValueError, match="empty"):
+            ExternalSolver([])
 
     def test_malformed_response(self, s0):
         with ExternalSolver([sys.executable, "-c", GARBAGE_SERVER]) as solver:

@@ -10,7 +10,6 @@ from supportgen.grammar import (
     WORD_CODES,
     command_string,
     encode_words,
-    enumerate_instructions,
     ground_descriptions,
     parse,
     parse_command_string,
@@ -126,7 +125,7 @@ class TestRealize:
 
     @pytest.mark.pins
     def test_round_trip_all_675(self):
-        forms = list(enumerate_instructions())
+        forms = list(INSTRUCTIONS)
         assert len(forms) == 675
         for instr in forms:
             assert parse(realize(instr)) is instr
@@ -156,7 +155,7 @@ class TestResolveTarget:
             resolve_target(parse("pull a blue cylinder".split()), s0)
 
     def test_filters_respected(self, s0):
-        for instr in enumerate_instructions():
+        for instr in INSTRUCTIONS:
             try:
                 res = resolve_target(instr, s0)
             except UnresolvableError:

@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from supportgen.errors import FitError
-from supportgen.grammar import Instruction, enumerate_instructions, parse, realize
+from supportgen.grammar import INSTRUCTION_ROW, Instruction, parse, realize
 from supportgen.instruction_model import (
     INSTRUCTIONS,
     SLOT_DOMAINS,
     fit,
     infill_distribution,
-    sample_infill,
     score,
 )
 
@@ -92,64 +91,70 @@ class TestFit:
 
     def test_single_instruction_is_sampling_mode(self):
         # with smoothing on, the one observed form is still the unique mode
-        from collections import Counter
-
         x = parse("pull a small yellow cylinder while spinning".split())
-        model = fit([x], k=0.1)
-        rng = np.random.default_rng(0)
-        counts = Counter(sample_infill(model, x, 1.0, rng) for _ in range(2000))
-        assert counts.most_common(1)[0][0] == x
+        dist = infill_distribution(fit([x], k=0.1), x, 1.0)
+        first, second = np.sort(dist)[::-1][:2]
+        assert INSTRUCTIONS[int(np.argmax(dist))] == x
+        assert first > second
+
+
+def draw(model, query: Instruction, mask_rate: float, rng, size: int) -> list[Instruction]:
+    """`size` infills of `query` drawn from `infill_distribution`, as
+    DemoGen draws its candidates."""
+    probs = infill_distribution(model, query, mask_rate)
+    return [INSTRUCTIONS[row] for row in rng.choice(len(INSTRUCTIONS), size=size, p=probs)]
 
 
 class TestSampleInfill:
+    """Draws from `infill_distribution`."""
+
     def test_mask_rate_zero_returns_query(self):
-        model = fit(enumerate_instructions())
+        model = fit(INSTRUCTIONS)
         query = parse("push a big blue cylinder while spinning".split())
-        assert sample_infill(model, query, 0.0, 1) == query
+        dist = infill_distribution(model, query, 0.0)
+        assert dist[INSTRUCTION_ROW[query]] == 1.0
+        assert np.count_nonzero(dist) == 1
 
     def test_fully_masked_single_corpus(self):
         x = parse("walk to a red circle".split())
-        model = fit([x], k=0.0)
-        assert sample_infill(model, parse("push a square".split()), 1.0, 5) == x
+        dist = infill_distribution(fit([x], k=0.0), parse("push a square".split()), 1.0)
+        assert dist[INSTRUCTION_ROW[x]] == 1.0
+        assert np.count_nonzero(dist) == 1
 
     def test_determinism_per_seed(self):
-        model = fit(enumerate_instructions())
+        model = fit(INSTRUCTIONS)
         query = parse("pull a small yellow cylinder while spinning".split())
-        a = [sample_infill(model, query, 0.2, seed) for seed in range(50)]
-        b = [sample_infill(model, query, 0.2, seed) for seed in range(50)]
+        assert np.array_equal(infill_distribution(model, query, 0.2),
+                              infill_distribution(model, query, 0.2))
+        a = draw(model, query, 0.2, np.random.default_rng(3), 50)
+        b = draw(model, query, 0.2, np.random.default_rng(3), 50)
         assert a == b
 
     def test_neighbour_spread(self):
         # samples concentrate near the query: most share >= 3 slots with it
-        model = fit(enumerate_instructions())
+        model = fit(INSTRUCTIONS)
         query = parse("pull a small yellow cylinder while spinning".split())
-        rng = np.random.default_rng(7)
-        overlaps = []
-        for _ in range(2048):
-            got = sample_infill(model, query, 0.2, rng)
-            overlaps.append(sum(
-                a == b for a, b in zip(
-                    (got.verb, got.size_word, got.color_word, got.shape_word, got.adverb),
-                    (query.verb, query.size_word, query.color_word, query.shape_word,
-                     query.adverb))))
-        overlaps = np.asarray(overlaps)
+        overlaps = np.asarray([
+            sum(a == b for a, b in zip(
+                (got.verb, got.size_word, got.color_word, got.shape_word, got.adverb),
+                (query.verb, query.size_word, query.color_word, query.shape_word,
+                 query.adverb)))
+            for got in draw(model, query, 0.2, np.random.default_rng(7), 2048)])
         assert (overlaps >= 3).mean() > 0.9
         assert (overlaps == 5).mean() > 0.3  # unmasked or resampled to itself
         assert any(o < 5 for o in overlaps)
 
     def test_empirical_frequencies_match_conditionals(self):
         # fully masked sampling follows the verb marginal within 3 sigma
-        corpus = [i for i in enumerate_instructions() if i.verb != "pull"]
-        corpus += [i for i in enumerate_instructions() if i.verb == "pull"][:20]
+        corpus = [i for i in INSTRUCTIONS if i.verb != "pull"]
+        corpus += [i for i in INSTRUCTIONS if i.verb == "pull"][:20]
         model = fit(corpus)
         verb_weights = model.smoothed.sum(axis=(1, 2, 3, 4))
         expected = verb_weights / verb_weights.sum()
-        rng = np.random.default_rng(12)
         n = 20_000
         counts = np.zeros(len(expected))
         query = parse("walk to a circle".split())
-        for _ in range(n):
-            got = sample_infill(model, query, 1.0, rng)
+        for got in draw(model, query, 1.0, np.random.default_rng(12), n):
             counts[SLOT_DOMAINS[0].index(got.verb)] += 1
         for value, want in zip(counts / n, expected):
             sigma = math.sqrt(want * (1 - want) / n)
@@ -159,7 +164,7 @@ class TestSampleInfill:
 class TestInfillDistribution:
     @pytest.mark.parametrize("mask_rate", [0.0, 0.2, 1.0])
     def test_matches_brute_force(self, mask_rate):
-        corpus = list(enumerate_instructions())[::7][:40]
+        corpus = list(INSTRUCTIONS)[::7][:40]
         model = fit(corpus, k=0.1)
         query = parse("pull a small yellow cylinder while spinning".split())
         ours = infill_distribution(model, query, mask_rate)
@@ -169,8 +174,7 @@ class TestInfillDistribution:
         assert abs(ours.sum() - 1.0) <= 1e-12
 
     def test_indexed_like_instructions(self):
-        assert INSTRUCTIONS == tuple(enumerate_instructions())
-        model = fit(enumerate_instructions())
+        model = fit(INSTRUCTIONS)
         query = parse("push a big blue cylinder while spinning".split())
         dist = infill_distribution(model, query, 0.0)
         assert INSTRUCTIONS[int(np.argmax(dist))] == query
@@ -183,20 +187,20 @@ class TestInfillDistribution:
             infill_distribution(model, parse("push a square".split()), 0.2)
 
     def test_bad_mask_rate(self):
-        model = fit(enumerate_instructions())
+        model = fit(INSTRUCTIONS)
         with pytest.raises(ValueError):
             infill_distribution(model, parse("push a square".split()), 1.5)
 
 
 class TestScore:
     def test_closed_form_exactly(self):
-        model = fit(list(enumerate_instructions())[::3], k=0.1)
+        model = fit(list(INSTRUCTIONS)[::3], k=0.1)
         table = model.smoothed
         for instr, joint in zip(INSTRUCTIONS, table.ravel()):
             assert score(model, instr) == float(np.log(joint / table.sum())) / 5
 
     def test_equal_joint_means_equal_score(self):
-        model = fit(list(enumerate_instructions())[::3], k=0.1)
+        model = fit(list(INSTRUCTIONS)[::3], k=0.1)
         by_joint: dict[float, set] = {}
         for instr, joint in zip(INSTRUCTIONS, model.smoothed.ravel()):
             by_joint.setdefault(float(joint), set()).add(score(model, instr))
@@ -206,7 +210,7 @@ class TestScore:
     def test_seen_beats_unseen(self):
         x = parse("walk to a red circle".split())
         model = fit([x])
-        for other in list(enumerate_instructions())[::31]:
+        for other in list(INSTRUCTIONS)[::31]:
             if other != x:
                 assert score(model, x) > score(model, other)
 
@@ -219,16 +223,16 @@ class TestScore:
         assert score(once, probe) == pytest.approx(score(thrice, probe))
 
     def test_monotone_in_observations(self):
-        base = list(enumerate_instructions())[::13]
+        base = list(INSTRUCTIONS)[::13]
         probe = parse("pull a small yellow cylinder while spinning".split())
         without = fit([i for i in base if i != probe])
         with_it = fit([i for i in base if i != probe] + [probe])
         assert score(with_it, probe) >= score(without, probe)
 
     def test_ranking_matches_brute_force(self):
-        corpus = list(enumerate_instructions())[::7][:40]
+        corpus = list(INSTRUCTIONS)[::7][:40]
         model = fit(corpus, k=0.1)
-        probes = list(enumerate_instructions())[::33][:20]
+        probes = list(INSTRUCTIONS)[::33][:20]
         ours = sorted(probes, key=lambda i: (-round(score(model, i), 9),
                                              " ".join(realize(i))))
         brute = sorted(probes, key=lambda i: (-round(brute_force_score(corpus, 0.1, i), 9),

@@ -6,17 +6,14 @@ import pytest
 
 from supportgen.dataset import DatasetConfig, Example, Split, TEST_SPLITS, generate_dataset
 from supportgen.engines import OracleSolver, Support, SupportSet, heuristic_supports
-from supportgen.errors import FitError, MetricError, PatternError
+from supportgen.errors import FitError, PatternError
 from supportgen.grammar import parse
 from supportgen.metrics import (
     CRITERIA_ROWS,
     NAMED_PATTERNS,
     compile_pattern,
-    diversity,
-    embed_instructions,
     nn_profile,
     pattern_frequency,
-    relevance,
     support_criteria,
     validity_correctness,
     zipf_fit,
@@ -195,42 +192,6 @@ class TestNnProfile:
                 sums[r] += sims[r - 1]
         for r in ranks:
             assert profile[r] == pytest.approx(sums[r] / len(queries), abs=1e-5)
-
-
-class TestDiversityRelevance:
-    def test_identical_supports_zero_diversity(self):
-        e = np.tile(np.array([[0.6, 0.8]]), (4, 1))
-        assert diversity(e) == pytest.approx(0.0)
-
-    def test_orthogonal_supports_closed_form(self):
-        assert diversity(np.eye(4)) == pytest.approx(math.sqrt(2) / 2)
-
-    def test_antipodal_is_one(self):
-        e = np.array([[1.0, 0.0], [-1.0, 0.0]])
-        assert diversity(e) == pytest.approx(1.0)
-
-    def test_single_support_undefined(self):
-        with pytest.raises(MetricError):
-            diversity(np.array([[1.0, 0.0]]))
-
-    def test_three_handbuilt_instructions(self):
-        instrs = [parse("walk to a red circle".split()),
-                  parse("push a red circle".split()),
-                  parse("pull a blue square hesitantly".split())]
-        emb = embed_instructions(instrs)
-        # hand-computed pairwise normalized distances from the gram matrix
-        gram = emb @ emb.T
-        expected = np.mean([
-            math.sqrt(max(0.0, 2 - 2 * gram[0, 1])) / 2,
-            math.sqrt(max(0.0, 2 - 2 * gram[0, 2])) / 2,
-            math.sqrt(max(0.0, 2 - 2 * gram[1, 2])) / 2,
-        ])
-        assert diversity(emb) == pytest.approx(expected)
-
-    def test_relevance_mean_inner_product(self):
-        e = np.array([[1.0, 0.0], [0.0, 1.0]])
-        q = np.array([1.0, 0.0])
-        assert relevance(e, q) == pytest.approx(0.5)
 
 
 class TestZipfFit:

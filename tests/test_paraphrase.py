@@ -152,7 +152,7 @@ class TestParaphraseClient:
         reply = "\n".join(f"{i}. {p}" for i, p in
                           enumerate(HESITANT_CIRCLE_PARAPHRASES, start=1))
         client = ParaphraseClient(FakeTransport([reply]))
-        record = client.paraphrase("simple", "pull a circle hesitantly")
+        record = client.paraphrase_many("simple", ["pull a circle hesitantly"])[0]
         assert len(record.paraphrases) == 25
         assert all(record.retained)
 
@@ -161,17 +161,17 @@ class TestParaphraseClient:
         reply = "1. Pull the circle\n2. Drag a circle"
         transport = FakeTransport([reply])
         client = ParaphraseClient(transport, cache_path=cache)
-        client.paraphrase("simple", "pull a circle")
+        client.paraphrase_many("simple", ["pull a circle"])
         assert transport.calls == 1
         again = ParaphraseClient(FakeTransport([]), cache_path=cache)
-        record = again.paraphrase("simple", "pull a circle")
+        record = again.paraphrase_many("simple", ["pull a circle"])[0]
         assert record.paraphrases == ["Pull the circle", "Drag a circle"]
 
     def test_cache_is_keyed_by_prompt(self):
         transport = FakeTransport(["1. Pull the circle", "1. Carefully pull the circle"])
         client = ParaphraseClient(transport)
-        simple = client.paraphrase("simple", "pull a circle")
-        adverb = client.paraphrase("adverb", "pull a circle")
+        simple = client.paraphrase_many("simple", ["pull a circle"])[0]
+        adverb = client.paraphrase_many("adverb", ["pull a circle"])[0]
         assert transport.calls == 2
         assert simple.paraphrases == ["Pull the circle"]
         assert adverb.paraphrases == ["Carefully pull the circle"]
@@ -246,14 +246,14 @@ class TestParaphraseClient:
         cache.write_text(json.dumps({"paraphrases": {prompt: ["Pull the circle"]},
                                      "metadata": {}}), encoding="utf-8")
         transport = FakeTransport([])
-        record = ParaphraseClient(transport, cache_path=cache).paraphrase("simple",
-                                                                          "pull a circle")
+        client = ParaphraseClient(transport, cache_path=cache)
+        record = client.paraphrase_many("simple", ["pull a circle"])[0]
         assert record.paraphrases == ["Pull the circle"]
         assert transport.calls == 0
         cache.write_text("{}", encoding="utf-8")  # no entries yet
         transport = FakeTransport(["1. Drag a circle"])
-        record = ParaphraseClient(transport, cache_path=cache).paraphrase("simple",
-                                                                          "pull a circle")
+        client = ParaphraseClient(transport, cache_path=cache)
+        record = client.paraphrase_many("simple", ["pull a circle"])[0]
         assert record.paraphrases == ["Drag a circle"]
 
 

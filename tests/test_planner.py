@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from supportgen.errors import UnresolvableError
-from supportgen.grammar import (ADVERBS, VERBS, Instruction, enumerate_instructions,
+from supportgen.grammar import (ADVERBS, INSTRUCTIONS, VERBS, Instruction,
                                 ground_descriptions, parse, resolve_target)
 from supportgen.permuter import compress_notation, expand_notation
 from supportgen.planner import apply_adverb, goal_satisfied, plan_navigation, solve
@@ -208,7 +208,7 @@ class TestSolve:
         checked = 0
         while checked < 1000:
             state = random_state(rng)
-            instructions = [i for i in enumerate_instructions()]
+            instructions = list(INSTRUCTIONS)
             instr = instructions[int(rng.integers(len(instructions)))]
             try:
                 actions = solve(state, instr)

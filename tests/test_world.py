@@ -14,7 +14,6 @@ from supportgen.world import (
     WorldState,
     encode_one_hot,
     encode_states,
-    hamming_similarity,
     new_random_state,
     simulate,
 )
@@ -212,58 +211,6 @@ class TestEncodeStates:
         small = WorldState(4, AgentPose(Position(0, 0), Heading.NORTH), ())
         with pytest.raises(DimensionError):
             encode_states([s0, small])
-
-
-class TestHammingSimilarity:
-    def test_equal_states(self, s0):
-        assert hamming_similarity(s0, s0) == 1.0
-
-    def test_one_object_removed(self, s0):
-        smaller = WorldState(6, s0.agent, s0.objects[:-1])
-        assert hamming_similarity(s0, smaller) == pytest.approx(35 / 36)
-
-    def test_disjoint_single_object_states(self):
-        # brute hand count: cells (0,0), (2,2), (4,4) differ -> 33/36
-        a = WorldState(6, AgentPose(Position(0, 0), Heading.EAST),
-                       (ObjectSpec("circle", "red", 2, Position(2, 2)),))
-        b = WorldState(6, AgentPose(Position(2, 2), Heading.EAST),
-                       (ObjectSpec("square", "blue", 1, Position(4, 4)),))
-        assert hamming_similarity(a, b) == pytest.approx(33 / 36)
-
-    def test_size_mismatch(self, s0):
-        other = WorldState(7, s0.agent, ())
-        with pytest.raises(DimensionError):
-            hamming_similarity(s0, other)
-
-    def test_heading_is_not_compared(self, s0):
-        for heading in Heading:
-            turned = WorldState(6, AgentPose(s0.agent.pos, heading), s0.objects)
-            assert hamming_similarity(s0, turned) == 1.0
-
-    @given(st.integers(0, 10_000), st.integers(0, 10_000), st.sampled_from(list(Heading)))
-    @settings(max_examples=50, deadline=None)
-    def test_symmetric_and_identity(self, seed_a, seed_b, heading):
-        """1.0 exactly when the states agree on everything but the heading."""
-        a = random_state(np.random.default_rng(seed_a))
-        for b in (random_state(np.random.default_rng(seed_b)),
-                  WorldState(6, AgentPose(a.agent.pos, heading), a.objects)):
-            assert hamming_similarity(a, b) == hamming_similarity(b, a)
-            same_cells = a.agent.pos == b.agent.pos and a.objects == b.objects
-            assert (hamming_similarity(a, b) == 1.0) == same_cells
-
-    @given(st.integers(0, 10_000), st.integers(0, 10_000))
-    @settings(max_examples=50, deadline=None)
-    def test_equals_per_cell_count(self, seed_a, seed_b):
-        """The share of cells whose object triple (or emptiness) and agent
-        presence agree, counted cell by cell."""
-        a = random_state(np.random.default_rng(seed_a), max_objects=20)
-        b = random_state(np.random.default_rng(seed_b), max_objects=20)
-        a_objs = {o.pos: o.description() for o in a.objects}
-        b_objs = {o.pos: o.description() for o in b.objects}
-        same = sum(a_objs.get(pos) == b_objs.get(pos)
-                   and (pos == a.agent.pos) == (pos == b.agent.pos)
-                   for pos in (Position(x, y) for y in range(6) for x in range(6)))
-        assert hamming_similarity(a, b) == same / 36
 
 
 class TestRecordRoundTrip:
