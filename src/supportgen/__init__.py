@@ -47,7 +47,7 @@ from .permuter import (  # noqa: F401
     invert,
     sample_permutation,
 )
-from .instruction_model import InstructionModel, fit, score  # noqa: F401
+from .instruction_model import InstructionModel, fit  # noqa: F401
 from .engines import (  # noqa: F401
     ExternalSolver,
     OracleSolver,

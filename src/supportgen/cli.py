@@ -100,9 +100,8 @@ def write_manifest(command: str, config: dict, seed: int | None, out: Path) -> d
         "version": __version__,
         "outputs": {out.name: _sha256(out)},
     }
-    out.with_suffix(out.suffix + ".manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=2) + "\n", encoding="utf-8"
-    )
+    _write_lines(out.with_suffix(out.suffix + ".manifest.json"),
+                 [json.dumps(manifest, sort_keys=True, indent=2)])
     return manifest
 
 
@@ -334,6 +333,8 @@ def cmd_gen_supports(args: argparse.Namespace) -> int:
     solver_cmd = shlex.split(args.solver_cmd or "")
     if args.solver == "external" and not solver_cmd:
         raise DataFormatError("--solver external requires --solver-cmd")
+    if args.solver == "oracle" and args.solver_cmd is not None:
+        raise DataFormatError("--solver-cmd requires --solver external")
     # The solver child starts before the data is read, so its interpreter
     # start-up overlaps the decode. Each support set is written as soon as it
     # is built, so only one is held at a time.

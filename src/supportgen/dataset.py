@@ -300,7 +300,7 @@ def _read_jsonl(path: str | Path, decode: Callable[[dict], object]) -> Iterator:
                 continue
             try:
                 record = decode(json.loads(line))
-            except (SupportgenError, ValueError, KeyError, TypeError) as exc:
+            except (SupportgenError, ValueError, KeyError, TypeError, AttributeError) as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from None
             yield record
 
@@ -364,7 +364,7 @@ def import_external_record(record: Mapping, direction_map: Mapping[int, int] | N
                 raise DataFormatError(f"unknown action token {name!r}")
         return Example(state, instruction, tuple(actions),
                        Split(record.get("split", split.value)))
-    except (SupportgenError, KeyError, TypeError, ValueError) as exc:
+    except (SupportgenError, KeyError, TypeError, ValueError, AttributeError) as exc:
         raise DataFormatError(f"bad external record: {exc}") from None
 
 

@@ -438,8 +438,7 @@ class ExternalSolver:
             )
         except OSError as exc:
             raise ExternalServiceError(f"cannot start solver {command[0]!r}: {exc}") from None
-        self._lock = threading.Lock()
-        self._cond = threading.Condition(self._lock)
+        self._cond = threading.Condition()
         self._write_lock = threading.Lock()
         self._pending: set[int] = set()
         self._results: dict[int, dict] = {}
@@ -517,6 +516,10 @@ class ExternalSolver:
         return _parse_actions(msg["actions"])
 
     def close(self) -> None:
+        """Close the child's input, reap the child (killed after 5 s) and
+        close its output once the reader thread has ended. A grandchild can
+        hold that output open after the child exits; then the reader keeps
+        running and the pipe stays open."""
         if self._proc.stdin is not None:
             try:
                 self._proc.stdin.close()
@@ -526,6 +529,10 @@ class ExternalSolver:
             self._proc.wait(timeout=5)
         except subprocess.TimeoutExpired:
             self._proc.kill()
+            self._proc.wait()
+        self._reader.join(timeout=1)
+        if not self._reader.is_alive():
+            self._proc.stdout.close()
 
     def __enter__(self) -> "ExternalSolver":
         return self

@@ -37,7 +37,15 @@ class InstructionModel:
 
     @property
     def log_table(self) -> np.ndarray:
-        """score() of every instruction, indexed like INSTRUCTIONS."""
+        """The length-normalized log-likelihood of every instruction,
+        log(joint / total) / slot count, indexed like INSTRUCTIONS.
+
+        The model's sequence has a fixed length (absent optional slots are
+        padding tokens), so the normalizer is the slot count; this keeps a
+        verbatim-seen instruction ahead of every unseen one. Instructions
+        with equal smoothed counts get bit-identical scores, so ties in
+        downstream rankings break on the realized token string. Higher is
+        more in-distribution."""
         table = self.smoothed
         return np.log(table.ravel() / table.sum()) / len(SLOT_NAMES)
 
@@ -50,18 +58,6 @@ def fit(corpus: Iterable[Instruction], k: float = 0.1) -> InstructionModel:
     counts = np.zeros(len(INSTRUCTIONS))
     counts[seen] = 1.0
     return InstructionModel(counts=counts.reshape(_SHAPE), k=k)
-
-
-def score(model: InstructionModel, instr: Instruction) -> float:
-    """Length-normalized log-likelihood: log(joint / total) / slot count.
-
-    The model's sequence has a fixed length (absent optional slots are
-    padding tokens), so the normalizer is the slot count; this keeps a
-    verbatim-seen instruction ahead of every unseen one. Instructions with
-    equal smoothed counts get bit-identical scores, so ties in downstream
-    rankings break on the realized token string. Higher is more
-    in-distribution."""
-    return float(model.log_table[INSTRUCTION_ROW[instr]])
 
 
 def infill_distribution(model: InstructionModel, query: Instruction,

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Mapping, Protocol, Sequence
 
+from .dataset import _write_lines
 from .errors import DataFormatError, ExternalServiceError, ParaphraseError
 from .grammar import COLOR_WORDS, SHAPE_WORDS, SIZE_WORDS
 
@@ -291,9 +292,7 @@ class ParaphraseClient:
             if self.cache_path:
                 payload = {"paraphrases": self._cache,
                            "metadata": {"sampling": "endpoint defaults"}}
-                tmp = self.cache_path.with_name(self.cache_path.name + ".tmp")
-                tmp.write_text(json.dumps(payload, sort_keys=True), encoding="utf-8")
-                os.replace(tmp, self.cache_path)
+                _write_lines(self.cache_path, [json.dumps(payload, sort_keys=True)])
 
     def _paraphrases(self, prompt: str) -> list[str]:
         """The cached paraphrases of prompt, requested first if not cached."""

@@ -8,8 +8,9 @@ decorate that walk stream:
   while_spinning    LTURN x4 before every non-turn action, emitted ahead of
                     the direction turns so streams like LTURN(6) arise from
                     merged spin + reorientation turns
-  while_zigzagging  alternate one horizontal and one vertical step (starting
-                    horizontal) until the smaller displacement runs out
+  while_zigzagging  with h horizontal and v vertical steps, both nonzero,
+                    the walk faces [horizontal, vertical] * min(h, v), then
+                    the longer leg's direction |h - v| times
   cautiously        CAUTIOUS_SEQUENCE (look left, right, right, left) before
                     every WALK
 
@@ -48,17 +49,14 @@ class Plan:
     legs: tuple[tuple[Heading, int], ...]
 
 
+#: The turns of turns_between, by clockwise quarter turns mod 4.
+_TURNS = ((), (Action.RTURN,), (Action.LTURN, Action.LTURN), (Action.LTURN,))
+
+
 def turns_between(cur: Heading, dest: Heading) -> tuple[Action, ...]:
     """Minimal turn sequence from one heading to another (LTURNs for a
     half-turn, matching the traces this grid convention is built around)."""
-    diff = (dest - cur) % 4
-    if diff == 0:
-        return ()
-    if diff == 1:
-        return (Action.RTURN,)
-    if diff == 3:
-        return (Action.LTURN,)
-    return (Action.LTURN, Action.LTURN)
+    return _TURNS[(dest - cur) % 4]
 
 
 def plan_navigation(state: WorldState, target: Position) -> Plan:
@@ -76,55 +74,30 @@ def plan_navigation(state: WorldState, target: Position) -> Plan:
 
 def _walk_steps(plan: Plan, zigzag: bool) -> list[tuple[tuple[Action, ...], Action]]:
     """Flatten a plan into (direction turns, WALK) steps."""
-    heading = plan.start.direction
-    steps: list[tuple[tuple[Action, ...], Action]] = []
-
-    def advance(to: Heading) -> tuple[Action, ...]:
-        nonlocal heading
-        turns = turns_between(heading, to)
-        heading = to
-        return turns
-
     if zigzag and len(plan.legs) == 2:
         (h_dir, h_cnt), (v_dir, v_cnt) = plan.legs
-        remaining = [h_cnt, v_cnt]
-        dirs = [h_dir, v_dir]
-        axis = 0
-        while remaining[0] or remaining[1]:
-            if remaining[axis] == 0:
-                axis = 1 - axis
-            steps.append((advance(dirs[axis]), Action.WALK))
-            remaining[axis] -= 1
-            if remaining[1 - axis]:
-                axis = 1 - axis
-        return steps
-
-    for direction, count in plan.legs:
-        steps.append((advance(direction), Action.WALK))
-        for _ in range(count - 1):
-            steps.append(((), Action.WALK))
-    return steps
+        longer = h_dir if h_cnt > v_cnt else v_dir
+        dirs = [h_dir, v_dir] * min(h_cnt, v_cnt) + [longer] * abs(h_cnt - v_cnt)
+    else:
+        dirs = [direction for direction, count in plan.legs for _ in range(count)]
+    return [(turns_between(prev, cur), Action.WALK)
+            for prev, cur in zip([plan.start.direction, *dirs], dirs)]
 
 
 def _decorate(steps: list[tuple[tuple[Action, ...], Action]],
               adverb: str | None) -> list[Action]:
+    """Each step as: the spin, the turns, the cautious sequence before a
+    WALK, the action, then a STAY when hesitant."""
     out: list[Action] = []
     for turns, action in steps:
         if adverb == "while_spinning":
             out.extend(SPIN)
-            out.extend(turns)
-            out.append(action)
-        elif adverb == "hesitantly":
-            out.extend(turns)
-            out.append(action)
-            out.append(Action.STAY)
-        elif adverb == "cautiously" and action == Action.WALK:
-            out.extend(turns)
+        out.extend(turns)
+        if adverb == "cautiously" and action == Action.WALK:
             out.extend(CAUTIOUS_SEQUENCE)
-            out.append(action)
-        else:
-            out.extend(turns)
-            out.append(action)
+        out.append(action)
+        if adverb == "hesitantly":
+            out.append(Action.STAY)
     return out
 
 

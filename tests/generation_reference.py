@@ -2,15 +2,18 @@
 states drew their attributes in one call and candidates became counts, the
 hand-written parser and word encoder the grammar had before both became
 lookups over its sentences and symbols, the if/elif heuristic templates
-that became two swap tables, and the action-pattern compiler that parsed
-into a tree and walked it again before it became one pass.
+that became two swap tables, the action-pattern compiler that parsed
+into a tree and walked it again before it became one pass, and the
+planner's turn branches, zigzag state machine and per-adverb step
+templates before each became one closed form.
 
 Each function is kept as it was, fresh objects and full candidate lists
 included, so tests can require the current generator to draw the same
-stream and build the same examples, and the current parse, encode_words,
+stream and build the same examples, the current parse, encode_words,
 heuristic_candidates and compile_pattern to give the same results and raise
-the same errors. Only the names it reads from supportgen are imported; the
-split predicate tables stay the single definition."""
+the same errors, and the current turns_between, _walk_steps and _decorate
+to give the same actions. Only the names it reads from supportgen are
+imported; the split predicate tables stay the single definition."""
 
 from __future__ import annotations
 
@@ -44,6 +47,7 @@ from supportgen.grammar import (
     TargetResolution,
 )
 from supportgen.metrics import _PATTERN_TOKEN, NAMED_PATTERNS, _char
+from supportgen.planner import CAUTIOUS_SEQUENCE, SPIN, Plan
 from supportgen.world import (
     COLORS,
     SHAPES,
@@ -410,3 +414,70 @@ def compile_pattern(text: str) -> CompiledPattern:
     if symbols:
         compiled.regex_for({s: Action[s].value for s in symbols})  # syntax check
     return compiled
+
+
+def turns_between(cur: Heading, dest: Heading) -> tuple[Action, ...]:
+    """Minimal turn sequence from one heading to another (LTURNs for a
+    half-turn, matching the traces this grid convention is built around)."""
+    diff = (dest - cur) % 4
+    if diff == 0:
+        return ()
+    if diff == 1:
+        return (Action.RTURN,)
+    if diff == 3:
+        return (Action.LTURN,)
+    return (Action.LTURN, Action.LTURN)
+
+
+def _walk_steps(plan: Plan, zigzag: bool) -> list[tuple[tuple[Action, ...], Action]]:
+    """Flatten a plan into (direction turns, WALK) steps."""
+    heading = plan.start.direction
+    steps: list[tuple[tuple[Action, ...], Action]] = []
+
+    def advance(to: Heading) -> tuple[Action, ...]:
+        nonlocal heading
+        turns = turns_between(heading, to)
+        heading = to
+        return turns
+
+    if zigzag and len(plan.legs) == 2:
+        (h_dir, h_cnt), (v_dir, v_cnt) = plan.legs
+        remaining = [h_cnt, v_cnt]
+        dirs = [h_dir, v_dir]
+        axis = 0
+        while remaining[0] or remaining[1]:
+            if remaining[axis] == 0:
+                axis = 1 - axis
+            steps.append((advance(dirs[axis]), Action.WALK))
+            remaining[axis] -= 1
+            if remaining[1 - axis]:
+                axis = 1 - axis
+        return steps
+
+    for direction, count in plan.legs:
+        steps.append((advance(direction), Action.WALK))
+        for _ in range(count - 1):
+            steps.append(((), Action.WALK))
+    return steps
+
+
+def _decorate(steps: list[tuple[tuple[Action, ...], Action]],
+              adverb: str | None) -> list[Action]:
+    out: list[Action] = []
+    for turns, action in steps:
+        if adverb == "while_spinning":
+            out.extend(SPIN)
+            out.extend(turns)
+            out.append(action)
+        elif adverb == "hesitantly":
+            out.extend(turns)
+            out.append(action)
+            out.append(Action.STAY)
+        elif adverb == "cautiously" and action == Action.WALK:
+            out.extend(turns)
+            out.extend(CAUTIOUS_SEQUENCE)
+            out.append(action)
+        else:
+            out.extend(turns)
+            out.append(action)
+    return out

@@ -545,6 +545,27 @@ class TestGenSupports:
                     "--out", str(out)]) == EXIT_DATA
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [[], ["--solver", "oracle"]], ids=["default", "explicit"])
+    def test_solver_cmd_without_external_solver_is_data_error(self, data_file, tmp_path,
+                                                              monkeypatch, flags):
+        """--solver-cmd under the oracle solver is rejected before the data
+        is read or any process starts."""
+        import subprocess
+
+        import supportgen.cli
+
+        def no_call(*args, **kwargs):
+            raise AssertionError("a process was started or the data was read")
+
+        monkeypatch.setattr(subprocess, "Popen", no_call)
+        monkeypatch.setattr(supportgen.cli, "import_dataset", no_call)
+        out = tmp_path / "x.jsonl"
+        assert run(["gen-supports", "--data", str(data_file),
+                    "--strategy", "random", "--seed", "5", *flags,
+                    "--solver-cmd", "python -m supportgen.cli serve-oracle",
+                    "--out", str(out)]) == EXIT_DATA
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("executable", [False, True], ids=["missing", "not-executable"])
     def test_unstartable_solver_exits_4(self, data_file, tmp_path, executable):
         """A solver command that cannot start fails like a solver that dies."""
@@ -750,6 +771,38 @@ class TestExportIclAndPermute:
                 assert sorted(p.name for p in tmp_path.iterdir()) == [
                     "sup.jsonl", "sup.jsonl.manifest.json"]
 
+    @pytest.mark.parametrize("field,value", [("command", 5), ("target", 7)])
+    @pytest.mark.parametrize("command", ["gen-supports", "permute", "export-icl", "analyze"])
+    def test_non_string_field_is_data_error_naming_its_line(self, data_file, tmp_path,
+                                                            capsys, command, field, value):
+        """A number where a dataset or support line holds its command or
+        target string is a data error that names the line."""
+        if command in ("gen-supports", "permute"):
+            bad = tmp_path / "data.jsonl"
+            lines = data_file.read_text().splitlines()
+            record = json.loads(lines[1])
+            record[field] = value
+        else:
+            bad = tmp_path / "sup.jsonl"
+            run(["gen-supports", "--data", str(data_file), "--strategy", "heuristic",
+                 "--seed", "3", "--splits", "h", "--limit", "3", "--out", str(bad)])
+            lines = bad.read_text().splitlines()
+            record = json.loads(lines[1])
+            record["supports"][0][field] = value
+        bad.write_text("\n".join([lines[0], json.dumps(record)] + lines[2:]) + "\n")
+        out = str(tmp_path / "out.jsonl")
+        argv = {
+            "gen-supports": ["gen-supports", "--data", str(bad), "--strategy", "heuristic",
+                             "--seed", "3", "--out", out],
+            "permute": ["permute", "--data", str(bad), "--seed", "2", "--out", out],
+            "export-icl": ["export-icl", "--supports", str(bad), "--seed", "1", "--out", out],
+            "analyze": ["analyze", "--supports", str(bad), "--criteria", "--out", out],
+        }[command]
+        capsys.readouterr()
+        assert run(argv) == EXIT_DATA
+        assert "line 2" in capsys.readouterr().err
+        assert not Path(out).exists()
+
     @pytest.mark.pins
     def test_permute_command_round_trip(self, data_file, tmp_path):
         out = tmp_path / "perm.jsonl"
@@ -845,6 +898,54 @@ def test_failed_write_keeps_earlier_output(data_file, tmp_path, monkeypatch, com
     assert run(argv) == EXIT_DATA
     assert out.read_text() == "earlier output\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "queries.txt"]
+
+
+@pytest.mark.parametrize("target", ["manifest", "cache"])
+def test_failed_manifest_or_cache_write_keeps_earlier_file(data_file, tmp_path, monkeypatch,
+                                                           target):
+    """Manifests and the paraphrase cache go through the temp-then-replace
+    writer too: the manifest keeps its bytes, the cache gains a trailing
+    newline, and a failed replace leaves the earlier file and no temporary
+    file behind."""
+    import os
+
+    from supportgen.paraphrase import ENDPOINT_ENV, HttpTransport
+
+    monkeypatch.setenv(ENDPOINT_ENV, "http://127.0.0.1:9/")
+    monkeypatch.setattr(HttpTransport, "complete", lambda self, prompt: "1. Push a red square")
+    queries = tmp_path / "queries.txt"
+    queries.write_text("push a red square\n")
+    if target == "manifest":
+        out = tmp_path / "permuted.jsonl"
+        path = tmp_path / "permuted.jsonl.manifest.json"
+        argv = ["permute", "--data", str(data_file), "--seed", "2", "--out", str(out)]
+        layout = lambda text: json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    else:
+        path = tmp_path / "cache.json"
+        argv = ["paraphrase", "--input", str(queries), "--cache", str(path),
+                "--out", str(tmp_path / "p.jsonl")]
+        layout = lambda text: json.dumps(json.loads(text), sort_keys=True) + "\n"
+    assert run(argv) == EXIT_OK
+    text = path.read_text()
+    assert text == layout(text)
+
+    real_replace = os.replace
+
+    def fail_on_target(src, dst):
+        if Path(dst) == path:
+            raise OSError("no space left on device")
+        real_replace(src, dst)
+
+    if target == "manifest":
+        path.write_text("earlier manifest\n")
+    else:
+        queries.write_text("push a red square\npull a circle\n")  # one new cache entry
+    earlier = path.read_text()
+    before = sorted(p.name for p in tmp_path.iterdir())
+    monkeypatch.setattr(os, "replace", fail_on_target)
+    assert run(argv) == EXIT_DATA
+    assert path.read_text() == earlier
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
 
 
 class TestServeOracle:

@@ -296,7 +296,7 @@ class TestExternalImport:
         with pytest.raises(DataFormatError):
             import_external_record({"command": "walk,to,a,circle"})
 
-    @pytest.mark.parametrize("command", ["walk,a,circle", "walk,to,a,hexagon"])
+    @pytest.mark.parametrize("command", ["walk,a,circle", "walk,to,a,hexagon", 5, None])
     def test_bad_command_is_data_format_error(self, command):
         record = {
             "command": command,

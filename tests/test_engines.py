@@ -486,6 +486,29 @@ class TestExternalSolver:
             with pytest.raises((SolverTimeout, ProtocolError)):
                 solver.solve(s0, parse("walk to a red circle".split()))
 
+    @pytest.mark.parametrize("killed", [False, True])
+    def test_close_reaps_the_child_and_closes_its_output(self, monkeypatch, killed):
+        """close() leaves no running child and no open pipe, also when the
+        child ignores the end of its input and has to be killed."""
+        import subprocess
+
+        script = "import time; time.sleep(60)" if killed else ECHO_SERVER
+        solver = ExternalSolver([sys.executable, "-c", script])
+        proc = solver._proc
+        if killed:
+            real_wait = proc.wait
+
+            def impatient_wait(timeout=None):
+                if timeout is not None:
+                    raise subprocess.TimeoutExpired(proc.args, timeout)
+                return real_wait()
+
+            monkeypatch.setattr(proc, "wait", impatient_wait)
+        solver.close()
+        assert proc.returncode is not None
+        assert proc.stdin.closed and proc.stdout.closed
+        assert not solver._reader.is_alive()
+
     def test_serve_solver_round_trip(self, s0):
         request = {"id": 3, "state": s0.to_record(),
                    "instruction": ["walk", "to", "a", "red", "circle"]}

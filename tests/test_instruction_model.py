@@ -11,7 +11,6 @@ from supportgen.instruction_model import (
     SLOT_DOMAINS,
     fit,
     infill_distribution,
-    score,
 )
 
 
@@ -197,13 +196,14 @@ class TestScore:
         model = fit(list(INSTRUCTIONS)[::3], k=0.1)
         table = model.smoothed
         for instr, joint in zip(INSTRUCTIONS, table.ravel()):
-            assert score(model, instr) == float(np.log(joint / table.sum())) / 5
+            assert (model.log_table[INSTRUCTION_ROW[instr]]
+                    == float(np.log(joint / table.sum())) / 5)
 
     def test_equal_joint_means_equal_score(self):
         model = fit(list(INSTRUCTIONS)[::3], k=0.1)
         by_joint: dict[float, set] = {}
         for instr, joint in zip(INSTRUCTIONS, model.smoothed.ravel()):
-            by_joint.setdefault(float(joint), set()).add(score(model, instr))
+            by_joint.setdefault(float(joint), set()).add(model.log_table[INSTRUCTION_ROW[instr]])
         assert len(by_joint) == 2
         assert all(len(scores) == 1 for scores in by_joint.values())
 
@@ -212,7 +212,8 @@ class TestScore:
         model = fit([x])
         for other in list(INSTRUCTIONS)[::31]:
             if other != x:
-                assert score(model, x) > score(model, other)
+                assert (model.log_table[INSTRUCTION_ROW[x]]
+                        > model.log_table[INSTRUCTION_ROW[other]])
 
     def test_duplication_invariance(self):
         x = parse("walk to a red circle".split())
@@ -220,24 +221,26 @@ class TestScore:
         once = fit([x, y])
         thrice = fit([x, y] * 3)
         probe = parse("pull a big circle".split())
-        assert score(once, probe) == pytest.approx(score(thrice, probe))
+        assert once.log_table[INSTRUCTION_ROW[probe]] == pytest.approx(
+            thrice.log_table[INSTRUCTION_ROW[probe]])
 
     def test_monotone_in_observations(self):
         base = list(INSTRUCTIONS)[::13]
         probe = parse("pull a small yellow cylinder while spinning".split())
         without = fit([i for i in base if i != probe])
         with_it = fit([i for i in base if i != probe] + [probe])
-        assert score(with_it, probe) >= score(without, probe)
+        assert (with_it.log_table[INSTRUCTION_ROW[probe]]
+                >= without.log_table[INSTRUCTION_ROW[probe]])
 
     def test_ranking_matches_brute_force(self):
         corpus = list(INSTRUCTIONS)[::7][:40]
         model = fit(corpus, k=0.1)
         probes = list(INSTRUCTIONS)[::33][:20]
-        ours = sorted(probes, key=lambda i: (-round(score(model, i), 9),
+        ours = sorted(probes, key=lambda i: (-round(model.log_table[INSTRUCTION_ROW[i]], 9),
                                              " ".join(realize(i))))
         brute = sorted(probes, key=lambda i: (-round(brute_force_score(corpus, 0.1, i), 9),
                                               " ".join(realize(i))))
         assert ours == brute
         for probe in probes:
-            assert score(model, probe) == pytest.approx(
+            assert model.log_table[INSTRUCTION_ROW[probe]] == pytest.approx(
                 brute_force_score(corpus, 0.1, probe), rel=1e-9)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +9,8 @@ from supportgen.errors import UnresolvableError
 from supportgen.grammar import (ADVERBS, INSTRUCTIONS, VERBS, Instruction,
                                 ground_descriptions, parse, resolve_target)
 from supportgen.permuter import compress_notation, expand_notation
-from supportgen.planner import apply_adverb, goal_satisfied, plan_navigation, solve
+from supportgen.planner import (_decorate, _walk_steps, apply_adverb, goal_satisfied,
+                                plan_navigation, solve, turns_between)
 from supportgen.world import (
     Action,
     AgentPose,
@@ -18,6 +21,7 @@ from supportgen.world import (
     simulate,
 )
 
+import generation_reference
 from conftest import random_state
 
 
@@ -240,3 +244,38 @@ class TestNavigationInvariant:
                 actions = solve(state, instr)
                 assert actions[:len(nav)] == nav
                 assert goal_satisfied(state, instr, simulate(state, actions)), (state, instr)
+
+
+class TestClosedFormMatchesReference:
+    """The table, closed-form and one-template planner steps give the
+    actions of the branching versions they replaced."""
+
+    @pytest.mark.pins
+    def test_turns_between(self):
+        for cur, dest in itertools.product(Heading, repeat=2):
+            assert turns_between(cur, dest) == generation_reference.turns_between(cur, dest)
+
+    @pytest.mark.pins
+    def test_walk_steps_over_every_small_plan(self):
+        checked = 0
+        for dx, dy, heading, zigzag in itertools.product(
+                range(-8, 9), range(-8, 9), Heading, (False, True)):
+            state = WorldState(17, AgentPose(Position(8, 8), heading), ())
+            plan = plan_navigation(state, Position(8 + dx, 8 + dy))
+            assert (_walk_steps(plan, zigzag)
+                    == generation_reference._walk_steps(plan, zigzag)), plan
+            checked += 1
+        assert checked == 2312
+
+    @pytest.mark.pins
+    def test_decorate_over_every_short_step_list(self):
+        kinds = [((), Action.WALK), ((Action.RTURN,), Action.WALK),
+                 ((Action.LTURN, Action.LTURN), Action.WALK), ((), Action.PUSH)]
+        checked = 0
+        for length in range(5):
+            for steps in itertools.product(kinds, repeat=length):
+                for adverb in (None,) + ADVERBS:
+                    assert _decorate(list(steps), adverb) == generation_reference._decorate(
+                        list(steps), adverb), (steps, adverb)
+                    checked += 1
+        assert checked == 1705
