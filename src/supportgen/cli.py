@@ -88,7 +88,8 @@ def _sha256(path: Path) -> str:
 
 
 def write_manifest(command: str, config: dict, seed: int | None, out: Path) -> dict:
-    """Write `<out>.manifest.json` beside the command's output file `out`."""
+    """Write `<out>.manifest.json` beside the command's output file `out`,
+    first removing the earlier one, which names the output `out` replaced."""
     config_digest = hashlib.sha256(
         json.dumps(config, sort_keys=True, separators=(",", ":")).encode()
     ).hexdigest()
@@ -100,8 +101,9 @@ def write_manifest(command: str, config: dict, seed: int | None, out: Path) -> d
         "version": __version__,
         "outputs": {out.name: _sha256(out)},
     }
-    _write_lines(out.with_suffix(out.suffix + ".manifest.json"),
-                 [json.dumps(manifest, sort_keys=True, indent=2)])
+    path = out.with_suffix(out.suffix + ".manifest.json")
+    path.unlink(missing_ok=True)
+    _write_lines(path, [json.dumps(manifest, sort_keys=True, indent=2)])
     return manifest
 
 
@@ -335,11 +337,13 @@ def cmd_gen_supports(args: argparse.Namespace) -> int:
         raise DataFormatError("--solver external requires --solver-cmd")
     if args.solver == "oracle" and args.solver_cmd is not None:
         raise DataFormatError("--solver-cmd requires --solver external")
+    if args.solver == "oracle" and args.solver_timeout is not None:
+        raise DataFormatError("--solver-timeout requires --solver external")
     # The solver child starts before the data is read, so its interpreter
     # start-up overlaps the decode. Each support set is written as soon as it
     # is built, so only one is held at a time.
     out = Path(args.out)
-    with (ExternalSolver(solver_cmd, timeout=args.solver_timeout)
+    with (ExternalSolver(solver_cmd, timeout=args.solver_timeout or DEFAULT_SOLVER_TIMEOUT)
           if args.solver == "external" else nullcontext(OracleSolver())) as solver:
         dataset = import_dataset(args.data)
         train = dataset.split(Split.TRAIN)
@@ -566,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pca-dim", type=_int_at_least(1), default=DEFAULT_PCA_DIM)
     p.add_argument("--solver", choices=("oracle", "external"), default="oracle")
     p.add_argument("--solver-cmd", default=None)
-    p.add_argument("--solver-timeout", type=_positive_seconds, default=DEFAULT_SOLVER_TIMEOUT)
+    p.add_argument("--solver-timeout", type=_positive_seconds, default=None)
     p.add_argument("--replace-invalid", action="store_true",
                    help="replace unsolvable demogen candidates instead of keeping them")
     p.set_defaults(func=cmd_gen_supports)

@@ -32,10 +32,11 @@ from .index import (
     hybrid_encode,
     ivf_build,
     ivf_query,
+    pca_fit,
     pca_project,
     tfidf_encode,
     tfidf_fit,
-    _pca_fit_centring,
+    unit_rows,
 )
 from .instruction_model import InstructionModel, infill_distribution
 from .world import Action, RngLike, WorldState, as_rng, encode_one_hot, encode_states
@@ -286,13 +287,12 @@ class CovrRetriever:
     state_vectors: np.ndarray  # unit one-hot states, for the cosine sort key
 
 
-def _encode_instructions(examples: Sequence[Example]) -> tuple[TfIdfEncoder, list[np.ndarray]]:
+def _encode_instructions(examples: Sequence[Example]) -> tuple[TfIdfEncoder, np.ndarray]:
     """Fit tf-idf on the examples' realized instructions and return it with
-    each example's vector; each distinct instruction is encoded once."""
-    rows = [INSTRUCTION_ROW[ex.instruction] for ex in examples]
-    tfidf = tfidf_fit([REALIZED[row] for row in rows])
-    vectors = {row: tfidf_encode(tfidf, REALIZED[row]) for row in dict.fromkeys(rows)}
-    return tfidf, [vectors[row] for row in rows]
+    their vectors, one row per example."""
+    docs = [REALIZED[INSTRUCTION_ROW[ex.instruction]] for ex in examples]
+    tfidf = tfidf_fit(docs)
+    return tfidf, tfidf_encode(tfidf, docs)
 
 
 def build_covr_retriever(examples: Sequence[Example], cells: int = DEFAULT_CELLS,
@@ -305,14 +305,12 @@ def build_covr_retriever(examples: Sequence[Example], cells: int = DEFAULT_CELLS
     # the build's one n x d float64 one-hot matrix: centred in place, then
     # projected; centred rows @ components.T equal pca_project bit for bit
     onehot = encode_states(states, np.float64)
-    pca = _pca_fit_centring(onehot, pca_dim)
+    pca = pca_fit(onehot, pca_dim)
     projected = onehot @ pca.components.T
     del onehot
     tfidf, instr_vecs = _encode_instructions(examples)
-    hybrid = np.empty((len(examples), pca.dim + tfidf.dim), dtype=np.float64)
-    for row, instr in enumerate(instr_vecs):
-        hybrid[row] = hybrid_encode(projected[row], instr, alpha)
-    del projected  # freed before k-means
+    hybrid = hybrid_encode(projected, instr_vecs, alpha)
+    del projected, instr_vecs  # freed before k-means
     ivf = ivf_build(hybrid, cells=cells, rng=rng)
     # equal bit for bit to the float64 encoding cast to float32
     state_vectors = encode_states(states, np.float32)
@@ -327,7 +325,7 @@ def covr_supports(query: Example, retriever: CovrRetriever,
     query's n-grams and fill to n."""
     state_vec = encode_one_hot(query.state)
     qvec = hybrid_encode(pca_project(retriever.pca, state_vec),
-                         tfidf_encode(retriever.tfidf, realize(query.instruction)),
+                         tfidf_encode(retriever.tfidf, [realize(query.instruction)])[0],
                          retriever.alpha)
     query_grams = _GRAMS[INSTRUCTION_ROW[query.instruction]]
     candidates = []
@@ -352,10 +350,11 @@ def covr_supports(query: Example, retriever: CovrRetriever,
 # ---------------------------------------------------------------------------
 
 def combine_io(instr_vec: np.ndarray, out_vec: np.ndarray, alpha: float) -> np.ndarray:
-    """Fixed input/output trade-off: concat((1-alpha)*in, alpha*out), unit."""
-    combined = np.concatenate([(1.0 - alpha) * instr_vec, alpha * out_vec])
-    norm = np.linalg.norm(combined)
-    return combined / norm if norm > 0 else combined
+    """Fixed input/output trade-off: concat((1-alpha)*in, alpha*out), unit,
+    row by row over the last axis; zero rows stay zero."""
+    combined = np.concatenate([(1.0 - alpha) * instr_vec, alpha * out_vec], axis=-1)
+    unit_rows(combined)
+    return combined
 
 
 @dataclass
@@ -373,11 +372,9 @@ def build_gandr_retriever(examples: Sequence[Example], cells: int = DEFAULT_CELL
     if not examples:
         raise RetrievalError("cannot build a retriever over an empty corpus")
     instr_tfidf, instr_vecs = _encode_instructions(examples)
-    out_tfidf = tfidf_fit([[a.name for a in ex.actions] for ex in examples])
-    vectors = np.asarray([
-        combine_io(instr, tfidf_encode(out_tfidf, [a.name for a in ex.actions]), alpha)
-        for ex, instr in zip(examples, instr_vecs)
-    ])
+    outputs = [[a.name for a in ex.actions] for ex in examples]
+    out_tfidf = tfidf_fit(outputs)
+    vectors = combine_io(instr_vecs, tfidf_encode(out_tfidf, outputs), alpha)
     ivf = ivf_build(vectors, cells=cells, rng=rng)
     return GandrRetriever(examples=examples, instr_tfidf=instr_tfidf,
                           out_tfidf=out_tfidf, ivf=ivf, alpha=alpha)
@@ -396,8 +393,8 @@ def gandr_supports(query: Example, helper: Solver, retriever: GandrRetriever,
     except SolverError:
         guess = ()
         helper_failed = True
-    instr_vec = tfidf_encode(retriever.instr_tfidf, realize(query.instruction))
-    out_vec = tfidf_encode(retriever.out_tfidf, [a.name for a in guess])
+    instr_vec = tfidf_encode(retriever.instr_tfidf, [realize(query.instruction)])[0]
+    out_vec = tfidf_encode(retriever.out_tfidf, [[a.name for a in guess]])[0]
     qvec = combine_io(instr_vec, out_vec, 0.0 if helper_failed else retriever.alpha)
     ordered = [(ex, {"retrieval": retrieval_score})
                for _, ex, retrieval_score in _pool(query, retriever, qvec, probes)]

@@ -46,27 +46,30 @@ def tfidf_fit(corpus: Sequence[Sequence[str]]) -> TfIdfEncoder:
     docs = [list(doc) for doc in corpus]
     if not docs:
         raise FitError("cannot fit tf-idf on an empty corpus")
-    df: Counter[str] = Counter()
-    for doc in docs:
-        df.update(set(doc))
+    df = Counter(term for doc in docs for term in set(doc))
     vocabulary = {term: i for i, term in enumerate(sorted(df))}
-    n = len(docs)
-    idf = np.zeros(len(vocabulary), dtype=np.float64)
-    for term, i in vocabulary.items():
-        idf[i] = math.log(n / df[term])
+    idf = np.array([math.log(len(docs) / df[term]) for term in vocabulary], dtype=np.float64)
     return TfIdfEncoder(vocabulary=vocabulary, idf=idf)
 
 
-def tfidf_encode(encoder: TfIdfEncoder, tokens: Sequence[str]) -> np.ndarray:
-    """L2-normalized tf-idf vector; unknown tokens are ignored and empty or
-    all-zero encodings stay the zero vector."""
-    vec = np.zeros(encoder.dim, dtype=np.float64)
-    for term, count in Counter(tokens).items():
-        idx = encoder.vocabulary.get(term)
-        if idx is not None:
-            vec[idx] = count * encoder.idf[idx]
-    norm = np.linalg.norm(vec)
-    return vec / norm if norm > 0 else vec
+def unit_rows(x: np.ndarray) -> np.ndarray:
+    """Divide each row of float64 `x` (or one vector) in place by its L2 norm,
+    the row's dot product with itself; zero rows stay zero. Returns the norms."""
+    norms = np.sqrt(np.matmul(x[..., None, :], x[..., :, None]))[..., 0]
+    np.divide(x, norms, out=x, where=norms > 0)
+    return norms[..., 0]
+
+
+def tfidf_encode(encoder: TfIdfEncoder, docs: Sequence[Sequence[str]]) -> np.ndarray:
+    """One unit tf-idf row per token list in `docs` (one document is
+    `[tokens]`); unknown tokens are ignored and all-zero rows stay zero."""
+    dim, vocabulary = encoder.dim, encoder.vocabulary
+    flat = [row * dim + vocabulary[term] for row, doc in enumerate(docs)
+            for term in doc if term in vocabulary]
+    counts = np.bincount(np.array(flat, dtype=np.int64), minlength=len(docs) * dim)
+    x = counts.reshape(len(docs), dim) * encoder.idf
+    unit_rows(x)
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -83,21 +86,15 @@ class PcaProjector:
         return self.components.shape[0]
 
 
-def pca_fit(vectors: np.ndarray, k: int = DEFAULT_PCA_DIM) -> PcaProjector:
+def pca_fit(x: np.ndarray, k: int = DEFAULT_PCA_DIM) -> PcaProjector:
     """Project onto the top-k covariance eigenvectors after mean-centering.
 
-    Fits on a float64 copy of `vectors`, so the caller's array is never
-    changed. When fewer than k informative directions exist, the available
-    rank is retained. Component signs are fixed for determinism."""
-    return _pca_fit_centring(np.array(vectors, dtype=np.float64), k)
-
-
-def _pca_fit_centring(x: np.ndarray, k: int) -> PcaProjector:
-    """pca_fit on a float64 matrix the caller owns: `x` is centred in place
-    and stays centred, so `x @ components.T` is bit for bit the projection
-    pca_project gives of the uncentred rows."""
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise FitError("pca_fit needs a nonempty 2-D sample matrix")
+    `x`, a nonempty 2-D float64 matrix, is centred in place and stays so:
+    `x @ components.T` is bit for bit pca_project of the uncentred rows. When
+    fewer than k informative directions exist, the available rank is
+    retained. Component signs are fixed for determinism."""
+    if getattr(x, "dtype", None) != np.float64 or x.ndim != 2 or x.shape[0] == 0:
+        raise FitError("pca_fit needs a nonempty 2-D float64 sample matrix")
     mean = x.mean(axis=0)
     x -= mean
     cov = x.T @ x
@@ -172,8 +169,8 @@ def kmeans(points: np.ndarray, cells: int, rng: RngLike, iters: int = 25
     (centroids, labels)."""
     x = np.asarray(points, dtype=np.float64)
     n = x.shape[0]
-    if n == 0:
-        raise FitError("cannot cluster zero points")
+    if n == 0 or cells < 1:
+        raise FitError(f"cannot cluster {n} points into {cells} cells")
     cells = min(cells, n)
     gen = as_rng(rng)
     sq = _row_sq_norms(x)
@@ -263,8 +260,8 @@ def ivf_query(index: IvfIndex, query: np.ndarray, k: int, probes: int = DEFAULT_
     """Top-k ids by inner product over the `probes` nearest cells.
 
     Ties break by ascending id; probes >= cells reproduces exact search."""
-    if k <= 0:
-        raise QueryError(f"k must be positive, got {k}")
+    if k <= 0 or probes < 1:
+        raise QueryError(f"k and probes must be positive, got k={k}, probes={probes}")
     if index.count == 0:
         raise RetrievalError("query against an empty index")
     q = np.asarray(query, dtype=np.float64)
@@ -302,13 +299,12 @@ def brute_force_query(vectors: np.ndarray, ids: np.ndarray | None, query: np.nda
 
 def hybrid_encode(state_vec: np.ndarray, instr_vec: np.ndarray, alpha: float) -> np.ndarray:
     """Concatenate a state block with an alpha-weighted instruction block and
-    renormalize."""
+    renormalize, row by row over the last axis."""
     state_vec = np.asarray(state_vec, dtype=np.float64)
     instr_vec = np.asarray(instr_vec, dtype=np.float64)
     if not (np.isfinite(state_vec).all() and np.isfinite(instr_vec).all()):
         raise EncodingError("non-finite input to hybrid_encode")
-    combined = np.concatenate([state_vec, alpha * instr_vec])
-    norm = np.linalg.norm(combined)
-    if norm == 0:
+    combined = np.concatenate([state_vec, alpha * instr_vec], axis=-1)
+    if not unit_rows(combined).all():
         raise EncodingError("zero combined norm in hybrid_encode")
-    return combined / norm
+    return combined

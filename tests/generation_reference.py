@@ -5,19 +5,23 @@ lookups over its sentences and symbols, the if/elif heuristic templates
 that became two swap tables, the action-pattern compiler that parsed
 into a tree and walked it again before it became one pass, and the
 planner's turn branches, zigzag state machine and per-adverb step
-templates before each became one closed form.
+templates before each became one closed form, and the retrieval vectors
+built one row per call (tf-idf, hybrid and input/output encodings, each with
+its own division by the L2 norm) before they became row matrices.
 
 Each function is kept as it was, fresh objects and full candidate lists
 included, so tests can require the current generator to draw the same
 stream and build the same examples, the current parse, encode_words,
 heuristic_candidates and compile_pattern to give the same results and raise
-the same errors, and the current turns_between, _walk_steps and _decorate
-to give the same actions. Only the names it reads from supportgen are
+the same errors, the current turns_between, _walk_steps and _decorate
+to give the same actions, and the CovR and GandR builds and query encodings
+to give the same vectors bit for bit. Only the names it reads from supportgen are
 imported; the split predicate tables stay the single definition."""
 
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -36,16 +40,19 @@ from supportgen.dataset import (
     Split,
     _flags,
 )
-from supportgen.errors import (CapacityError, GenerationError, GrammarError, LexicalError,
-                               PatternError)
+from supportgen.errors import (CapacityError, EncodingError, FitError, GenerationError,
+                               GrammarError, LexicalError, PatternError)
 from supportgen.grammar import (
     COLOR_WORDS,
+    INSTRUCTION_ROW,
+    REALIZED,
     SHAPE_WORDS,
     SIZE_WORDS,
     WORD_CODES,
     Instruction,
     TargetResolution,
 )
+from supportgen.index import PcaProjector, TfIdfEncoder, tfidf_fit
 from supportgen.metrics import _PATTERN_TOKEN, NAMED_PATTERNS, _char
 from supportgen.planner import CAUTIOUS_SEQUENCE, SPIN, Plan
 from supportgen.world import (
@@ -60,6 +67,7 @@ from supportgen.world import (
     RngLike,
     WorldState,
     as_rng,
+    encode_states,
 )
 
 
@@ -481,3 +489,98 @@ def _decorate(steps: list[tuple[tuple[Action, ...], Action]],
             out.extend(turns)
             out.append(action)
     return out
+
+
+def tfidf_encode(encoder: TfIdfEncoder, tokens: Sequence[str]) -> np.ndarray:
+    """L2-normalized tf-idf vector; unknown tokens are ignored and empty or
+    all-zero encodings stay the zero vector."""
+    vec = np.zeros(encoder.dim, dtype=np.float64)
+    for term, count in Counter(tokens).items():
+        idx = encoder.vocabulary.get(term)
+        if idx is not None:
+            vec[idx] = count * encoder.idf[idx]
+    norm = np.linalg.norm(vec)
+    return vec / norm if norm > 0 else vec
+
+
+def pca_fit_centring(x: np.ndarray, k: int) -> PcaProjector:
+    """pca_fit on a float64 matrix the caller owns: `x` is centred in place
+    and stays centred, so `x @ components.T` is bit for bit the projection
+    pca_project gives of the uncentred rows."""
+    if x.ndim != 2 or x.shape[0] == 0:
+        raise FitError("pca_fit needs a nonempty 2-D sample matrix")
+    mean = x.mean(axis=0)
+    x -= mean
+    cov = x.T @ x
+    cov /= max(1, x.shape[0] - 1)
+    eigvals, eigvecs = np.linalg.eigh(cov)
+    del cov
+    order = np.argsort(eigvals)[::-1]
+    eigvals = eigvals[order]
+    tol = max(eigvals[0], 0.0) * 1e-12 + 1e-15
+    rank = min(k, int((eigvals > tol).sum()), x.shape[1])
+    rank = max(rank, 1)
+    components = eigvecs[:, order[:rank]].T.copy()
+    for row in components:
+        pivot = np.argmax(np.abs(row))
+        if row[pivot] < 0:
+            row *= -1.0
+    return PcaProjector(mean=mean, components=components)
+
+
+def hybrid_encode(state_vec: np.ndarray, instr_vec: np.ndarray, alpha: float) -> np.ndarray:
+    """Concatenate a state block with an alpha-weighted instruction block and
+    renormalize."""
+    state_vec = np.asarray(state_vec, dtype=np.float64)
+    instr_vec = np.asarray(instr_vec, dtype=np.float64)
+    if not (np.isfinite(state_vec).all() and np.isfinite(instr_vec).all()):
+        raise EncodingError("non-finite input to hybrid_encode")
+    combined = np.concatenate([state_vec, alpha * instr_vec])
+    norm = np.linalg.norm(combined)
+    if norm == 0:
+        raise EncodingError("zero combined norm in hybrid_encode")
+    return combined / norm
+
+
+def combine_io(instr_vec: np.ndarray, out_vec: np.ndarray, alpha: float) -> np.ndarray:
+    """Fixed input/output trade-off: concat((1-alpha)*in, alpha*out), unit."""
+    combined = np.concatenate([(1.0 - alpha) * instr_vec, alpha * out_vec])
+    norm = np.linalg.norm(combined)
+    return combined / norm if norm > 0 else combined
+
+
+def _encode_instructions(examples: Sequence[Example]) -> tuple[TfIdfEncoder, list[np.ndarray]]:
+    """Fit tf-idf on the examples' realized instructions and return it with
+    each example's vector; each distinct instruction is encoded once."""
+    rows = [INSTRUCTION_ROW[ex.instruction] for ex in examples]
+    tfidf = tfidf_fit([REALIZED[row] for row in rows])
+    vectors = {row: tfidf_encode(tfidf, REALIZED[row]) for row in dict.fromkeys(rows)}
+    return tfidf, [vectors[row] for row in rows]
+
+
+def covr_vectors(examples: Sequence[Example], pca_dim: int, alpha: float
+                 ) -> tuple[PcaProjector, TfIdfEncoder, np.ndarray]:
+    """The CovR build up to its IVF: the PCA, the tf-idf encoder and the
+    hybrid matrix that the index keeps, filled one row per call."""
+    onehot = encode_states([ex.state for ex in examples], np.float64)
+    pca = pca_fit_centring(onehot, pca_dim)
+    projected = onehot @ pca.components.T
+    del onehot
+    tfidf, instr_vecs = _encode_instructions(examples)
+    hybrid = np.empty((len(examples), pca.dim + tfidf.dim), dtype=np.float64)
+    for row, instr in enumerate(instr_vecs):
+        hybrid[row] = hybrid_encode(projected[row], instr, alpha)
+    return pca, tfidf, hybrid
+
+
+def gandr_vectors(examples: Sequence[Example], alpha: float
+                  ) -> tuple[TfIdfEncoder, TfIdfEncoder, np.ndarray]:
+    """The GandR build up to its IVF: both tf-idf encoders and the matrix
+    that the index keeps, one combine_io row per example."""
+    instr_tfidf, instr_vecs = _encode_instructions(examples)
+    out_tfidf = tfidf_fit([[a.name for a in ex.actions] for ex in examples])
+    vectors = np.asarray([
+        combine_io(instr, tfidf_encode(out_tfidf, [a.name for a in ex.actions]), alpha)
+        for ex, instr in zip(examples, instr_vecs)
+    ])
+    return instr_tfidf, out_tfidf, vectors

@@ -566,6 +566,50 @@ class TestGenSupports:
                     "--out", str(out)]) == EXIT_DATA
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("flags", [[], ["--solver", "oracle"]], ids=["default", "explicit"])
+    def test_solver_timeout_without_external_solver_is_data_error(self, data_file, tmp_path,
+                                                                  monkeypatch, capsys, flags):
+        """--solver-timeout under the oracle solver, which would ignore it,
+        is rejected before the data is read."""
+        import supportgen.cli
+
+        def no_decode(path):
+            raise AssertionError("the data file was decoded")
+
+        monkeypatch.setattr(supportgen.cli, "import_dataset", no_decode)
+        assert run(["gen-supports", "--data", str(data_file), "--strategy", "heuristic",
+                    "--seed", "5", "--splits", "h", "--limit", "2", *flags,
+                    "--solver-timeout", "0.001", "--out", str(tmp_path / "x.jsonl")]
+                   ) == EXIT_DATA
+        assert "--solver-timeout requires --solver external" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags,timeout", [([], 30.0), (["--solver-timeout", "2.5"], 2.5)],
+                             ids=["default", "given"])
+    def test_external_solver_timeout(self, data_file, tmp_path, monkeypatch, flags, timeout):
+        """The external solver waits 30 s per reply unless told otherwise."""
+        import supportgen.cli
+        from supportgen.engines import OracleSolver
+
+        seen = []
+
+        class Recording(OracleSolver):
+            def __init__(self, command, timeout):
+                seen.append(timeout)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                pass
+
+        monkeypatch.setattr(supportgen.cli, "ExternalSolver", Recording)
+        assert run(["gen-supports", "--data", str(data_file), "--strategy", "heuristic",
+                    "--seed", "5", "--splits", "h", "--limit", "2", "--solver", "external",
+                    "--solver-cmd", "solver", *flags, "--out", str(tmp_path / "x.jsonl")]
+                   ) == EXIT_OK
+        assert seen == [timeout]
+
     @pytest.mark.parametrize("executable", [False, True], ids=["missing", "not-executable"])
     def test_unstartable_solver_exits_4(self, data_file, tmp_path, executable):
         """A solver command that cannot start fails like a solver that dies."""
@@ -598,6 +642,39 @@ class TestGenSupports:
                            "--out", str(external)]) == EXIT_OK
         assert all(json.loads(l)["supports"] for l in external.read_text().splitlines())
         assert digests(external) == digests(oracle)
+
+
+@pytest.mark.pins
+class TestOneExampleTrainSplit:
+    """With one training example, every tf-idf row, the output rows and the
+    centred one-hot row are zero."""
+
+    @pytest.fixture(scope="class")
+    def tiny(self, tmp_path_factory) -> Path:
+        out = tmp_path_factory.mktemp("tiny") / "tiny.jsonl"
+        assert run(["gen-data", "--seed", "3", "--train", "1", "--per-split", "2",
+                    "--out", str(out)]) == EXIT_OK
+        return out
+
+    def test_covr_is_data_error_naming_zero_norm(self, tiny, tmp_path, capsys):
+        out = tmp_path / "covr.jsonl"
+        assert run(["gen-supports", "--data", str(tiny), "--strategy", "covr", "--seed", "1",
+                    "--cells", "4", "--out", str(out)]) == EXIT_DATA
+        assert "zero combined norm" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags", [[], ["--alpha", "1"]], ids=["default-alpha", "alpha-1"])
+    def test_gandr_retrieves_from_zero_vectors(self, tiny, tmp_path, flags):
+        """Every vector is zero at any alpha, so both runs retrieve the same
+        support with score 0 and give the same bytes."""
+        out = tmp_path / "gandr.jsonl"
+        assert run(["gen-supports", "--data", str(tiny), "--strategy", "gandr", "--seed", "1",
+                    "--cells", "4", *flags, "--out", str(out)]) == EXIT_OK
+        # the train query's one candidate is itself; every test query gets it
+        sizes = [len(json.loads(line)["supports"]) for line in out.read_text().splitlines()]
+        assert sorted(sizes) == [0] + [1] * 16
+        assert digests(out) == \
+            "1b2cb4bfd4007707b64ea0f25c4476e0da7394585ab0acb9910b8cb604230db6"
 
 
 class TestAnalyze:
@@ -900,13 +977,10 @@ def test_failed_write_keeps_earlier_output(data_file, tmp_path, monkeypatch, com
     assert sorted(p.name for p in tmp_path.iterdir()) == ["out.json", "queries.txt"]
 
 
-@pytest.mark.parametrize("target", ["manifest", "cache"])
-def test_failed_manifest_or_cache_write_keeps_earlier_file(data_file, tmp_path, monkeypatch,
-                                                           target):
-    """Manifests and the paraphrase cache go through the temp-then-replace
-    writer too: the manifest keeps its bytes, the cache gains a trailing
-    newline, and a failed replace leaves the earlier file and no temporary
-    file behind."""
+def test_failed_cache_write_keeps_earlier_file(tmp_path, monkeypatch):
+    """The paraphrase cache goes through the temp-then-replace writer too: it
+    gains a trailing newline, and a failed replace leaves the earlier file
+    and no temporary file behind."""
     import os
 
     from supportgen.paraphrase import ENDPOINT_ENV, HttpTransport
@@ -915,19 +989,12 @@ def test_failed_manifest_or_cache_write_keeps_earlier_file(data_file, tmp_path, 
     monkeypatch.setattr(HttpTransport, "complete", lambda self, prompt: "1. Push a red square")
     queries = tmp_path / "queries.txt"
     queries.write_text("push a red square\n")
-    if target == "manifest":
-        out = tmp_path / "permuted.jsonl"
-        path = tmp_path / "permuted.jsonl.manifest.json"
-        argv = ["permute", "--data", str(data_file), "--seed", "2", "--out", str(out)]
-        layout = lambda text: json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
-    else:
-        path = tmp_path / "cache.json"
-        argv = ["paraphrase", "--input", str(queries), "--cache", str(path),
-                "--out", str(tmp_path / "p.jsonl")]
-        layout = lambda text: json.dumps(json.loads(text), sort_keys=True) + "\n"
+    path = tmp_path / "cache.json"
+    argv = ["paraphrase", "--input", str(queries), "--cache", str(path),
+            "--out", str(tmp_path / "p.jsonl")]
     assert run(argv) == EXIT_OK
     text = path.read_text()
-    assert text == layout(text)
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
 
     real_replace = os.replace
 
@@ -936,16 +1003,47 @@ def test_failed_manifest_or_cache_write_keeps_earlier_file(data_file, tmp_path, 
             raise OSError("no space left on device")
         real_replace(src, dst)
 
-    if target == "manifest":
-        path.write_text("earlier manifest\n")
-    else:
-        queries.write_text("push a red square\npull a circle\n")  # one new cache entry
+    queries.write_text("push a red square\npull a circle\n")  # one new cache entry
     earlier = path.read_text()
     before = sorted(p.name for p in tmp_path.iterdir())
     monkeypatch.setattr(os, "replace", fail_on_target)
     assert run(argv) == EXIT_DATA
     assert path.read_text() == earlier
     assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
+@pytest.mark.parametrize("command", ["permute", "gen-supports"])
+def test_failed_manifest_write_removes_earlier_manifest(data_file, tmp_path, monkeypatch,
+                                                        command):
+    """A manifest write that fails after the output was replaced removes the
+    earlier manifest, so no manifest names a sha256 that the output does not
+    have; the command exits 3 and leaves no temporary file."""
+    import os
+
+    out = tmp_path / "out.jsonl"
+    manifest = tmp_path / "out.jsonl.manifest.json"
+    argv = {
+        "permute": ["permute", "--data", str(data_file)],
+        "gen-supports": ["gen-supports", "--data", str(data_file), "--strategy", "random",
+                         "--splits", "h", "--limit", "2"],
+    }[command] + ["--out", str(out), "--seed"]
+    assert run(argv + ["2"]) == EXIT_OK
+    text = manifest.read_text()
+    assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+    earlier_output = digests(out)
+    assert json.loads(text)["outputs"] == {"out.jsonl": earlier_output}
+
+    real_replace = os.replace
+
+    def fail_on_manifest(src, dst):
+        if Path(dst) == manifest:
+            raise OSError("no space left on device")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", fail_on_manifest)
+    assert run(argv + ["3"]) == EXIT_DATA
+    assert digests(out) != earlier_output
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.jsonl"]
 
 
 class TestServeOracle:

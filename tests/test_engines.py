@@ -285,14 +285,14 @@ class TestCovr:
         train = corpus.split(Split.TRAIN)
         for query in corpus.split(Split.H)[:4] + corpus.split(Split.C)[:2]:
             state_vec = encode_one_hot(query.state)
-            qvec = hybrid_encode(pca_project(covr_retriever.pca, state_vec),
-                                 tfidf_encode(covr_retriever.tfidf, realize(query.instruction)),
+            instr = tfidf_encode(covr_retriever.tfidf, [realize(query.instruction)])[0]
+            qvec = hybrid_encode(pca_project(covr_retriever.pca, state_vec), instr,
                                  covr_retriever.alpha)
             scores = []
             for idx, ex in enumerate(train):
                 vec = hybrid_encode(
                     pca_project(covr_retriever.pca, encode_one_hot(ex.state)),
-                    tfidf_encode(covr_retriever.tfidf, realize(ex.instruction)),
+                    tfidf_encode(covr_retriever.tfidf, [realize(ex.instruction)])[0],
                     covr_retriever.alpha)
                 scores.append((-float(vec @ qvec), idx))
             scores.sort()
@@ -426,6 +426,95 @@ class TestGandr:
                 len(bigrams(train[int(i)].actions) & true) / max(len(true), 1)
                 for i in sample]))
         assert np.mean(gains) > np.mean(baselines)
+
+
+
+@pytest.fixture(scope="module")
+def grid4_corpus():
+    return generate_dataset(DatasetConfig(seed=4, train_count=150, grid_size=4,
+                                          min_objects=1, max_objects=15,
+                                          split_counts={s: 2 for s in TEST_SPLITS}))
+
+
+def retrieval_corpus(case, corpus, grid4_corpus):
+    """Training examples and queries for the reference comparison.
+    'one-instruction' gives every example the same instruction, so every
+    tf-idf instruction row is zero and GandR at alpha 0 has only zero rows;
+    every fourth example of 'some-empty-outputs' has no actions, so its
+    output row is zero; 'single' is one example, whose tf-idf rows and
+    centred one-hot row are all zero. The queries come from two test splits,
+    plus the first training example."""
+    source = grid4_corpus if case == "grid4" else corpus
+    train = source.split(Split.TRAIN)
+    if case == "one-instruction":
+        train = [Example(ex.state, INSTRUCTIONS[7], ex.actions, ex.split) for ex in train[:90]]
+    elif case == "some-empty-outputs":
+        train = [Example(ex.state, ex.instruction, () if i % 4 == 0 else ex.actions, ex.split)
+                 for i, ex in enumerate(train)]
+    elif case == "single":
+        train = train[:1]
+    return train, source.split(Split.H)[:2] + source.split(Split.C)[:2] + train[:1]
+
+
+@pytest.mark.pins
+@pytest.mark.parametrize("alpha", [0.0, 0.125, 0.5, 1.0, 3.0])
+@pytest.mark.parametrize("case", ["fixture", "grid4", "one-instruction",
+                                  "some-empty-outputs", "single"])
+def test_row_matrix_builds_equal_per_row_reference(corpus, grid4_corpus, monkeypatch,
+                                                   case, alpha):
+    """The CovR and GandR builds, and the query vectors they hand to
+    ivf_query, equal the per-row encoders and build loops they replaced
+    (tests/generation_reference.py) bit for bit, zero rows included; where
+    the reference raises EncodingError for a zero combined norm, so does the
+    build."""
+    import supportgen.engines
+    from supportgen.errors import EncodingError
+    from supportgen.index import pca_project
+    from supportgen.world import encode_one_hot
+
+    ref = generation_reference
+    train, queries = retrieval_corpus(case, corpus, grid4_corpus)
+    sent = []
+    real_query = supportgen.engines.ivf_query
+    monkeypatch.setattr(supportgen.engines, "ivf_query",
+                        lambda index, query, **kw: sent.append(query) or
+                        real_query(index, query, **kw))
+
+    try:
+        pca, tfidf, hybrid = ref.covr_vectors(train, 16, alpha)
+    except EncodingError:
+        with pytest.raises(EncodingError, match="zero combined norm"):
+            build_covr_retriever(train, cells=8, pca_dim=16, alpha=alpha, rng=0)
+    else:
+        covr = build_covr_retriever(train, cells=8, pca_dim=16, alpha=alpha, rng=0)
+        assert covr.pca.mean.tobytes() == pca.mean.tobytes()
+        assert covr.pca.components.tobytes() == pca.components.tobytes()
+        assert covr.ivf.vectors.tobytes() == hybrid.tobytes()
+        for query in queries:
+            sent.clear()
+            covr_supports(query, covr, probes=8)
+            want = ref.hybrid_encode(pca_project(pca, encode_one_hot(query.state)),
+                                     ref.tfidf_encode(tfidf, realize(query.instruction)),
+                                     alpha)
+            assert sent[0].tobytes() == want.tobytes()
+
+    class FailingSolver:
+        def solve(self, state, instruction):
+            raise SolverError("no guess")
+
+    instr_tfidf, out_tfidf, vectors = ref.gandr_vectors(train, alpha)
+    gandr = build_gandr_retriever(train, cells=8, alpha=alpha, rng=0)
+    assert gandr.ivf.vectors.tobytes() == vectors.tobytes()
+    for query in queries:
+        for helper in (OracleSolver(), FailingSolver()):
+            sent.clear()
+            failed = gandr_supports(query, helper, gandr, probes=8).meta["helper_failed"]
+            guess = () if failed else solve(query.state, query.instruction)
+            weight = 0.0 if failed else alpha
+            want = ref.combine_io(ref.tfidf_encode(instr_tfidf, realize(query.instruction)),
+                                  ref.tfidf_encode(out_tfidf, [a.name for a in guess]),
+                                  weight)
+            assert sent[0].tobytes() == want.tobytes()
 
 
 ECHO_SERVER = r"""

@@ -5,7 +5,6 @@ import pytest
 
 from supportgen.errors import EncodingError, FitError, QueryError
 from supportgen.index import (
-    _pca_fit_centring,
     _row_sq_norms,
     brute_force_query,
     hybrid_encode,
@@ -16,10 +15,11 @@ from supportgen.index import (
     pca_project,
     tfidf_encode,
     tfidf_fit,
+    unit_rows,
 )
 
 
-def unit_rows(rng, n, d):
+def random_unit_rows(rng, n, d):
     x = rng.standard_normal((n, d))
     return x / np.linalg.norm(x, axis=1, keepdims=True)
 
@@ -104,22 +104,22 @@ def pca_samples(case):
 class TestTfIdf:
     def test_identical_documents(self):
         enc = tfidf_fit([["red", "circle"], ["blue", "square"]])
-        a = tfidf_encode(enc, ["red", "circle"])
+        a = tfidf_encode(enc, [["red", "circle"]])[0]
         assert float(a @ a) == pytest.approx(1.0)
 
     def test_disjoint_vocabulary(self):
         enc = tfidf_fit([["red", "circle"], ["blue", "square"]])
-        a = tfidf_encode(enc, ["red", "circle"])
-        b = tfidf_encode(enc, ["blue", "square"])
+        a = tfidf_encode(enc, [["red", "circle"]])[0]
+        b = tfidf_encode(enc, [["blue", "square"]])[0]
         assert float(a @ b) == pytest.approx(0.0)
 
     def test_empty_text_is_zero_vector(self):
         enc = tfidf_fit([["red"], ["blue"]])
-        assert not tfidf_encode(enc, []).any()
+        assert not tfidf_encode(enc, [[]]).any()
 
     def test_unknown_tokens_ignored(self):
         enc = tfidf_fit([["red"], ["blue"]])
-        assert not tfidf_encode(enc, ["green"]).any()
+        assert not tfidf_encode(enc, [["green"]]).any()
 
     def test_five_document_hand_computed_table(self):
         # df: apple 3, banana 2, cherry 1; N = 5
@@ -136,9 +136,19 @@ class TestTfIdf:
         raw[enc.vocabulary["apple"]] = 1 * idf["apple"]
         raw[enc.vocabulary["banana"]] = 2 * idf["banana"]
         raw /= np.linalg.norm(raw)
-        got = tfidf_encode(enc, ["apple", "banana", "banana"])
+        got = tfidf_encode(enc, [["apple", "banana", "banana"]])[0]
         assert np.allclose(got, raw)
         assert enc.idf[enc.vocabulary["cherry"]] == pytest.approx(math.log(5))
+
+    def test_one_row_per_document(self):
+        docs = [["apple", "banana"], [], ["banana", "banana", "kiwi"], ["date"], ["apple"]]
+        enc = tfidf_fit([["banana", "kiwi"], ["apple", "cherry"], ["kiwi"]])
+        rows = tfidf_encode(enc, docs)
+        assert rows.shape == (5, enc.dim)
+        for row, doc in zip(rows, docs):
+            assert row.tobytes() == tfidf_encode(enc, [doc])[0].tobytes()
+        assert not rows[[1, 3]].any()
+        assert tfidf_encode(enc, []).shape == (0, enc.dim)
 
     def test_idf_nonnegative(self):
         enc = tfidf_fit([["a", "b"], ["a", "c"], ["a"]])
@@ -149,6 +159,24 @@ class TestTfIdf:
             tfidf_fit([])
 
 
+class TestUnitRows:
+    def test_each_row_divided_by_its_own_norm(self):
+        """Bit for bit the per-row division by np.linalg.norm that each
+        encoder used to write; zero rows stay zero and read norm 0."""
+        x = np.random.default_rng(3).standard_normal((40, 17)) * 5.0
+        x[[3, 11]] = 0.0
+        want = np.array([row / np.linalg.norm(row) if row.any() else row for row in x])
+        norms = unit_rows(x)
+        assert x.tobytes() == want.tobytes()
+        assert norms.shape == (40,)
+        assert np.flatnonzero(norms == 0).tolist() == [3, 11]
+
+    def test_one_vector(self):
+        v, z = np.array([3.0, 4.0]), np.zeros(3)
+        assert unit_rows(v) == 5.0 and v.tolist() == [0.6, 0.8]
+        assert unit_rows(z) == 0.0 and not z.any()
+
+
 class TestPca:
     def test_line_in_3d(self):
         rng = np.random.default_rng(0)
@@ -156,7 +184,7 @@ class TestPca:
         direction /= np.linalg.norm(direction)
         t = rng.standard_normal(200)
         data = np.outer(t, direction) + np.array([5.0, -3.0, 0.5])
-        p = pca_fit(data, k=1)
+        p = pca_fit(data.copy(), k=1)
         axis = p.components[0]
         assert abs(float(axis @ direction)) == pytest.approx(1.0, abs=1e-9)
         recon = pca_project(p, data) @ p.components + p.mean
@@ -165,7 +193,7 @@ class TestPca:
     def test_isotropic_explained_variance(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((20_000, 6))
-        p = pca_fit(data, k=6)
+        p = pca_fit(data.copy(), k=6)
         projected = pca_project(p, data)
         variances = projected.var(axis=0)
         assert variances.max() / variances.min() < 1.15
@@ -175,7 +203,7 @@ class TestPca:
         basis = rng.standard_normal((4, 32))
         coeffs = rng.standard_normal((300, 4))
         data = coeffs @ basis
-        p = pca_fit(data, k=8)
+        p = pca_fit(data.copy(), k=8)
         projected = pca_project(p, data)
         centered = data - data.mean(axis=0)
         assert np.allclose(projected @ projected.T, centered @ centered.T, atol=1e-8)
@@ -199,25 +227,31 @@ class TestPca:
                                       "one-hot-states"])
     def test_in_place_fit_equal_to_parent(self, case):
         """The centring fit and the projection of its centred rows equal the
-        copy-then-centre fit and pca_project bit for bit, through both
-        pca_fit and the helper the CovR build calls."""
+        copy-then-centre fit and pca_project bit for bit."""
         data, k = pca_samples(case)
         mean, components, projected = parent_pca(data, k)
-        p = pca_fit(data, k)
+        owned = np.array(data, dtype=np.float64)
+        p = pca_fit(owned, k)
         assert p.mean.tobytes() == mean.tobytes()
         assert p.components.tobytes() == components.tobytes()
         assert pca_project(p, data).tobytes() == projected.tobytes()
-        owned = np.array(data, dtype=np.float64)
-        q = _pca_fit_centring(owned, k)
-        assert q.components.tobytes() == components.tobytes()
-        assert (owned @ q.components.T).tobytes() == projected.tobytes()
+        assert (owned @ p.components.T).tobytes() == projected.tobytes()
 
-    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
-    def test_fit_leaves_input_unchanged(self, dtype):
-        data = np.random.default_rng(9).standard_normal((50, 6)).astype(dtype) + 3.0
+    def test_fit_centres_its_input_in_place(self):
+        data = np.random.default_rng(9).standard_normal((50, 6)) + 3.0
         before = data.copy()
-        pca_fit(data, k=3)
-        assert data.tobytes() == before.tobytes()
+        p = pca_fit(data, k=3)
+        assert data.tobytes() == (before - p.mean).tobytes()
+
+    @pytest.mark.parametrize("sample", [
+        np.ones((4, 3), dtype=np.float32), np.ones((4, 3), dtype=np.int64),
+        [[1.0, 2.0], [3.0, 5.0]], np.ones(3), np.ones((2, 3, 4)), np.empty((0, 3)),
+    ], ids=["float32", "int64", "list", "1-D", "3-D", "no-rows"])
+    def test_fit_rejects_anything_but_a_float64_matrix(self, sample):
+        before = np.array(sample)
+        with pytest.raises(FitError):
+            pca_fit(sample, k=2)
+        assert np.array_equal(np.array(sample), before)
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
@@ -256,6 +290,11 @@ class TestKmeans:
         assert centroids.shape[0] == 4
 
 
+    @pytest.mark.parametrize("cells", [0, -3])
+    def test_cells_below_one_is_fit_error(self, cells):
+        with pytest.raises(FitError, match="cells"):
+            kmeans(np.ones((5, 2)), cells, rng=0)
+
     @pytest.mark.parametrize("case", [
         "gaussian", "unit-rows", "one-iteration", "no-iterations",
         "duplicates-reseed", "repeated-unit-rows", "more-cells-than-points",
@@ -271,16 +310,16 @@ class TestKmeans:
         if case == "gaussian":
             x = rng.standard_normal((500, 8))
         elif case == "unit-rows":
-            x, cells = unit_rows(rng, 1200, 40), 64
+            x, cells = random_unit_rows(rng, 1200, 40), 64
         elif case == "one-iteration":
-            x, iters = unit_rows(rng, 300, 6), 1
+            x, iters = random_unit_rows(rng, 300, 6), 1
         elif case == "no-iterations":
-            x, iters = unit_rows(rng, 300, 6), 0
+            x, iters = random_unit_rows(rng, 300, 6), 0
         elif case == "duplicates-reseed":
             x, cells = np.concatenate([np.zeros((40, 3)), np.ones((40, 3))]), 8
         elif case == "repeated-unit-rows":
             # five distinct points, twelve cells: d2 reaches an exact 0 sum
-            x = np.repeat(unit_rows(rng, 5, 9), 20, axis=0)[rng.permutation(100)]
+            x = np.repeat(random_unit_rows(rng, 5, 9), 20, axis=0)[rng.permutation(100)]
             cells = 12
         elif case == "more-cells-than-points":
             x, cells = rng.standard_normal((10, 3)), 64
@@ -297,14 +336,15 @@ class TestKmeans:
     @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1200])
     @pytest.mark.parametrize("order", ["C", "F"])
     def test_blocked_sq_norms_equal_one_pass(self, rows, order):
-        x = np.asarray(unit_rows(np.random.default_rng(rows), rows, 338) * 3.7, order=order)
+        x = np.asarray(random_unit_rows(np.random.default_rng(rows), rows, 338) * 3.7,
+                       order=order)
         assert _row_sq_norms(x).tobytes() == np.sum(x * x, axis=1).tobytes()
 
 
 class TestIvf:
     def test_query_indexed_vector_first(self):
         rng = np.random.default_rng(0)
-        x = unit_rows(rng, 400, 8)
+        x = random_unit_rows(rng, 400, 8)
         index = ivf_build(x, cells=16, rng=1)
         hits = ivf_query(index, x[37], k=3, probes=4)
         assert hits[0][0] == 37
@@ -312,7 +352,7 @@ class TestIvf:
 
     def test_probes_equal_cells_is_exact(self):
         rng = np.random.default_rng(1)
-        x = unit_rows(rng, 1000, 6)
+        x = random_unit_rows(rng, 1000, 6)
         index = ivf_build(x, cells=32, rng=2)
         for qi in range(0, 50, 7):
             exact = brute_force_query(x, None, x[qi], k=10)
@@ -323,7 +363,7 @@ class TestIvf:
         """cell_vectors gathers from the kept matrix exactly the per-cell
         x[members] copies that index 0.4.0 stored."""
         rng = np.random.default_rng(6)
-        x = unit_rows(rng, 900, 10)
+        x = random_unit_rows(rng, 900, 10)
         index = ivf_build(x, cells=24, rng=3)
         assert index.vectors is x and index.count == 900
         _, labels = kmeans(x, 24, rng=3)
@@ -333,9 +373,21 @@ class TestIvf:
 
     def test_bad_k(self):
         rng = np.random.default_rng(2)
-        index = ivf_build(unit_rows(rng, 50, 4), cells=4, rng=0)
+        index = ivf_build(random_unit_rows(rng, 50, 4), cells=4, rng=0)
         with pytest.raises(QueryError):
             ivf_query(index, np.ones(4), k=0)
+
+    @pytest.mark.parametrize("cells", [0, -3])
+    def test_build_with_cells_below_one_is_fit_error(self, cells):
+        with pytest.raises(FitError, match="cells"):
+            ivf_build(random_unit_rows(np.random.default_rng(2), 50, 4), cells=cells)
+
+    @pytest.mark.parametrize("probes", [0, -1])
+    def test_probes_below_one_is_query_error(self, probes):
+        x = random_unit_rows(np.random.default_rng(2), 200, 4)
+        index = ivf_build(x, cells=8, rng=0)
+        with pytest.raises(QueryError, match="probes"):
+            ivf_query(index, x[0], k=200, probes=probes)
 
     def test_tie_break_by_id(self):
         # duplicate vectors: equal scores must rank by ascending id
@@ -346,8 +398,8 @@ class TestIvf:
 
     def test_recall_small_corpus(self):
         rng = np.random.default_rng(4)
-        x = unit_rows(rng, 5000, 6)
-        queries = unit_rows(rng, 50, 6)
+        x = random_unit_rows(rng, 5000, 6)
+        queries = random_unit_rows(rng, 50, 6)
         index = ivf_build(x, cells=64, rng=5)
         recall = 0.0
         for q in queries:
@@ -386,3 +438,19 @@ class TestHybridEncode:
     def test_zero_norm(self):
         with pytest.raises(EncodingError):
             hybrid_encode(np.zeros(3), np.zeros(2), alpha=0.5)
+
+    def test_rows_equal_single_vectors(self):
+        rng = np.random.default_rng(6)
+        states, instrs = rng.standard_normal((30, 5)), rng.standard_normal((30, 3))
+        instrs[4] = 0.0
+        for alpha in (0.0, 0.125, 3.0):
+            rows = hybrid_encode(states, instrs, alpha)
+            for row, state, instr in zip(rows, states, instrs):
+                assert row.tobytes() == hybrid_encode(state, instr, alpha).tobytes()
+
+    def test_one_zero_row_fails_the_matrix(self):
+        states = np.eye(4)
+        states[2] = 0.0
+        with pytest.raises(EncodingError, match="zero combined norm"):
+            hybrid_encode(states, np.zeros((4, 2)), alpha=0.5)
+        assert hybrid_encode(states, np.ones((4, 2)), alpha=0.5).shape == (4, 6)

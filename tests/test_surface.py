@@ -29,9 +29,6 @@ KEPT = {
     "permuter.compress_notation",
     # the importer for the original environment's files, documented in README
     "dataset.import_external_record",
-    # the public PCA fit, which copies its input; the CovR build calls the
-    # in-place form it wraps
-    "index.pca_fit",
 }
 
 
