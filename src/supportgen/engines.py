@@ -12,6 +12,7 @@ import itertools
 import json
 import subprocess
 import threading
+import time
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Protocol, Sequence
 
@@ -46,7 +47,7 @@ DEFAULT_SUPPORT_COUNT = 16
 DEFAULT_SAMPLE_COUNT = 2048
 DEFAULT_MASK_RATE = 0.2
 RETRIEVAL_POOL = 128
-#: Seconds ExternalSolver waits for each reply by default.
+#: Seconds an ExternalSolver batch waits for its next reply by default.
 DEFAULT_SOLVER_TIMEOUT = 30.0
 
 
@@ -74,9 +75,15 @@ class SupportSet:
 class Solver(Protocol):
     """Anything that maps (state, instruction) to an action sequence.
 
-    Implementations raise SolverError when they cannot produce actions."""
+    `solve` raises SolverError when it cannot produce actions; `solve_many`
+    answers a batch of pairs in order, with a SolverError in place of each
+    pair it cannot solve."""
 
     def solve(self, state: WorldState, instruction: Instruction) -> tuple[Action, ...]:
+        ...
+
+    def solve_many(self, pairs: Sequence[tuple[WorldState, Instruction]]
+                   ) -> list[tuple[Action, ...] | SolverError]:
         ...
 
 
@@ -88,6 +95,16 @@ class OracleSolver:
             return planner.solve(state, instruction)
         except UnresolvableError as exc:
             raise SolverError(str(exc)) from exc
+
+    def solve_many(self, pairs: Sequence[tuple[WorldState, Instruction]]
+                   ) -> list[tuple[Action, ...] | SolverError]:
+        results: list[tuple[Action, ...] | SolverError] = []
+        for state, instruction in pairs:
+            try:
+                results.append(planner.solve(state, instruction))
+            except UnresolvableError as exc:
+                results.append(SolverError(str(exc)))
+        return results
 
 
 # ---------------------------------------------------------------------------
@@ -123,18 +140,24 @@ def _solve_in_state(query: Example, candidates: Iterable[tuple[Instruction, dict
                     solver: Solver, n: int, keep_invalid: bool = False) -> list[Support]:
     """Solve the (instruction, meta) candidates in the query state, in order,
     until n supports exist. An unsolvable candidate is skipped, or with
-    keep_invalid kept with no actions."""
-    supports = []
-    for instr, meta in candidates:
-        if len(supports) >= n:
+    keep_invalid kept with no actions.
+
+    Each round hands the solver the next n - len(supports) candidates in one
+    solve_many call; a one-by-one loop would have solved each of them too, so
+    the solved pairs and their order are the same."""
+    candidates = iter(candidates)
+    supports: list[Support] = []
+    while len(supports) < n:
+        batch = list(itertools.islice(candidates, n - len(supports)))
+        if not batch:
             break
-        try:
-            actions = solver.solve(query.state, instr)
-        except SolverError:
-            if not keep_invalid:
-                continue
-            actions = None
-        supports.append(Support(query.state, instr, actions, meta))
+        results = solver.solve_many([(query.state, instr) for instr, _ in batch])
+        for (instr, meta), actions in zip(batch, results):
+            if isinstance(actions, SolverError):
+                if not keep_invalid:
+                    continue
+                actions = None
+            supports.append(Support(query.state, instr, actions, meta))
     return supports
 
 
@@ -419,10 +442,12 @@ class ExternalSolver:
     Request:  {"id": <int>, "state": <state record>, "instruction": [tokens]}
     Response: {"id": <int>, "actions": [action names]} or
               {"id": <int>, "error": <string>}
+    A batch's requests go out in one write before any reply is read.
     Responses may arrive in any order; a reader thread files them by id and
     drops replies to ids that are no longer awaited (timed out or unknown).
-    Only an "error" reply raises SolverError (the pair is unsolvable); a
-    protocol violation, a timeout or a dead child raises an ExternalServiceError."""
+    Only an "error" reply marks a pair unsolvable (a SolverError); a
+    protocol violation, a timeout or a dead child raises an
+    ExternalServiceError."""
 
     def __init__(self, command: Sequence[str], timeout: float = DEFAULT_SOLVER_TIMEOUT):
         if not command:
@@ -468,66 +493,99 @@ class ExternalSolver:
             self._cond.notify_all()
 
     def _send(self, payload: str) -> None:
-        """Write one request line; the lock keeps concurrent lines whole."""
+        """Write request lines in one write; the lock keeps concurrent lines
+        whole. A failed write may leave a torn line, so it ends the session."""
         try:
             with self._write_lock:
-                self._proc.stdin.write(payload + "\n")
+                self._proc.stdin.write(payload)
                 self._proc.stdin.flush()
-        except (BrokenPipeError, ValueError) as exc:
-            raise ProtocolError(f"cannot write to solver: {exc}") from exc
+        except (OSError, ValueError) as exc:
+            with self._cond:
+                if self._dead is None:
+                    self._dead = f"cannot write to solver: {exc}"
+                self._cond.notify_all()
 
-    def solve(self, state: WorldState, instruction: Instruction) -> tuple[Action, ...]:
+    def _await(self, ids: list[int]) -> list[int]:
+        """Under the lock, wait until every id is answered, the child died or
+        `timeout` seconds passed without a reply to any of them; return the
+        ids still unanswered."""
+        waiting = ids
+        deadline = time.monotonic() + self.timeout
+        while True:
+            still = [key for key in waiting if key not in self._results]
+            if len(still) < len(waiting):
+                waiting, deadline = still, time.monotonic() + self.timeout
+            left = deadline - time.monotonic()
+            if not waiting or self._dead is not None or left <= 0:
+                return waiting
+            self._cond.wait(left)
+
+    def solve_many(self, pairs: Sequence[tuple[WorldState, Instruction]]
+                   ) -> list[tuple[Action, ...] | SolverError]:
         if self._proc.stdin is None or self._proc.poll() is not None:
             raise ProtocolError("solver process is not running")
-        request_id = next(self._next_id)
-        payload = json.dumps({
-            "id": request_id,
-            "state": state.to_record(),
-            "instruction": realize(instruction),
-        })
+        ids = [next(self._next_id) for _ in pairs]
+        payload = "".join(
+            json.dumps({"id": request_id, "state": state.to_record(),
+                        "instruction": realize(instruction)}) + "\n"
+            for request_id, (state, instruction) in zip(ids, pairs))
         with self._cond:
-            self._pending.add(request_id)
+            self._pending.update(ids)
+        # written from a thread, so that the deadline also holds while a
+        # batch larger than the pipe waits for a child that stopped reading
+        writer = threading.Thread(target=self._send, args=(payload,), daemon=True)
+        writer.start()
         try:
-            self._send(payload)
-        except ProtocolError:
             with self._cond:
-                self._pending.discard(request_id)
-            raise
-        with self._cond:
-            ok = self._cond.wait_for(
-                lambda: request_id in self._results or self._dead is not None,
-                timeout=self.timeout,
-            )
-            # no longer awaited, so a late reply is dropped rather than kept
-            self._pending.discard(request_id)
-            msg = self._results.pop(request_id, None)
-        if msg is None:
-            if not ok:
-                raise SolverTimeout(f"no response for request {request_id} "
-                                    f"within {self.timeout}s")
-            raise ProtocolError(self._dead or "solver died")
-        if "error" in msg:
-            raise SolverError(str(msg["error"]))
-        if "actions" not in msg or not isinstance(msg["actions"], list):
-            raise ProtocolError(f"response {request_id} carries no actions list")
-        return _parse_actions(msg["actions"])
+                unanswered, dead = self._await(ids), self._dead
+        finally:
+            with self._cond:
+                # no longer awaited, so a late reply is dropped rather than kept
+                self._pending.difference_update(ids)
+                replies = [self._results.pop(request_id, None) for request_id in ids]
+        if unanswered and writer.is_alive():
+            self._proc.kill()  # its input would be left holding a torn line
+        writer.join()
+        if unanswered:
+            if dead is not None:
+                raise ProtocolError(dead)
+            raise SolverTimeout(f"no response for request {unanswered[0]} "
+                                f"within {self.timeout}s")
+        results: list[tuple[Action, ...] | SolverError] = []
+        for request_id, msg in zip(ids, replies):
+            if "error" in msg:
+                results.append(SolverError(str(msg["error"])))
+            elif isinstance(msg.get("actions"), list):
+                results.append(_parse_actions(msg["actions"]))
+            else:
+                raise ProtocolError(f"response {request_id} carries no actions list")
+        return results
+
+    def solve(self, state: WorldState, instruction: Instruction) -> tuple[Action, ...]:
+        (result,) = self.solve_many([(state, instruction)])
+        if isinstance(result, SolverError):
+            raise result
+        return result
 
     def close(self) -> None:
-        """Close the child's input, reap the child (killed after 5 s) and
-        close its output once the reader thread has ended. A grandchild can
-        hold that output open after the child exits; then the reader keeps
-        running and the pipe stays open."""
+        """Close the child's input, wait for the reader thread to end (the
+        child closes its output when it exits), then reap the child, killed
+        if 5 s pass in all first. A grandchild can hold that output open
+        after the child exits; then the reader keeps running and the pipe
+        stays open."""
+        deadline = time.monotonic() + 5
         if self._proc.stdin is not None:
             try:
                 self._proc.stdin.close()
             except OSError:
                 pass
+        self._reader.join(timeout=5)
         try:
-            self._proc.wait(timeout=5)
+            self._proc.wait(timeout=max(0.0, deadline - time.monotonic()))
         except subprocess.TimeoutExpired:
             self._proc.kill()
             self._proc.wait()
-        self._reader.join(timeout=1)
+            self._reader.join(timeout=1)
         if not self._reader.is_alive():
             self._proc.stdout.close()
 

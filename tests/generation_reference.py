@@ -7,7 +7,9 @@ into a tree and walked it again before it became one pass, and the
 planner's turn branches, zigzag state machine and per-adverb step
 templates before each became one closed form, and the retrieval vectors
 built one row per call (tf-idf, hybrid and input/output encodings, each with
-its own division by the L2 norm) before they became row matrices.
+its own division by the L2 norm) before they became row matrices, and the
+same-state solve loop that asked the solver for one pair at a time before
+it handed over each round's shortfall in one batch.
 
 Each function is kept as it was, fresh objects and full candidate lists
 included, so tests can require the current generator to draw the same
@@ -15,7 +17,8 @@ stream and build the same examples, the current parse, encode_words,
 heuristic_candidates and compile_pattern to give the same results and raise
 the same errors, the current turns_between, _walk_steps and _decorate
 to give the same actions, and the CovR and GandR builds and query encodings
-to give the same vectors bit for bit. Only the names it reads from supportgen are
+to give the same vectors bit for bit, and the batched solve loop to solve
+the same pairs in the same order. Only the names it reads from supportgen are
 imported; the split predicate tables stay the single definition."""
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -40,8 +43,9 @@ from supportgen.dataset import (
     Split,
     _flags,
 )
+from supportgen.engines import Solver, Support
 from supportgen.errors import (CapacityError, EncodingError, FitError, GenerationError,
-                               GrammarError, LexicalError, PatternError)
+                               GrammarError, LexicalError, PatternError, SolverError)
 from supportgen.grammar import (
     COLOR_WORDS,
     INSTRUCTION_ROW,
@@ -584,3 +588,22 @@ def gandr_vectors(examples: Sequence[Example], alpha: float
         for ex, instr in zip(examples, instr_vecs)
     ])
     return instr_tfidf, out_tfidf, vectors
+
+
+def _solve_in_state(query: Example, candidates: Iterable[tuple[Instruction, dict]],
+                    solver: Solver, n: int, keep_invalid: bool = False) -> list[Support]:
+    """Solve the (instruction, meta) candidates in the query state, in order,
+    until n supports exist. An unsolvable candidate is skipped, or with
+    keep_invalid kept with no actions."""
+    supports = []
+    for instr, meta in candidates:
+        if len(supports) >= n:
+            break
+        try:
+            actions = solver.solve(query.state, instr)
+        except SolverError:
+            if not keep_invalid:
+                continue
+            actions = None
+        supports.append(Support(query.state, instr, actions, meta))
+    return supports

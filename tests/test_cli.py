@@ -255,6 +255,24 @@ class TestPinnedBytes:
             "8334ec73efdd38ff04c8e3545eb46fdc4fd63353444fa806e6197bc135c9ba17"
 
 
+@pytest.mark.pins
+@pytest.mark.parametrize("strategy, flags", [
+    ("random", []), ("heuristic", []), ("demogen", []), ("demogen", ["--replace-invalid"]),
+    ("gandr", ["--cells", "16"]),
+], ids=["random", "heuristic", "demogen", "demogen-replace-invalid", "gandr"])
+def test_external_solver_writes_the_oracle_bytes(data_file, tmp_path, strategy, flags):
+    """Batched solving through the line protocol changes no support byte:
+    the oracle served over it gives the in-process oracle's output."""
+    base = ["gen-supports", "--data", str(data_file), "--strategy", strategy,
+            "--seed", "3", "--splits", "h,c", *flags]
+    oracle, external = tmp_path / "oracle.jsonl", tmp_path / "external.jsonl"
+    assert run(base + ["--solver", "oracle", "--out", str(oracle)]) == EXIT_OK
+    assert run(base + ["--solver", "external", "--solver-cmd",
+                       f"{shlex.quote(sys.executable)} -m supportgen.cli serve-oracle",
+                       "--out", str(external)]) == EXIT_OK
+    assert external.read_bytes() == oracle.read_bytes()
+
+
 class TestGenSupports:
     def test_heuristic_then_criteria_all_ones(self, data_file, tmp_path):
         sup = tmp_path / "sup.jsonl"

@@ -26,7 +26,8 @@ from supportgen.errors import ProtocolError, SolverError, SolverTimeout
 from supportgen.grammar import INSTRUCTIONS, parse, realize
 from supportgen.instruction_model import fit
 from supportgen.planner import solve
-from supportgen.world import AgentPose, Heading, ObjectSpec, Position, WorldState
+from supportgen.world import (Action, AgentPose, Heading, ObjectSpec, Position, WorldState,
+                              new_random_state)
 
 import generation_reference
 
@@ -246,6 +247,60 @@ class TestDemogen:
                 assert a.meta["score"] == b.meta["score"]
         top = demogen_supports(query, model, OracleSolver(), rng=5, k=2048)
         assert [s.instruction for s in top.supports] == instrs[:16]
+
+
+class ScriptedSolver:
+    """Fails the pairs whose instruction is in `failing` and logs every pair
+    it is asked to solve, and each solve_many batch."""
+
+    def __init__(self, failing):
+        self.failing = failing
+        self.solved = []
+        self.batches = []
+
+    def solve(self, state, instruction):
+        self.solved.append((state, instruction))
+        if instruction in self.failing:
+            raise SolverError("scripted failure")
+        return (Action.WALK,) * (len(self.solved) % 3)
+
+    def solve_many(self, pairs):
+        self.batches.append(len(pairs))
+        results = []
+        for state, instruction in pairs:
+            try:
+                results.append(self.solve(state, instruction))
+            except SolverError as exc:
+                results.append(exc)
+        return results
+
+
+@pytest.mark.pins
+@pytest.mark.parametrize("keep_invalid", [False, True])
+def test_batched_solve_loop_equals_one_by_one_reference(s0, keep_invalid):
+    """The batched same-state loop gives the supports of the one-by-one loop
+    it replaced (tests/generation_reference.py) and asks the solver for the
+    same pairs in the same order, for seeded failure patterns."""
+    from supportgen.engines import _solve_in_state
+
+    query = Example(s0, INSTRUCTIONS[0], (), Split.H)
+    for seed in range(40):
+        rng = np.random.default_rng(seed)
+        count = int(rng.integers(0, 31))
+        rows = rng.choice(len(INSTRUCTIONS), size=count, replace=False)
+        candidates = [(INSTRUCTIONS[row], {"rank": i}) for i, row in enumerate(rows)]
+        fail_rate = (0.0, 0.3, 0.7, 1.0)[seed % 4]
+        failing = {instr for instr, _ in candidates if rng.random() < fail_rate}
+        for n in range(21):
+            batched, one_by_one = ScriptedSolver(failing), ScriptedSolver(failing)
+            got = _solve_in_state(query, iter(candidates), batched, n, keep_invalid)
+            want = generation_reference._solve_in_state(query, iter(candidates),
+                                                        one_by_one, n, keep_invalid)
+            assert got == want
+            assert batched.solved == one_by_one.solved
+            assert 0 not in batched.batches
+            if keep_invalid:
+                assert len(batched.batches) <= 1
 
 
 @pytest.fixture(scope="module")
@@ -655,6 +710,39 @@ for line in sys.stdin:
 """
 
 
+REVERSING_SERVER = r"""
+import json, sys
+batch = []
+for line in sys.stdin:
+    batch.append(json.loads(line)["id"])
+    if len(batch) == 5:
+        for key in reversed(batch):
+            reply = {"error": "odd"} if key == 2 else {"actions": ["WALK"] * (key + 1)}
+            sys.stdout.write(json.dumps({"id": key, **reply}) + "\n")
+        sys.stdout.flush()
+        batch = []
+"""
+
+STALLING_SERVER = r"""
+import json, sys, time
+ids = [json.loads(sys.stdin.readline())["id"] for _ in range(4)]
+for key in ids[:2]:
+    print(json.dumps({"id": key, "actions": ["WALK"]}), flush=True)
+time.sleep(1.0)
+for key in ids[2:]:
+    print(json.dumps({"id": key, "actions": ["WALK"]}), flush=True)
+for line in sys.stdin:
+    print(json.dumps({"id": json.loads(line)["id"], "actions": ["STAY"]}), flush=True)
+"""
+
+TRICKLING_SERVER = r"""
+import json, sys, time
+for line in sys.stdin:
+    time.sleep(0.25)
+    print(json.dumps({"id": json.loads(line)["id"], "actions": ["WALK"]}), flush=True)
+"""
+
+
 class HalvingPipe:
     """A stdin that writes each request in two halves with a pause between,
     as a pipe taking partial writes may; unserialised writers then tear each
@@ -679,6 +767,23 @@ class HalvingPipe:
         self.inner.close()
 
 
+def large_batch() -> list:
+    """320 (state, instruction) pairs whose request lines exceed 64 KiB."""
+    rng = np.random.default_rng(8)
+    pairs = [(new_random_state(rng, 6, 8), INSTRUCTIONS[int(rng.integers(len(INSTRUCTIONS)))])
+             for _ in range(320)]
+    size = sum(len(json.dumps({"id": i, "state": state.to_record(),
+                               "instruction": realize(instr)})) + 1
+               for i, (state, instr) in enumerate(pairs))
+    assert size > 64 * 1024
+    return pairs
+
+
+def outcomes(results: list) -> list:
+    """solve_many results with each SolverError read as "unsolvable"."""
+    return ["unsolvable" if isinstance(r, SolverError) else r for r in results]
+
+
 class TestExternalSolverFaults:
     def test_concurrent_requests_keep_lines_whole(self, s0):
         from concurrent.futures import ThreadPoolExecutor
@@ -693,6 +798,27 @@ class TestExternalSolverFaults:
                 got = list(pool.map(lambda _: solver.solve(s0, instr), range(8)))
         assert got == [(Action.WALK,)] * 8
 
+    def test_concurrent_batches_get_their_own_replies(self):
+        """Six threads share one child; each batch gets the oracle's answers
+        to its own pairs, and nothing stays filed."""
+        from concurrent.futures import ThreadPoolExecutor
+
+        rng = np.random.default_rng(13)
+        batches = [[(new_random_state(rng, 6, 5), INSTRUCTIONS[int(rng.integers(len(INSTRUCTIONS)))])
+                    for _ in range(12)] for _ in range(24)]
+        oracle = OracleSolver()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ExternalSolver([sys.executable, "-m", "supportgen.cli", "serve-oracle"],
+                                timeout=30.0) as solver:
+                with ThreadPoolExecutor(6) as pool:
+                    got = list(pool.map(solver.solve_many, batches))
+                assert solver._results == {} and solver._pending == set()
+        finally:
+            sys.setswitchinterval(interval)
+        assert [outcomes(r) for r in got] == [outcomes(oracle.solve_many(b)) for b in batches]
+
     def test_late_reply_to_timed_out_request_is_dropped(self, s0):
         from supportgen.world import Action
 
@@ -706,3 +832,57 @@ class TestExternalSolverFaults:
             assert solver.solve(s0, instr) == (Action.WALK,)
             assert solver._results == {}
             assert solver._pending == set()
+
+    def test_batch_larger_than_a_pipe_buffer(self):
+        """One batch of request lines larger than a pipe holds is written
+        while the reader drains the replies, and equals the oracle's answers."""
+        pairs = large_batch()
+        with ExternalSolver([sys.executable, "-m", "supportgen.cli", "serve-oracle"],
+                            timeout=30.0) as solver:
+            got = solver.solve_many(pairs)
+        want = OracleSolver().solve_many(pairs)
+        assert outcomes(got) == outcomes(want)
+        assert {type(r) for r in want} == {tuple, SolverError}
+
+    def test_large_batch_to_a_child_that_stopped_reading_times_out(self):
+        """The deadline holds while the request lines cannot all be written;
+        the child, whose input would hold a torn line, is killed."""
+        import time
+
+        with ExternalSolver([sys.executable, "-c", "import time; time.sleep(60)"],
+                            timeout=0.5) as solver:
+            start = time.monotonic()
+            with pytest.raises(SolverTimeout, match="request 0 "):
+                solver.solve_many(large_batch())
+            assert time.monotonic() - start < 5
+            assert solver._proc.wait(timeout=5) is not None
+            assert solver._results == {} and solver._pending == set()
+
+    def test_batch_answered_in_reverse_order(self, s0):
+        instr = parse("walk to a red circle".split())
+        with ExternalSolver([sys.executable, "-c", REVERSING_SERVER], timeout=10.0) as solver:
+            got = solver.solve_many([(s0, instr)] * 5)
+        assert outcomes(got) == [(Action.WALK,), (Action.WALK,) * 2, "unsolvable",
+                                 (Action.WALK,) * 4, (Action.WALK,) * 5]
+
+    def test_stalled_batch_times_out_and_late_replies_are_dropped(self, s0):
+        import time
+
+        instr = parse("walk to a red circle".split())
+        with ExternalSolver([sys.executable, "-c", STALLING_SERVER], timeout=0.3) as solver:
+            start = time.monotonic()
+            with pytest.raises(SolverTimeout, match="request 2 "):
+                solver.solve_many([(s0, instr)] * 4)
+            assert 0.3 <= time.monotonic() - start < 1.0
+            assert solver._results == {} and solver._pending == set()
+            solver.timeout = 10.0
+            # the child answers requests 2 and 3 late, then request 4
+            assert solver.solve(s0, instr) == (Action.STAY,)
+            assert solver._results == {} and solver._pending == set()
+
+    def test_deadline_restarts_at_each_reply(self, s0):
+        """A batch whose replies come 0.25 s apart outlasts a 1 s timeout:
+        the deadline counts from the batch's latest reply."""
+        instr = parse("walk to a red circle".split())
+        with ExternalSolver([sys.executable, "-c", TRICKLING_SERVER], timeout=1.0) as solver:
+            assert solver.solve_many([(s0, instr)] * 6) == [(Action.WALK,)] * 6
