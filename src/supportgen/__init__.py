@@ -7,7 +7,7 @@ six strategies, and computes the support-quality, similarity and linguistic
 statistics used to analyze them.
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .world import (  # noqa: F401
     Action,
@@ -16,7 +16,6 @@ from .world import (  # noqa: F401
     ObjectSpec,
     Position,
     WorldState,
-    encode_one_hot,
     new_random_state,
     simulate,
 )

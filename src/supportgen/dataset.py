@@ -115,13 +115,25 @@ class Example:
         )
 
 
+#: Each action sequence's shared tuple, keyed by itself; emptied when full.
+_ACTION_TUPLES: dict[tuple[Action, ...], tuple[Action, ...]] = {}
+
+
+def _shared_actions(actions: tuple[Action, ...]) -> tuple[Action, ...]:
+    """The one shared tuple of an action sequence, for decoded and generated
+    examples alike."""
+    if len(_ACTION_TUPLES) >= DECODE_CACHE_SIZE:
+        _ACTION_TUPLES.clear()
+    return _ACTION_TUPLES.setdefault(actions, actions)
+
+
 @functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
 def parse_target_string(target: str) -> tuple[Action, ...]:
-    """The actions of a comma-joined target string; equal strings give one
-    shared tuple."""
+    """The actions of a comma-joined target string, as their _shared_actions
+    tuple."""
     names = [t for t in target.split(",") if t]
     try:
-        return tuple(Action[name] for name in names)
+        return _shared_actions(tuple(Action[name] for name in names))
     except KeyError as exc:
         raise DataFormatError(f"unknown action token {exc.args[0]!r}") from None
 
@@ -243,7 +255,7 @@ def generate_example(rng: np.random.Generator, config: DatasetConfig, split: Spl
             ):
                 del candidates[idx]
                 continue
-            return Example(state, instr, actions, split)
+            return Example(state, instr, _shared_actions(actions), split)
     raise GenerationError(
         f"no admissible example for split {split.value!r} after {MAX_ATTEMPTS} attempts"
     )

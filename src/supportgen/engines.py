@@ -30,17 +30,18 @@ from .index import (
     IvfIndex,
     PcaProjector,
     TfIdfEncoder,
+    count_one_hot,
     hybrid_encode,
     ivf_build,
     ivf_query,
     pca_fit,
-    pca_project,
     tfidf_encode,
     tfidf_fit,
     unit_rows,
 )
 from .instruction_model import InstructionModel, infill_distribution
-from .world import Action, RngLike, WorldState, as_rng, encode_one_hot, encode_states
+from .world import (CELL_WIDTH, Action, RngLike, WorldState, active_slots, as_rng, code_sums,
+                    fold_slots, one_hot_rows, shared_slots, slot_value, state_codes)
 from . import planner
 
 DEFAULT_SUPPORT_COUNT = 16
@@ -300,14 +301,25 @@ def _pool(query: Example, retriever: CovrRetriever | GandrRetriever, qvec: np.nd
 # CovR: coverage retrieval over a hybrid state+instruction index
 # ---------------------------------------------------------------------------
 
+#: Rows per block of the CovR build's one-hot counts and projection.
+_COVR_BLOCK_ROWS = 256
+
+
 @dataclass
 class CovrRetriever:
+    """The CovR index plus each train state's int8 cell codes, agent cell and
+    heading (world.state_codes), from which the state cosines are counted,
+    and the PCA projection folded into world.fold_slots rows."""
     examples: list[Example]
     tfidf: TfIdfEncoder
     pca: PcaProjector
     ivf: IvfIndex
     alpha: float
-    state_vectors: np.ndarray  # unit one-hot states, for the cosine sort key
+    codes: np.ndarray
+    agent_cells: np.ndarray
+    headings: np.ndarray
+    pose_rows: np.ndarray
+    change_rows: np.ndarray
 
 
 def _encode_instructions(examples: Sequence[Example]) -> tuple[TfIdfEncoder, np.ndarray]:
@@ -318,48 +330,70 @@ def _encode_instructions(examples: Sequence[Example]) -> tuple[TfIdfEncoder, np.
     return tfidf, tfidf_encode(tfidf, docs)
 
 
+def _covr_rows(pose_rows: np.ndarray, change_rows: np.ndarray, alpha: float,
+               coded: Sequence[np.ndarray], instr_vecs: np.ndarray, out: np.ndarray) -> None:
+    """Write the hybrid rows of a block of states, given as their
+    state_codes arrays, and of their instruction vectors into `out`: the PCA
+    projection of the centred one-hot rows, which code_sums adds up from the
+    codes without a BLAS call, then hybrid_encode in place. A row's bits do
+    not depend on its block, so a query is a block of one."""
+    state = out[:, :pose_rows.shape[1]]
+    code_sums(pose_rows, change_rows, *coded, state)
+    hybrid_encode(state, instr_vecs, alpha, out=out)
+
+
 def build_covr_retriever(examples: Sequence[Example], cells: int = DEFAULT_CELLS,
                          pca_dim: int = DEFAULT_PCA_DIM, alpha: float = 0.125,
                          rng: RngLike = 0) -> CovrRetriever:
+    """Fit the PCA on exact one-hot counts of the train states and project
+    their cell codes block by block into the hybrid matrix: no n x d one-hot
+    matrix is ever built."""
     examples = list(examples)
     if not examples:
         raise RetrievalError("cannot build a retriever over an empty corpus")
-    states = [ex.state for ex in examples]
-    # the build's one n x d float64 one-hot matrix: centred in place, then
-    # projected; centred rows @ components.T equal pca_project bit for bit
-    onehot = encode_states(states, np.float64)
-    pca = pca_fit(onehot, pca_dim)
-    projected = onehot @ pca.components.T
-    del onehot
+    coded = state_codes([ex.state for ex in examples])
+    n, grid_cells = coded[0].shape
+    blocks = [slice(lo, lo + _COVR_BLOCK_ROWS) for lo in range(0, n, _COVR_BLOCK_ROWS)]
+    value = slot_value(grid_cells)
+    pca = pca_fit(count_one_hot((one_hot_rows(*(a[b] for a in coded), 1.0, np.float32)
+                                 for b in blocks), grid_cells * CELL_WIDTH, value), pca_dim)
+    pose_rows, change_rows = fold_slots(pca.components.T * value)
+    # centring: every row has one pose row, so it carries the mean's projection
+    pose_rows -= np.sum(pca.components * pca.mean, axis=1)
     tfidf, instr_vecs = _encode_instructions(examples)
-    hybrid = hybrid_encode(projected, instr_vecs, alpha)
-    del projected, instr_vecs  # freed before k-means
-    ivf = ivf_build(hybrid, cells=cells, rng=rng)
-    # equal bit for bit to the float64 encoding cast to float32
-    state_vectors = encode_states(states, np.float32)
-    return CovrRetriever(examples=examples, tfidf=tfidf, pca=pca, ivf=ivf,
-                         alpha=alpha, state_vectors=state_vectors)
+    hybrid = np.empty((n, pca.dim + tfidf.dim), dtype=np.float64)
+    for b in blocks:
+        _covr_rows(pose_rows, change_rows, alpha, [a[b] for a in coded], instr_vecs[b],
+                   hybrid[b])
+    del instr_vecs  # freed before k-means
+    return CovrRetriever(examples=examples, tfidf=tfidf, pca=pca,
+                         ivf=ivf_build(hybrid, cells=cells, rng=rng), alpha=alpha,
+                         codes=coded[0], agent_cells=coded[1], headings=coded[2],
+                         pose_rows=pose_rows, change_rows=change_rows)
 
 
 def covr_supports(query: Example, retriever: CovrRetriever,
                   n: int = DEFAULT_SUPPORT_COUNT, probes: int = DEFAULT_PROBES) -> SupportSet:
     """Retrieve the RETRIEVAL_POOL nearest hybrid vectors, stable-sort by (matching
     two-grams, one-grams, state cosine) descending, then greedily cover the
-    query's n-grams and fill to n."""
-    state_vec = encode_one_hot(query.state)
-    qvec = hybrid_encode(pca_project(retriever.pca, state_vec),
-                         tfidf_encode(retriever.tfidf, [realize(query.instruction)])[0],
-                         retriever.alpha)
+    query's n-grams and fill to n. The state cosine of two one-hot rows is
+    k / active_slots(cells) for the k active slots they share."""
+    codes, agent_cells, headings = coded = state_codes([query.state])
+    qvec = np.empty((1, retriever.ivf.vectors.shape[1]), dtype=np.float64)
+    _covr_rows(retriever.pose_rows, retriever.change_rows, retriever.alpha, coded,
+               tfidf_encode(retriever.tfidf, [realize(query.instruction)]), qvec)
+    pool = _pool(query, retriever, qvec[0], probes)
+    ids = np.array([idx for idx, _, _ in pool], dtype=np.intp)
+    shared = shared_slots(retriever.codes[ids], retriever.agent_cells[ids],
+                          retriever.headings[ids], codes[0], agent_cells[0], headings[0])
+    active = active_slots(codes.shape[1])
     query_grams = _GRAMS[INSTRUCTION_ROW[query.instruction]]
     candidates = []
-    for rank, (idx, ex, retrieval_score) in enumerate(
-            _pool(query, retriever, qvec, probes)):
-        shared = _GRAMS[INSTRUCTION_ROW[ex.instruction]] & query_grams
-        one = (shared & _ONE_GRAM_BITS).bit_count()
-        two = shared.bit_count() - one
-        # one-hot cosines are multiples of 1/(active slots); rounding keeps
-        # mathematically-equal values tied regardless of summation order
-        cosine = round(float(retriever.state_vectors[idx] @ state_vec), 9)
+    for rank, ((idx, ex, retrieval_score), k) in enumerate(zip(pool, shared.tolist())):
+        grams = _GRAMS[INSTRUCTION_ROW[ex.instruction]] & query_grams
+        one = (grams & _ONE_GRAM_BITS).bit_count()
+        two = grams.bit_count() - one
+        cosine = round(k / active, 9)
         candidates.append(((-two, -one, -cosine, rank), ex,
                            {"retrieval": retrieval_score, "cosine": cosine,
                             "two_grams": two, "one_grams": one}))

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -62,7 +62,11 @@ def unit_rows(x: np.ndarray) -> np.ndarray:
 
 def tfidf_encode(encoder: TfIdfEncoder, docs: Sequence[Sequence[str]]) -> np.ndarray:
     """One unit tf-idf row per token list in `docs` (one document is
-    `[tokens]`); unknown tokens are ignored and all-zero rows stay zero."""
+    `[tokens]`); unknown tokens are ignored and all-zero rows stay zero.
+    A string, as `docs` or as one document, is an EncodingError: it would
+    read as one-character tokens."""
+    if isinstance(docs, str) or any(isinstance(doc, str) for doc in docs):
+        raise EncodingError("tfidf_encode takes a list of token lists, not a string")
     dim, vocabulary = encoder.dim, encoder.vocabulary
     flat = [row * dim + vocabulary[term] for row, doc in enumerate(docs)
             for term in doc if term in vocabulary]
@@ -86,26 +90,66 @@ class PcaProjector:
         return self.components.shape[0]
 
 
-def pca_fit(x: np.ndarray, k: int = DEFAULT_PCA_DIM) -> PcaProjector:
-    """Project onto the top-k covariance eigenvectors after mean-centering.
+@dataclass
+class OneHotCounts:
+    """The exact second moments of `rows` one-hot rows whose active slots
+    all hold `value`: `counts` is XᵀX for their 0/1 pattern X, as int64, so
+    its diagonal holds the column sums of X."""
+    counts: np.ndarray
+    rows: int
+    value: float
 
-    `x`, a nonempty 2-D float64 matrix, is centred in place and stays so:
-    `x @ components.T` is bit for bit pca_project of the uncentred rows. When
-    fewer than k informative directions exist, the available rank is
-    retained. Component signs are fixed for determinism."""
+
+def count_one_hot(blocks: Iterable[np.ndarray], width: int, value: float) -> OneHotCounts:
+    """Accumulate the OneHotCounts of 0/1 float32 row blocks of `width`
+    columns. A block under 2**24 rows has an exact float32 product, so the
+    counts depend neither on the blocks nor on BLAS threads."""
+    counts = np.zeros((width, width), dtype=np.int64)
+    rows = 0
+    for block in blocks:
+        np.add(counts, block.T @ block, out=counts, casting="unsafe")
+        rows += block.shape[0]
+    return OneHotCounts(counts=counts, rows=rows, value=value)
+
+
+def _mean_and_cov(sample: np.ndarray | OneHotCounts) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and float64 covariance (divided by n - 1, or 1 for one row)
+    of pca_fit's sample; a matrix is centred in place."""
+    if isinstance(sample, OneHotCounts):
+        n = sample.rows
+        if n == 0:
+            raise FitError("pca_fit needs counts of at least one row")
+        sums = np.diagonal(sample.counts)
+        cov = (n * sample.counts - np.outer(sums, sums)).astype(np.float64)
+        cov *= sample.value ** 2 / (n * max(1, n - 1))
+        return sums * (sample.value / n), cov
+    x = sample
     if getattr(x, "dtype", None) != np.float64 or x.ndim != 2 or x.shape[0] == 0:
         raise FitError("pca_fit needs a nonempty 2-D float64 sample matrix")
     mean = x.mean(axis=0)
     x -= mean
     cov = x.T @ x
     cov /= max(1, x.shape[0] - 1)
+    return mean, cov
+
+
+def pca_fit(sample: np.ndarray | OneHotCounts, k: int = DEFAULT_PCA_DIM) -> PcaProjector:
+    """Project onto the top-k covariance eigenvectors after mean-centering.
+
+    `sample` is a nonempty 2-D float64 matrix or the OneHotCounts of one.
+    A matrix is centred in place and stays so: `x @ components.T` is bit
+    for bit `(uncentred - mean) @ components.T`. From counts C with column
+    sums s over n rows of value v, the covariance v² (C − s sᵀ/n) / (n − 1)
+    takes one rounding, after the exact integer n C − s sᵀ. When fewer than
+    k informative directions exist, the available rank is retained.
+    Component signs are fixed for determinism."""
+    mean, cov = _mean_and_cov(sample)
     eigvals, eigvecs = np.linalg.eigh(cov)
     del cov
     order = np.argsort(eigvals)[::-1]
     eigvals = eigvals[order]
     tol = max(eigvals[0], 0.0) * 1e-12 + 1e-15
-    rank = min(k, int((eigvals > tol).sum()), x.shape[1])
-    rank = max(rank, 1)
+    rank = max(min(k, int((eigvals > tol).sum())), 1)
     components = eigvecs[:, order[:rank]].T.copy()
     for row in components:
         pivot = np.argmax(np.abs(row))
@@ -114,17 +158,28 @@ def pca_fit(x: np.ndarray, k: int = DEFAULT_PCA_DIM) -> PcaProjector:
     return PcaProjector(mean=mean, components=components)
 
 
-def pca_project(projector: PcaProjector, vectors: np.ndarray) -> np.ndarray:
-    x = np.asarray(vectors, dtype=np.float64)
-    return (x - projector.mean) @ projector.components.T
-
-
 # ---------------------------------------------------------------------------
 # k-means and the IVF index
 # ---------------------------------------------------------------------------
 
 #: Rows per block of _row_sq_norms: bounds its x * x temporary.
 _SQ_BLOCK_ROWS = 512
+#: Rows per block of the Lloyd distances: bounds their block x cells buffer.
+_LLOYD_BLOCK_ROWS = 1024
+
+
+def fixed_blocks(n: int, size: int) -> Iterator[slice]:
+    """Slices of `size` rows that cover rows 0..n, the last one ending at n
+    and so overlapping its predecessor; one slice of all n rows when
+    n <= size. Every product over them has one shape, so BLAS never gets a
+    short tail, for which it may take other kernels that round differently,
+    and a row's result does not depend on the block it falls in."""
+    if n <= size:
+        yield slice(0, n)
+        return
+    for lo in range(0, n - size, size):
+        yield slice(lo, lo + size)
+    yield slice(n - size, n)
 
 
 def _row_sq_norms(x: np.ndarray) -> np.ndarray:
@@ -195,13 +250,17 @@ def kmeans(points: np.ndarray, cells: int, rng: RngLike, iters: int = 25
 
     labels = np.zeros(n, dtype=np.int64)
     previous = None
+    # each row's distances and argmin, one fixed block of rows at a time
+    dist = np.empty((min(n, _LLOYD_BLOCK_ROWS), cells), dtype=np.float64)
     for _ in range(iters):
-        dist = x @ centroids.T
-        dist *= -2.0
-        dist += sq[:, None]
-        dist += np.sum(centroids ** 2, axis=1)
-        labels = np.argmin(dist, axis=1)
-        del dist  # freed before the next product allocates its n x cells buffer
+        centroid_sq = np.sum(centroids ** 2, axis=1)
+        labels = np.empty(n, dtype=np.int64)
+        for block in fixed_blocks(n, dist.shape[0]):
+            np.matmul(x[block], centroids.T, out=dist)
+            dist *= -2.0
+            dist += sq[block, None]
+            dist += centroid_sq
+            labels[block] = np.argmin(dist, axis=1)
         counts = np.bincount(labels, minlength=cells)
         if previous is not None and np.array_equal(labels, previous):
             break
@@ -297,14 +356,22 @@ def brute_force_query(vectors: np.ndarray, ids: np.ndarray | None, query: np.nda
 # Hybrid state+instruction encoding
 # ---------------------------------------------------------------------------
 
-def hybrid_encode(state_vec: np.ndarray, instr_vec: np.ndarray, alpha: float) -> np.ndarray:
+def hybrid_encode(state_vec: np.ndarray, instr_vec: np.ndarray, alpha: float,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """Concatenate a state block with an alpha-weighted instruction block and
-    renormalize, row by row over the last axis."""
+    renormalize, row by row over the last axis. With `out` the result is
+    written there, in this order: the state columns (which may already be
+    out's own leading columns), alpha times the instruction columns, then
+    unit_rows in place."""
     state_vec = np.asarray(state_vec, dtype=np.float64)
     instr_vec = np.asarray(instr_vec, dtype=np.float64)
     if not (np.isfinite(state_vec).all() and np.isfinite(instr_vec).all()):
         raise EncodingError("non-finite input to hybrid_encode")
-    combined = np.concatenate([state_vec, alpha * instr_vec], axis=-1)
-    if not unit_rows(combined).all():
+    width = state_vec.shape[-1]
+    if out is None:
+        out = np.empty(state_vec.shape[:-1] + (width + instr_vec.shape[-1],))
+    out[..., :width] = state_vec
+    np.multiply(instr_vec, alpha, out=out[..., width:])
+    if not unit_rows(out).all():
         raise EncodingError("zero combined norm in hybrid_encode")
-    return combined
+    return out

@@ -33,7 +33,9 @@ from .dataset import Example
 from .engines import Solver, Support, SupportSet
 from .errors import FitError, MetricError, PatternError, SolverError, UnresolvableError
 from .grammar import resolve_target
-from .world import ACTION_TABLE_SIZE, Action, RngLike, WorldState, as_rng, encode_states
+from .index import fixed_blocks
+from .world import (ACTION_TABLE_SIZE, Action, RngLike, WorldState, as_rng, encode_states,
+                    one_hot_rows, slot_value, state_codes)
 
 CRITERIA_ROWS = (
     "(1) described object",
@@ -136,8 +138,11 @@ def validity_correctness(supports: Iterable[Support], oracle: Solver) -> Validit
 DEFAULT_RANKS = tuple(2 ** i for i in range(14))  # 1 .. 8192
 #: Split states nn_profile samples by default.
 DEFAULT_NN_SAMPLE = 1000
-#: Split states nn_profile scores against the train states in one product.
+#: Split states nn_profile scores against the train states in one block.
 _NN_CHUNK = 128
+#: Train states nn_profile encodes at a time, each block into its columns
+#: of the block's similarities.
+_NN_TRAIN_BLOCK = 1024
 
 
 def nn_profile(split_states: Sequence[WorldState], train_states: Sequence[WorldState],
@@ -162,13 +167,17 @@ def nn_profile(split_states: Sequence[WorldState], train_states: Sequence[WorldS
     if len(split_states) > sample:
         idx = gen.choice(len(split_states), size=sample, replace=False)
         split_states = [split_states[int(i)] for i in idx]
-    train_mat = encode_states(train_states)
+    coded = state_codes(train_states)
+    value = slot_value(coded[0].shape[1])
     max_rank = usable[-1]
     sums = np.zeros(len(usable), dtype=np.float64)
+    buffer = np.empty((min(_NN_CHUNK, len(split_states)), len(train_states)), dtype=np.float32)
     for start in range(0, len(split_states), _NN_CHUNK):
-        block = split_states[start:start + _NN_CHUNK]
-        q = encode_states(block)
-        sims = q @ train_mat.T
+        q = encode_states(split_states[start:start + _NN_CHUNK])
+        sims = buffer[:len(q)]
+        for rows in fixed_blocks(len(train_states), _NN_TRAIN_BLOCK):
+            train = one_hot_rows(*(a[rows] for a in coded), value, np.float32)
+            np.matmul(q, train.T, out=sims[:, rows])
         part = -np.partition(-sims, max_rank - 1, axis=1)[:, :max_rank]
         part.sort(axis=1)
         part = part[:, ::-1]

@@ -318,15 +318,34 @@ for _code, (_shape, _color, _size) in enumerate(itertools.product(SHAPES, COLORS
     _CELL_CODES[_shape, _color, _size] = _code
     _CELL_ROWS[_code, [_SHAPE_OFF + SHAPES.index(_shape), _COLOR_OFF + COLORS.index(_color),
                        _SIZE_OFF + _size - 1]] = 1.0
+#: The three slots each cell code sets, in slot order.
+_CODE_SLOTS = np.array([np.flatnonzero(row) for row in _CELL_ROWS])
+#: The none slot of the attribute of each shape, color and size slot.
+_NONE_SLOT = np.repeat(_CODE_SLOTS[0], [len(SHAPES) + 1, len(COLORS) + 1, len(SIZES) + 1])
+#: The slots two cell codes share: equal shape, color and size bits.
+_SHARED_SLOTS = (_CELL_ROWS @ _CELL_ROWS.T).astype(np.int8)
+
+
+def active_slots(cells: int) -> int:
+    """The one-hot slots every state on `cells` cells sets: a shape, color
+    and size slot per cell, plus the agent and heading slots."""
+    return 3 * cells + 2
+
+
+def slot_value(cells: int) -> float:
+    """The value of each active slot of a unit one-hot row on `cells` cells:
+    1 / sqrt(active slots)."""
+    return 1.0 / np.sqrt(float(active_slots(cells)))
 
 
 def state_codes(states: Sequence[WorldState]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each state's row-major cell codes (0 empty, else _CELL_CODES), agent
-    cell and heading, as three arrays. Raises DimensionError on mixed sizes."""
+    """Each state's row-major int8 cell codes (0 empty, else _CELL_CODES),
+    agent cell and heading, as three arrays. Raises DimensionError on mixed
+    sizes."""
     n = states[0].grid_size if states else 0
-    codes = np.zeros((len(states), n * n), dtype=np.intp)
+    codes = np.zeros((len(states), n * n), dtype=np.int8)
     agent_cells = np.empty(len(states), dtype=np.intp)
-    headings = np.empty(len(states), dtype=np.intp)
+    headings = np.empty(len(states), dtype=np.int8)
     for row, state in enumerate(states):
         if state.grid_size != n:
             raise DimensionError(f"grid sizes differ: {n} vs {state.grid_size}")
@@ -337,25 +356,72 @@ def state_codes(states: Sequence[WorldState]) -> tuple[np.ndarray, np.ndarray, n
     return codes, agent_cells, headings
 
 
+def one_hot_rows(codes: np.ndarray, agent_cells: np.ndarray, headings: np.ndarray,
+                 value: float, dtype) -> np.ndarray:
+    """The one-hot rows of state_codes output, every active slot holding
+    `value` and every other slot 0. Cells are laid out row-major; see the
+    CELL_WIDTH block order above."""
+    count, cells = codes.shape
+    rows = (_CELL_ROWS * value).astype(dtype)[codes]
+    index = np.arange(count)
+    rows[index, agent_cells, _AGENT_OFF] = value
+    rows[index, agent_cells, _HEADING_OFF + headings] = value
+    return rows.reshape(count, cells * CELL_WIDTH)
+
+
 def encode_states(states: Iterable[WorldState], dtype=np.float32) -> np.ndarray:
     """Unit-norm one-hot encodings of same-size states, one row per state:
-    the expansion of their state_codes.
+    the one_hot_rows of their state_codes.
 
-    Cells are laid out row-major; see CELL_WIDTH block order above. Every
-    state activates exactly 3*cells + 2 slots, so normalization is a constant
-    scale and the encoding stays injective on valid states."""
+    Every state activates exactly active_slots(cells) slots, so normalization
+    is a constant scale and the encoding stays injective on valid states."""
     codes, agent_cells, headings = state_codes(list(states))
-    count, cells = codes.shape
-    # 1 / ‖v‖ with ‖v‖ = sqrt(3*cells + 2): the value of each active slot
-    scale = 1.0 / np.sqrt(3.0 * cells + 2.0)
-    vecs = (_CELL_ROWS * scale).astype(dtype)[codes]
-    rows = np.arange(count)
-    vecs[rows, agent_cells, _AGENT_OFF] = scale
-    vecs[rows, agent_cells, _HEADING_OFF + headings] = scale
-    return vecs.reshape(count, cells * CELL_WIDTH)
+    return one_hot_rows(codes, agent_cells, headings, slot_value(codes.shape[1]), dtype)
 
 
-def encode_one_hot(state: WorldState) -> np.ndarray:
-    """Fixed-length unit-norm one-hot encoding of one state: its float64
-    encode_states row."""
-    return encode_states([state], np.float64)[0]
+def shared_slots(codes: np.ndarray, agent_cells: np.ndarray, headings: np.ndarray,
+                 code: np.ndarray, agent_cell: int, heading: int) -> np.ndarray:
+    """The active one-hot slots each state of the state_codes arrays shares
+    with one state (its `code` row, agent cell and heading): the dot product
+    of their 0/1 one-hot rows, as int64."""
+    same_cell = agent_cells == agent_cell
+    return (_SHARED_SLOTS[codes, code].sum(axis=1, dtype=np.int64)
+            + same_cell * (1 + (headings == heading)))
+
+
+def fold_slots(slot_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fold a matrix with one row per one-hot slot (cells * CELL_WIDTH rows)
+    into the rows code_sums adds: the pose rows, one per (agent cell,
+    heading) at cell * 4 + heading, each the sum of that pose's agent and
+    heading rows and of the none rows of every cell; and the change rows,
+    slot_rows with each shape, color and size row less its attribute's none
+    row in the same cell, which is what an object in that cell adds."""
+    cells = slot_rows.shape[0] // CELL_WIDTH
+    per_cell = slot_rows.reshape(cells, CELL_WIDTH, -1)
+    changes = per_cell.copy()
+    changes[:, :_AGENT_OFF] -= per_cell[:, _NONE_SLOT]
+    poses = per_cell[:, _AGENT_OFF, None] + per_cell[:, _HEADING_OFF:_HEADING_OFF + 4]
+    poses += per_cell[:, _CODE_SLOTS[0]].sum(axis=(0, 1))
+    return poses.reshape(cells * 4, -1), changes.reshape(cells * CELL_WIDTH, -1)
+
+
+def code_sums(poses: np.ndarray, changes: np.ndarray, codes: np.ndarray,
+              agent_cells: np.ndarray, headings: np.ndarray, out: np.ndarray) -> None:
+    """Write into `out` each state's one-hot row times the slot matrix that
+    fold_slots folded into `poses` and `changes`, from its state_codes: its
+    pose row, then for each cell that holds an object, in cell order, the
+    change rows of the object's shape, color and size slots. A row's bits
+    depend on its own codes only, not on the other rows of the block.
+    Raises DimensionError when the states' grid differs from the folded
+    one."""
+    if codes.shape[1] * CELL_WIDTH != changes.shape[0]:
+        raise DimensionError(f"grid sizes differ: {changes.shape[0] // CELL_WIDTH} vs "
+                             f"{codes.shape[1]} cells")
+    out[...] = poses[agent_cells * 4 + headings]
+    for cell in np.flatnonzero(codes.any(axis=0)):
+        rows = np.flatnonzero(codes[:, cell])
+        shape, color, size = (_CODE_SLOTS[codes[rows, cell]] + cell * CELL_WIDTH).T
+        change = changes[shape]
+        change += changes[color]
+        change += changes[size]
+        out[rows] += change

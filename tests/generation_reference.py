@@ -6,24 +6,28 @@ that became two swap tables, the action-pattern compiler that parsed
 into a tree and walked it again before it became one pass, and the
 planner's turn branches, zigzag state machine and per-adverb step
 templates before each became one closed form, and the retrieval vectors
-built one row per call (tf-idf, hybrid and input/output encodings, each with
-its own division by the L2 norm) before they became row matrices, and the
+built one row per call (tf-idf and input/output encodings, each with its
+own division by the L2 norm) before they became row matrices, the
 same-state solve loop that asked the solver for one pair at a time before
-it handed over each round's shortfall in one batch.
+it handed over each round's shortfall in one batch, and the nearest
+neighbour profile that encoded every train state into one matrix before it
+encoded them in blocks.
 
 Each function is kept as it was, fresh objects and full candidate lists
 included, so tests can require the current generator to draw the same
 stream and build the same examples, the current parse, encode_words,
 heuristic_candidates and compile_pattern to give the same results and raise
 the same errors, the current turns_between, _walk_steps and _decorate
-to give the same actions, and the CovR and GandR builds and query encodings
-to give the same vectors bit for bit, and the batched solve loop to solve
-the same pairs in the same order. Only the names it reads from supportgen are
-imported; the split predicate tables stay the single definition."""
+to give the same actions, the GandR build and query encodings to give the
+same vectors bit for bit, the batched solve loop to solve the same pairs in
+the same order, and nn_profile to give the same profile. Only the names it
+reads from supportgen are imported; the split predicate tables stay the
+single definition."""
 
 from __future__ import annotations
 
 import re
+import warnings
 from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -44,7 +48,7 @@ from supportgen.dataset import (
     _flags,
 )
 from supportgen.engines import Solver, Support
-from supportgen.errors import (CapacityError, EncodingError, FitError, GenerationError,
+from supportgen.errors import (CapacityError, GenerationError, MetricError,
                                GrammarError, LexicalError, PatternError, SolverError)
 from supportgen.grammar import (
     COLOR_WORDS,
@@ -56,7 +60,7 @@ from supportgen.grammar import (
     Instruction,
     TargetResolution,
 )
-from supportgen.index import PcaProjector, TfIdfEncoder, tfidf_fit
+from supportgen.index import TfIdfEncoder, tfidf_fit
 from supportgen.metrics import _PATTERN_TOKEN, NAMED_PATTERNS, _char
 from supportgen.planner import CAUTIOUS_SEQUENCE, SPIN, Plan
 from supportgen.world import (
@@ -507,45 +511,6 @@ def tfidf_encode(encoder: TfIdfEncoder, tokens: Sequence[str]) -> np.ndarray:
     return vec / norm if norm > 0 else vec
 
 
-def pca_fit_centring(x: np.ndarray, k: int) -> PcaProjector:
-    """pca_fit on a float64 matrix the caller owns: `x` is centred in place
-    and stays centred, so `x @ components.T` is bit for bit the projection
-    pca_project gives of the uncentred rows."""
-    if x.ndim != 2 or x.shape[0] == 0:
-        raise FitError("pca_fit needs a nonempty 2-D sample matrix")
-    mean = x.mean(axis=0)
-    x -= mean
-    cov = x.T @ x
-    cov /= max(1, x.shape[0] - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    del cov
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    tol = max(eigvals[0], 0.0) * 1e-12 + 1e-15
-    rank = min(k, int((eigvals > tol).sum()), x.shape[1])
-    rank = max(rank, 1)
-    components = eigvecs[:, order[:rank]].T.copy()
-    for row in components:
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0:
-            row *= -1.0
-    return PcaProjector(mean=mean, components=components)
-
-
-def hybrid_encode(state_vec: np.ndarray, instr_vec: np.ndarray, alpha: float) -> np.ndarray:
-    """Concatenate a state block with an alpha-weighted instruction block and
-    renormalize."""
-    state_vec = np.asarray(state_vec, dtype=np.float64)
-    instr_vec = np.asarray(instr_vec, dtype=np.float64)
-    if not (np.isfinite(state_vec).all() and np.isfinite(instr_vec).all()):
-        raise EncodingError("non-finite input to hybrid_encode")
-    combined = np.concatenate([state_vec, alpha * instr_vec])
-    norm = np.linalg.norm(combined)
-    if norm == 0:
-        raise EncodingError("zero combined norm in hybrid_encode")
-    return combined / norm
-
-
 def combine_io(instr_vec: np.ndarray, out_vec: np.ndarray, alpha: float) -> np.ndarray:
     """Fixed input/output trade-off: concat((1-alpha)*in, alpha*out), unit."""
     combined = np.concatenate([(1.0 - alpha) * instr_vec, alpha * out_vec])
@@ -560,21 +525,6 @@ def _encode_instructions(examples: Sequence[Example]) -> tuple[TfIdfEncoder, lis
     tfidf = tfidf_fit([REALIZED[row] for row in rows])
     vectors = {row: tfidf_encode(tfidf, REALIZED[row]) for row in dict.fromkeys(rows)}
     return tfidf, [vectors[row] for row in rows]
-
-
-def covr_vectors(examples: Sequence[Example], pca_dim: int, alpha: float
-                 ) -> tuple[PcaProjector, TfIdfEncoder, np.ndarray]:
-    """The CovR build up to its IVF: the PCA, the tf-idf encoder and the
-    hybrid matrix that the index keeps, filled one row per call."""
-    onehot = encode_states([ex.state for ex in examples], np.float64)
-    pca = pca_fit_centring(onehot, pca_dim)
-    projected = onehot @ pca.components.T
-    del onehot
-    tfidf, instr_vecs = _encode_instructions(examples)
-    hybrid = np.empty((len(examples), pca.dim + tfidf.dim), dtype=np.float64)
-    for row, instr in enumerate(instr_vecs):
-        hybrid[row] = hybrid_encode(projected[row], instr, alpha)
-    return pca, tfidf, hybrid
 
 
 def gandr_vectors(examples: Sequence[Example], alpha: float
@@ -607,3 +557,39 @@ def _solve_in_state(query: Example, candidates: Iterable[tuple[Instruction, dict
             actions = None
         supports.append(Support(query.state, instr, actions, meta))
     return supports
+
+
+def nn_profile(split_states: Sequence[WorldState], train_states: Sequence[WorldState],
+               ranks: Sequence[int], sample: int, rng: RngLike = 0) -> list[tuple[int, float]]:
+    """Mean cosine similarity between sampled split states and their Nth
+    nearest training state, over unit one-hot encodings (exact search).
+
+    Ranks beyond the training size are dropped with a warning."""
+    if not split_states or not train_states:
+        raise MetricError("nn_profile needs nonempty split and train states")
+    ranks = sorted(set(int(r) for r in ranks))
+    usable = [r for r in ranks if r <= len(train_states)]
+    if len(usable) < len(ranks):
+        warnings.warn(
+            f"ranks beyond the training size ({len(train_states)}) truncated",
+            stacklevel=2,
+        )
+    if not usable:
+        raise MetricError("all requested ranks exceed the training size")
+    gen = as_rng(rng)
+    if len(split_states) > sample:
+        idx = gen.choice(len(split_states), size=sample, replace=False)
+        split_states = [split_states[int(i)] for i in idx]
+    train_mat = encode_states(train_states)
+    max_rank = usable[-1]
+    sums = np.zeros(len(usable), dtype=np.float64)
+    for start in range(0, len(split_states), 128):
+        block = split_states[start:start + 128]
+        q = encode_states(block)
+        sims = q @ train_mat.T
+        part = -np.partition(-sims, max_rank - 1, axis=1)[:, :max_rank]
+        part.sort(axis=1)
+        part = part[:, ::-1]
+        for j, r in enumerate(usable):
+            sums[j] += float(part[:, r - 1].sum())
+    return [(r, sums[j] / len(split_states)) for j, r in enumerate(usable)]

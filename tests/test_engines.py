@@ -333,20 +333,28 @@ class TestCovr:
             assert len(covered) >= best_single
 
     def test_matches_brute_force_oracle(self, corpus, covr_retriever):
-        # independent reimplementation: exact scan, same sort keys, same greedy
-        from supportgen.index import hybrid_encode, pca_project, tfidf_encode
-        from supportgen.world import encode_one_hot
+        # independent reimplementation: dense one-hot rows projected with the
+        # fitted PCA, exact scan, same sort keys, same greedy
+        from supportgen.index import hybrid_encode, tfidf_encode
+        from supportgen.world import encode_states
+
+        pca = covr_retriever.pca
+
+        def encode_one_hot(state):
+            return encode_states([state], np.float64)[0]
+
+        def pca_project(vec):
+            return (vec - pca.mean) @ pca.components.T
 
         train = corpus.split(Split.TRAIN)
         for query in corpus.split(Split.H)[:4] + corpus.split(Split.C)[:2]:
             state_vec = encode_one_hot(query.state)
             instr = tfidf_encode(covr_retriever.tfidf, [realize(query.instruction)])[0]
-            qvec = hybrid_encode(pca_project(covr_retriever.pca, state_vec), instr,
-                                 covr_retriever.alpha)
+            qvec = hybrid_encode(pca_project(state_vec), instr, covr_retriever.alpha)
             scores = []
             for idx, ex in enumerate(train):
                 vec = hybrid_encode(
-                    pca_project(covr_retriever.pca, encode_one_hot(ex.state)),
+                    pca_project(encode_one_hot(ex.state)),
                     tfidf_encode(covr_retriever.tfidf, [realize(ex.instruction)])[0],
                     covr_retriever.alpha)
                 scores.append((-float(vec @ qvec), idx))
@@ -386,19 +394,27 @@ class TestCovr:
             assert sorted(map(repr, got)) == sorted(map(repr, expected))
 
 
+    @pytest.mark.parametrize("grid", [5, 7])
+    def test_query_on_another_grid_is_dimension_error(self, corpus, covr_retriever, grid):
+        from supportgen.errors import DimensionError
+
+        query = corpus.split(Split.H)[0]
+        state = WorldState(grid, AgentPose(Position(4, 4), Heading.EAST), ())
+        with pytest.raises(DimensionError, match="grid sizes differ"):
+            covr_supports(Example(state, query.instruction, query.actions, Split.H),
+                          covr_retriever)
+
     def test_build_holds_one_one_hot_matrix(self):
         """Traced peak of the build over 3,000 states, in units of one float64
         one-hot matrix: 2.69 when PCA centred a second copy of the samples
-        beside them, 1.58 with the in-place fit. The bound sits between."""
+        beside them, 1.58 with the in-place fit, 0.83 from cell codes, where
+        no one-hot matrix is built and the hybrid matrix the index keeps is
+        about half of one. The bound sits just above."""
         import tracemalloc
 
-        from conftest import random_state
-        from supportgen.grammar import INSTRUCTIONS
         from supportgen.world import CELL_WIDTH
 
-        rng = np.random.default_rng(5)
-        examples = [Example(random_state(rng), INSTRUCTIONS[int(rng.integers(len(INSTRUCTIONS)))],
-                            (), Split.TRAIN) for _ in range(3000)]
+        examples = random_examples(3000)
         one_hot_bytes = len(examples) * 36 * CELL_WIDTH * 8
         tracing = tracemalloc.is_tracing()
         if not tracing:
@@ -411,7 +427,7 @@ class TestCovr:
         finally:
             if not tracing:
                 tracemalloc.stop()
-        assert (peak - base) / one_hot_bytes < 2.0
+        assert (peak - base) / one_hot_bytes < 0.9
 
 
 @pytest.mark.parametrize("n", [0, 1])
@@ -517,15 +533,11 @@ def retrieval_corpus(case, corpus, grid4_corpus):
                                   "some-empty-outputs", "single"])
 def test_row_matrix_builds_equal_per_row_reference(corpus, grid4_corpus, monkeypatch,
                                                    case, alpha):
-    """The CovR and GandR builds, and the query vectors they hand to
-    ivf_query, equal the per-row encoders and build loops they replaced
-    (tests/generation_reference.py) bit for bit, zero rows included; where
-    the reference raises EncodingError for a zero combined norm, so does the
-    build."""
+    """The GandR build, and the query vectors it hands to ivf_query, equal
+    the per-row encoders and build loop they replaced
+    (tests/generation_reference.py) bit for bit, zero rows included. The
+    CovR build is pinned by the tests below."""
     import supportgen.engines
-    from supportgen.errors import EncodingError
-    from supportgen.index import pca_project
-    from supportgen.world import encode_one_hot
 
     ref = generation_reference
     train, queries = retrieval_corpus(case, corpus, grid4_corpus)
@@ -534,24 +546,6 @@ def test_row_matrix_builds_equal_per_row_reference(corpus, grid4_corpus, monkeyp
     monkeypatch.setattr(supportgen.engines, "ivf_query",
                         lambda index, query, **kw: sent.append(query) or
                         real_query(index, query, **kw))
-
-    try:
-        pca, tfidf, hybrid = ref.covr_vectors(train, 16, alpha)
-    except EncodingError:
-        with pytest.raises(EncodingError, match="zero combined norm"):
-            build_covr_retriever(train, cells=8, pca_dim=16, alpha=alpha, rng=0)
-    else:
-        covr = build_covr_retriever(train, cells=8, pca_dim=16, alpha=alpha, rng=0)
-        assert covr.pca.mean.tobytes() == pca.mean.tobytes()
-        assert covr.pca.components.tobytes() == pca.components.tobytes()
-        assert covr.ivf.vectors.tobytes() == hybrid.tobytes()
-        for query in queries:
-            sent.clear()
-            covr_supports(query, covr, probes=8)
-            want = ref.hybrid_encode(pca_project(pca, encode_one_hot(query.state)),
-                                     ref.tfidf_encode(tfidf, realize(query.instruction)),
-                                     alpha)
-            assert sent[0].tobytes() == want.tobytes()
 
     class FailingSolver:
         def solve(self, state, instruction):
@@ -570,6 +564,90 @@ def test_row_matrix_builds_equal_per_row_reference(corpus, grid4_corpus, monkeyp
                                   ref.tfidf_encode(out_tfidf, [a.name for a in guess]),
                                   weight)
             assert sent[0].tobytes() == want.tobytes()
+
+
+def random_examples(count, seed=5):
+    """Examples over random 6x6 states with random instructions."""
+    from conftest import random_state
+
+    rng = np.random.default_rng(seed)
+    return [Example(random_state(rng), INSTRUCTIONS[int(rng.integers(len(INSTRUCTIONS)))],
+                    (), Split.TRAIN) for _ in range(count)]
+
+
+@pytest.mark.pins
+@pytest.mark.parametrize("case", ["fixture", "grid4", "one-instruction", "single", "many"])
+def test_covr_build_bytes_do_not_depend_on_block_size(corpus, grid4_corpus, monkeypatch, case):
+    """Builds at block sizes 1, 7, the default and >= n give equal bytes:
+    the PCA, the projection rows, the hybrid matrix, the index and the
+    support sets; where one build raises the zero-norm EncodingError, all
+    do."""
+    import supportgen.engines
+    from supportgen.errors import EncodingError
+
+    if case == "many":
+        train = random_examples(1300)
+        queries = train[:3] + corpus.split(Split.H)[:2]
+    else:
+        train, queries = retrieval_corpus(case, corpus, grid4_corpus)
+    outcomes = []
+    for block in (1, 7, supportgen.engines._COVR_BLOCK_ROWS, len(train) + 1):
+        monkeypatch.setattr(supportgen.engines, "_COVR_BLOCK_ROWS", block)
+        try:
+            covr = build_covr_retriever(train, cells=8, pca_dim=16, rng=0)
+        except EncodingError as exc:
+            outcomes.append(str(exc))
+            continue
+        outcomes.append([
+            covr.pca.mean.tobytes(), covr.pca.components.tobytes(),
+            covr.pose_rows.tobytes(), covr.change_rows.tobytes(),
+            covr.ivf.vectors.tobytes(), covr.ivf.centroids.tobytes(),
+            [ids.tobytes() for ids in covr.ivf.cell_ids],
+            [repr(covr_supports(query, covr, probes=8)) for query in queries
+             if query.state.grid_size == train[0].state.grid_size],
+        ])
+    assert all(outcome == outcomes[0] for outcome in outcomes)
+    assert (case == "single") == isinstance(outcomes[0], str)
+
+
+@pytest.mark.pins
+@pytest.mark.parametrize("case", ["fixture", "grid4", "one-instruction"])
+def test_covr_query_vector_equals_its_build_row(corpus, grid4_corpus, monkeypatch, case):
+    """The vector covr_supports hands to ivf_query for a train example is
+    that example's row of the built matrix, bit for bit."""
+    import supportgen.engines
+
+    train, _ = retrieval_corpus(case, corpus, grid4_corpus)
+    covr = build_covr_retriever(train, cells=8, pca_dim=16, rng=0)
+    sent = []
+    real_query = supportgen.engines.ivf_query
+    monkeypatch.setattr(supportgen.engines, "ivf_query",
+                        lambda index, query, **kw: sent.append(query) or
+                        real_query(index, query, **kw))
+    for row, example in enumerate(train):
+        sent.clear()
+        covr_supports(example, covr, probes=8)
+        assert sent[0].tobytes() == covr.ivf.vectors[row].tobytes()
+
+
+@pytest.mark.pins
+def test_covr_cosines_equal_dense_dot_products(corpus, covr_retriever):
+    """Every state cosine, k / active slots for k shared slots, is within
+    1e-12 of the float64 one-hot dot product, and each support's cosine is
+    that product rounded to 9 places."""
+    from supportgen.world import active_slots, encode_states, shared_slots, state_codes
+
+    train = corpus.split(Split.TRAIN)
+    dense = encode_states([ex.state for ex in train], np.float64)
+    for query in corpus.split(Split.H) + corpus.split(Split.C) + train[:3]:
+        state_vec = encode_states([query.state], np.float64)[0]
+        codes, agent_cells, headings = state_codes([query.state])
+        shared = shared_slots(covr_retriever.codes, covr_retriever.agent_cells,
+                              covr_retriever.headings, codes[0], agent_cells[0], headings[0])
+        assert np.abs(shared / active_slots(36) - dense @ state_vec).max() <= 1e-12
+        for support in covr_supports(query, covr_retriever, probes=16).supports:
+            want = float(encode_states([support.state], np.float64)[0] @ state_vec)
+            assert support.meta["cosine"] == round(want, 9)
 
 
 ECHO_SERVER = r"""

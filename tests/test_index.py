@@ -5,18 +5,26 @@ import pytest
 
 from supportgen.errors import EncodingError, FitError, QueryError
 from supportgen.index import (
+    _LLOYD_BLOCK_ROWS,
+    _mean_and_cov,
     _row_sq_norms,
     brute_force_query,
+    count_one_hot,
+    fixed_blocks,
     hybrid_encode,
     ivf_build,
     ivf_query,
     kmeans,
     pca_fit,
-    pca_project,
     tfidf_encode,
     tfidf_fit,
     unit_rows,
 )
+
+
+def project(p, vectors):
+    """The projection a PcaProjector defines: (vectors - mean) @ components.T."""
+    return (np.asarray(vectors, dtype=np.float64) - p.mean) @ p.components.T
 
 
 def random_unit_rows(rng, n, d):
@@ -102,6 +110,13 @@ def pca_samples(case):
 
 
 class TestTfIdf:
+    @pytest.mark.parametrize("docs", ["red", ["red", "circle"], [["red"], "circle"]],
+                             ids=["string", "flat-token-list", "one-string-document"])
+    def test_string_documents_rejected(self, docs):
+        enc = tfidf_fit([["red", "circle"], ["blue", "square"]])
+        with pytest.raises(EncodingError, match="not a string"):
+            tfidf_encode(enc, docs)
+
     def test_identical_documents(self):
         enc = tfidf_fit([["red", "circle"], ["blue", "square"]])
         a = tfidf_encode(enc, [["red", "circle"]])[0]
@@ -187,14 +202,14 @@ class TestPca:
         p = pca_fit(data.copy(), k=1)
         axis = p.components[0]
         assert abs(float(axis @ direction)) == pytest.approx(1.0, abs=1e-9)
-        recon = pca_project(p, data) @ p.components + p.mean
+        recon = project(p, data) @ p.components + p.mean
         assert np.allclose(recon, data, atol=1e-9)
 
     def test_isotropic_explained_variance(self):
         rng = np.random.default_rng(1)
         data = rng.standard_normal((20_000, 6))
         p = pca_fit(data.copy(), k=6)
-        projected = pca_project(p, data)
+        projected = project(p, data)
         variances = projected.var(axis=0)
         assert variances.max() / variances.min() < 1.15
 
@@ -204,7 +219,7 @@ class TestPca:
         coeffs = rng.standard_normal((300, 4))
         data = coeffs @ basis
         p = pca_fit(data.copy(), k=8)
-        projected = pca_project(p, data)
+        projected = project(p, data)
         centered = data - data.mean(axis=0)
         assert np.allclose(projected @ projected.T, centered @ centered.T, atol=1e-8)
 
@@ -227,14 +242,14 @@ class TestPca:
                                       "one-hot-states"])
     def test_in_place_fit_equal_to_parent(self, case):
         """The centring fit and the projection of its centred rows equal the
-        copy-then-centre fit and pca_project bit for bit."""
+        copy-then-centre fit and its projection bit for bit."""
         data, k = pca_samples(case)
         mean, components, projected = parent_pca(data, k)
         owned = np.array(data, dtype=np.float64)
         p = pca_fit(owned, k)
         assert p.mean.tobytes() == mean.tobytes()
         assert p.components.tobytes() == components.tobytes()
-        assert pca_project(p, data).tobytes() == projected.tobytes()
+        assert project(p, data).tobytes() == projected.tobytes()
         assert (owned @ p.components.T).tobytes() == projected.tobytes()
 
     def test_fit_centres_its_input_in_place(self):
@@ -257,9 +272,32 @@ class TestPca:
         rng = np.random.default_rng(5)
         p = pca_fit(rng.standard_normal((100, 8)), k=4)
         x, y = rng.standard_normal(8), rng.standard_normal(8)
-        lhs = pca_project(p, 2.0 * x + 3.0 * y + p.mean)
-        rhs = (2.0 * pca_project(p, x + p.mean) + 3.0 * pca_project(p, y + p.mean))
+        lhs = project(p, 2.0 * x + 3.0 * y + p.mean)
+        rhs = (2.0 * project(p, x + p.mean) + 3.0 * project(p, y + p.mean))
         assert np.allclose(lhs, rhs, atol=1e-9)
+
+
+@pytest.mark.pins
+@pytest.mark.parametrize("grid, rows, block", [(6, 1, 1), (6, 700, 64), (4, 300, 7),
+                                               (9, 250, 1000)])
+def test_count_moments_equal_dense_moments(grid, rows, block):
+    """The mean and covariance pca_fit takes from one-hot counts are within
+    1e-12 of the dense float64 ones, at any count block size."""
+    from supportgen.world import encode_states, one_hot_rows, slot_value, state_codes
+    from conftest import random_state
+
+    rng = np.random.default_rng([grid, rows])
+    states = [random_state(rng, grid_size=grid, max_objects=grid * grid - 1)
+              for _ in range(rows)]
+    coded = state_codes(states)
+    counts = count_one_hot((one_hot_rows(*(a[lo:lo + block] for a in coded), 1.0, np.float32)
+                            for lo in range(0, rows, block)),
+                           grid * grid * 19, slot_value(grid * grid))
+    mean, cov = _mean_and_cov(counts)
+    dense_mean, dense_cov = _mean_and_cov(encode_states(states, np.float64))
+    assert counts.rows == rows
+    assert np.abs(mean - dense_mean).max() <= 1e-12
+    assert np.abs(cov - dense_cov).max() <= 1e-12
 
 
 class TestKmeans:
@@ -332,6 +370,35 @@ class TestKmeans:
         want = parent_kmeans(x, cells, rng=seed, iters=iters)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.pins
+    @pytest.mark.parametrize("block", [1000, _LLOYD_BLOCK_ROWS])
+    @pytest.mark.parametrize("case", ["unit-rows", "one-hot-states"])
+    def test_blocked_lloyd_equal_to_reference(self, monkeypatch, case, block):
+        """Lloyd steps over fixed row blocks, the last one ending at the last
+        row, equal the reference's one n x cells product bit for bit."""
+        import supportgen.index
+
+        rng = np.random.default_rng(11)
+        if case == "unit-rows":
+            x = random_unit_rows(rng, 2500, 40)
+        else:
+            from supportgen.world import encode_states
+            from conftest import random_state
+
+            x = encode_states([random_state(rng) for _ in range(2100)], np.float64)
+        monkeypatch.setattr(supportgen.index, "_LLOYD_BLOCK_ROWS", block)
+        got = kmeans(x, 32, rng=5)
+        want = parent_kmeans(x, 32, rng=5)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+
+    @pytest.mark.parametrize("n, size, want", [
+        (5, 8, [(0, 5)]), (8, 8, [(0, 8)]), (9, 8, [(0, 8), (1, 9)]),
+        (17, 8, [(0, 8), (8, 16), (9, 17)]), (16, 8, [(0, 8), (8, 16)]),
+    ])
+    def test_fixed_blocks_end_at_the_last_row(self, n, size, want):
+        assert [(b.start, b.stop) for b in fixed_blocks(n, size)] == want
 
     @pytest.mark.parametrize("rows", [1, 511, 512, 513, 1200])
     @pytest.mark.parametrize("order", ["C", "F"])
@@ -447,6 +514,18 @@ class TestHybridEncode:
             rows = hybrid_encode(states, instrs, alpha)
             for row, state, instr in zip(rows, states, instrs):
                 assert row.tobytes() == hybrid_encode(state, instr, alpha).tobytes()
+
+    @pytest.mark.pins
+    def test_in_place_rows_equal_the_allocated_rows(self):
+        """Written into `out`, whose leading columns already hold the state
+        block, the rows equal the allocating call bit for bit."""
+        rng = np.random.default_rng(7)
+        states, instrs = rng.standard_normal((30, 5)), rng.standard_normal((30, 3))
+        for alpha in (0.0, 0.125, 3.0):
+            out = np.empty((30, 8))
+            out[:, :5] = states
+            assert hybrid_encode(out[:, :5], instrs, alpha, out=out) is out
+            assert out.tobytes() == hybrid_encode(states, instrs, alpha).tobytes()
 
     def test_one_zero_row_fails_the_matrix(self):
         states = np.eye(4)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -183,15 +184,38 @@ class TestNnProfile:
         ranks = (1, 4, 16, 64, 256, 1024, 4096)
         profile = dict(nn_profile(queries, train, ranks=ranks, sample=64, rng=2))
 
-        from supportgen.world import encode_one_hot
-        train_mat = np.asarray([encode_one_hot(s) for s in train])
+        from supportgen.world import encode_states
+        train_mat = encode_states(train, np.float64)
         sums = {r: 0.0 for r in ranks}
         for q in queries:
-            sims = np.sort(train_mat @ encode_one_hot(q))[::-1]
+            sims = np.sort(train_mat @ encode_states([q], np.float64)[0])[::-1]
             for r in ranks:
                 sums[r] += sims[r - 1]
         for r in ranks:
             assert profile[r] == pytest.approx(sums[r] / len(queries), abs=1e-5)
+
+
+@pytest.mark.pins
+@pytest.mark.parametrize("train_size, split_size, sample", [
+    (40, 12, 12), (1024, 300, 200), (1025, 50, 50), (1100, 1, 1), (2500, 140, 1000),
+    (3000, 129, 129),
+])
+def test_nn_profile_equals_reference(train_size, split_size, sample):
+    """nn_profile, which encodes the train states in fixed blocks, equals the
+    one-matrix profile it replaced (tests/generation_reference.py) exactly,
+    with train sizes below, at and across the block size and split blocks
+    of one row."""
+    from conftest import random_state
+
+    rng = np.random.default_rng([train_size, split_size])
+    train = [random_state(rng) for _ in range(train_size)]
+    split = [random_state(rng) for _ in range(split_size)]
+    ranks = (1, 2, 8, 64, 512, 4096)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got = nn_profile(split, train, ranks=ranks, sample=sample, rng=3)
+        want = generation_reference.nn_profile(split, train, ranks=ranks, sample=sample, rng=3)
+    assert got == want
 
 
 class TestZipfFit:

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from supportgen.errors import CapacityError, DimensionError, ExecutionError
 from supportgen.world import (
+    CELL_WIDTH,
     SHAPES,
     Action,
     AgentPose,
@@ -12,10 +13,15 @@ from supportgen.world import (
     ObjectSpec,
     Position,
     WorldState,
-    encode_one_hot,
+    active_slots,
+    code_sums,
     encode_states,
+    fold_slots,
     new_random_state,
+    one_hot_rows,
+    shared_slots,
     simulate,
+    state_codes,
 )
 
 from conftest import random_state
@@ -144,9 +150,14 @@ class TestSimulate:
         assert simulate(state, (Action.LTURN,) * 4) == state
 
 
+def one_hot(state):
+    """One state's unit one-hot row, in float64."""
+    return encode_states([state], np.float64)[0]
+
+
 class TestEncodeOneHot:
     def test_self_similarity(self, s0):
-        v = encode_one_hot(s0)
+        v = one_hot(s0)
         assert float(v @ v) == pytest.approx(1.0)
 
     def test_moved_object_similarity(self, s0):
@@ -157,7 +168,7 @@ class TestEncodeOneHot:
             ObjectSpec("square", "blue", 1, Position(0, 0)),
             ObjectSpec("circle", "green", 4, Position(2, 5)),
         ))
-        sim = float(encode_one_hot(s0) @ encode_one_hot(moved))
+        sim = float(one_hot(s0) @ one_hot(moved))
         assert sim == pytest.approx(104 / 110)
         assert sim < 1.0
 
@@ -166,7 +177,7 @@ class TestEncodeOneHot:
         b = WorldState(6, AgentPose(Position(0, 0), Heading.SOUTH), ())
         # each state activates D = 110 slots; the states share 109 of them
         # (108 none markers + agent presence), only the heading slot differs
-        sim = float(encode_one_hot(a) @ encode_one_hot(b))
+        sim = float(one_hot(a) @ one_hot(b))
         assert sim == pytest.approx(109 / 110)
 
     def test_injective_on_random_states(self):
@@ -174,7 +185,7 @@ class TestEncodeOneHot:
         seen = {}
         for i in range(10_000):
             state = random_state(rng)
-            key = encode_one_hot(state).tobytes()
+            key = one_hot(state).tobytes()
             if key in seen:
                 assert seen[key] == state
             seen[key] = state
@@ -200,7 +211,8 @@ class TestEncodeStates:
         assert got.tobytes() == encode_states(states, np.float64).astype(dtype).tobytes()
 
     def test_one_hot_is_the_float64_row(self, s0):
-        assert encode_one_hot(s0).tobytes() == per_cell_one_hot(s0).tobytes()
+        """A batch of one state gives the reference's float64 row."""
+        assert one_hot(s0).tobytes() == per_cell_one_hot(s0).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_no_states(self, dtype):
@@ -211,6 +223,36 @@ class TestEncodeStates:
         small = WorldState(4, AgentPose(Position(0, 0), Heading.NORTH), ())
         with pytest.raises(DimensionError):
             encode_states([s0, small])
+
+
+class TestCodes:
+    @pytest.mark.pins
+    @pytest.mark.parametrize("grid", [4, 6, 9])
+    def test_code_sums_equal_the_dense_product(self, grid):
+        """code_sums over fold_slots rows is the 0/1 one-hot rows times the
+        slot matrix, whatever the slot matrix."""
+        rng = np.random.default_rng(grid)
+        states = [random_state(rng, grid_size=grid, max_objects=grid * grid - 1)
+                  for _ in range(200)]
+        states.append(WorldState(grid, AgentPose(Position(0, 1), Heading.SOUTH), ()))
+        coded = state_codes(states)
+        slot_rows = rng.standard_normal((grid * grid * CELL_WIDTH, 5))
+        out = np.empty((len(states), 5))
+        code_sums(*fold_slots(slot_rows), *coded, out)
+        dense = one_hot_rows(*coded, 1.0, np.float64) @ slot_rows
+        assert np.abs(out - dense).max() <= 1e-12
+
+    @pytest.mark.pins
+    def test_shared_slots_is_the_one_hot_dot_product(self, s0):
+        rng = np.random.default_rng(3)
+        states = [random_state(rng) for _ in range(300)] + [s0]
+        codes, agent_cells, headings = state_codes(states)
+        rows = one_hot_rows(codes, agent_cells, headings, 1.0, np.float64)
+        for q in (0, 7, len(states) - 1):
+            shared = shared_slots(codes, agent_cells, headings,
+                                  codes[q], agent_cells[q], headings[q])
+            assert shared.tolist() == (rows @ rows[q]).astype(int).tolist()
+            assert shared[q] == active_slots(36)
 
 
 class TestRecordRoundTrip:
