@@ -35,7 +35,6 @@ from .dataset import (
     export_icl_records,
     generate_dataset,
     import_dataset,
-    parse_target_string,
 )
 from .engines import (
     DEFAULT_MASK_RATE,
@@ -58,7 +57,7 @@ from .engines import (
     serve_solver,
 )
 from .errors import DataFormatError, ExternalServiceError, SupportgenError
-from .grammar import command_string, parse_command_string, realize
+from .grammar import command_string, realize
 from .index import DEFAULT_CELLS, DEFAULT_PCA_DIM, DEFAULT_PROBES
 from .instruction_model import fit as fit_instruction_model
 from .metrics import (
@@ -71,7 +70,8 @@ from .metrics import (
     validity_correctness,
     zipf_fit,
 )
-from .world import WorldState
+from .schema import (SUPPORT, SUPPORT_LINE, _array, _build_state, _check_field, _decode,
+                     command_of, target_of)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -248,18 +248,22 @@ def read_support_file(path: str | Path) -> Iterator[tuple[Example, SupportSet]]:
 
 
 def _support_pair_from_record(rec: dict) -> tuple[Example, SupportSet]:
-    """The (query, support set) of one support-file line."""
+    """The (query, support set) of one support-file line (schema.SUPPORT_LINE)."""
+    return _decode(_build_support_pair, rec, SUPPORT_LINE)
+
+
+def _build_support_pair(rec: dict) -> tuple[Example, SupportSet]:
+    """_support_pair_from_record's fast path."""
     query = Example.from_record(rec["query"])
     supports = [Support(
-        state=WorldState.from_record(srec),
-        instruction=parse_command_string(srec["command"]),
-        actions=(parse_target_string(srec["target"])
-                 if srec.get("target") is not None else None),
-        meta={k: v for k, v in srec.items() if k not in
-              ("grid_size", "agent", "objects", "command", "target")},
-    ) for srec in rec["supports"]]
-    return query, SupportSet(strategy=rec.get("strategy", "?"), supports=supports,
-                             meta=rec.get("meta", {}))
+        state=_build_state(srec),
+        instruction=command_of(srec["command"]),
+        actions=None if srec.get("target") is None else target_of(srec["target"]),
+        meta={k: v for k, v in srec.items() if k not in SUPPORT},
+    ) for srec in _array(rec["supports"])]
+    return query, SupportSet(
+        strategy=_check_field(rec.get("strategy", "?"), SUPPORT_LINE["strategy"]),
+        supports=supports, meta=_check_field(rec.get("meta", {}), SUPPORT_LINE["meta"]))
 
 
 def _alpha(args: argparse.Namespace) -> dict:

@@ -13,7 +13,8 @@ exactly that split's predicate; TRAIN and split A satisfy none):
   H  verb is pull and adverb is "while spinning"
 
 The predicate tables below are the single definition of B-H: classify and
-the generator's candidate filter both evaluate them.
+the generator's candidate filter both evaluate them. The split names, like
+every record field, are defined in supportgen.schema.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import functools
 import json
 import os
 from dataclasses import dataclass, field
-from enum import Enum
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -35,31 +35,16 @@ from .grammar import (
     command_string,
     encode_words,
     ground_descriptions,
-    parse_command_string,
     realize,
     resolve_target,
 )
 from .permuter import Permutation, identity_permutation, sample_permutation
 from .permuter import apply as apply_permutation
-from .world import SIZES, Action, AgentPose, Heading, ObjectSpec, Position, WorldState
-from .world import DECODE_CACHE_SIZE, new_random_state
+from .schema import (EXAMPLE, EXTERNAL, HEADINGS, SITUATION, Field, Split, _build_state, _decode,
+                     command_of, external_actions, fault, split_of, target_of)
+from .world import SIZES, Action, AgentPose, Heading, Position, WorldState
+from .world import _object_spec, _shared_actions, new_random_state
 from . import planner
-
-
-class Split(Enum):
-    TRAIN = "train"
-    A = "a"
-    B = "b"
-    C = "c"
-    D = "d"
-    E = "e"
-    F = "f"
-    G = "g"
-    H = "h"
-
-
-#: Each split by its record value.
-_SPLITS = {split.value: split for split in Split}
 
 TEST_SPLITS = (Split.A, Split.B, Split.C, Split.D, Split.E, Split.F, Split.G, Split.H)
 
@@ -103,39 +88,15 @@ class Example:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "Example":
-        for fieldname in ("grid_size", "agent", "objects", "command", "target", "split"):
-            if fieldname not in record:
-                raise DataFormatError(f"missing field {fieldname!r}")
-        return cls(
-            state=WorldState.from_record(record),
-            instruction=parse_command_string(record["command"]),
-            actions=parse_target_string(record["target"]),
-            # Split() itself raises for a value that is no split
-            split=_SPLITS.get(record["split"]) or Split(record["split"]),
-        )
+        """The example of a dataset record (schema.EXAMPLE); equal parts of
+        different records are one shared object."""
+        return _decode(_build_example, record, EXAMPLE)
 
 
-#: Each action sequence's shared tuple, keyed by itself; emptied when full.
-_ACTION_TUPLES: dict[tuple[Action, ...], tuple[Action, ...]] = {}
-
-
-def _shared_actions(actions: tuple[Action, ...]) -> tuple[Action, ...]:
-    """The one shared tuple of an action sequence, for decoded and generated
-    examples alike."""
-    if len(_ACTION_TUPLES) >= DECODE_CACHE_SIZE:
-        _ACTION_TUPLES.clear()
-    return _ACTION_TUPLES.setdefault(actions, actions)
-
-
-@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
-def parse_target_string(target: str) -> tuple[Action, ...]:
-    """The actions of a comma-joined target string, as their _shared_actions
-    tuple."""
-    names = [t for t in target.split(",") if t]
-    try:
-        return _shared_actions(tuple(Action[name] for name in names))
-    except KeyError as exc:
-        raise DataFormatError(f"unknown action token {exc.args[0]!r}") from None
+def _build_example(record) -> Example:
+    """Example.from_record's fast path."""
+    return Example(_build_state(record), command_of(record["command"]),
+                   target_of(record["target"]), split_of(record["split"]))
 
 
 def _flags(predicates: Mapping, *args) -> frozenset[Split]:
@@ -312,7 +273,7 @@ def _read_jsonl(path: str | Path, decode: Callable[[dict], object]) -> Iterator:
                 continue
             try:
                 record = decode(json.loads(line))
-            except (SupportgenError, ValueError, KeyError, TypeError, AttributeError) as exc:
+            except (SupportgenError, ValueError) as exc:
                 raise DataFormatError(f"line {lineno}: {exc}") from None
             yield record
 
@@ -327,57 +288,35 @@ def import_dataset(path: str | Path) -> Dataset:
     return Dataset(list(_read_jsonl(path, Example.from_record)))
 
 
-#: Action spellings accepted from the original environment's files.
-_EXTERNAL_ACTIONS = {
-    "turn left": Action.LTURN, "turn right": Action.RTURN, "walk": Action.WALK,
-    "push": Action.PUSH, "pull": Action.PULL, "stay": Action.STAY,
-}
-
-
 def import_external_record(record: Mapping, direction_map: Mapping[int, int] | None = None,
                            split: Split = Split.TRAIN) -> Example:
-    """Map the original environment's record shape (situation / command /
-    target string) onto an Example. Rows become y, columns x; agent_direction
-    integers are taken as-is unless a direction_map is given."""
-    try:
-        situation = record["situation"]
-        agent_pos = situation["agent_position"]
-        d = int(situation["agent_direction"])
-        if direction_map is not None:
-            d = int(direction_map[d])
-        objects = []
-        placed = situation.get("placed_objects", {})
-        items = placed.values() if isinstance(placed, Mapping) else placed
-        for entry in items:
-            obj = entry["object"]
-            pos = entry["position"]
-            objects.append(
-                ObjectSpec(obj["shape"], obj["color"], int(obj["size"]),
-                           Position(int(pos["column"]), int(pos["row"])))
-            )
-        state = WorldState(
-            grid_size=int(situation["grid_size"]),
-            agent=AgentPose(
-                Position(int(agent_pos["column"]), int(agent_pos["row"])), Heading(d)
-            ),
-            objects=tuple(objects),
-        )
-        instruction = parse_command_string(record["command"])
-        actions = []
-        for name in str(record["target_commands"]).split(","):
-            name = name.strip()
-            if not name:
-                continue
-            if name in _EXTERNAL_ACTIONS:
-                actions.append(_EXTERNAL_ACTIONS[name])
-            elif name.upper() in Action.__members__:
-                actions.append(Action[name.upper()])
-            else:
-                raise DataFormatError(f"unknown action token {name!r}")
-        return Example(state, instruction, tuple(actions),
-                       Split(record.get("split", split.value)))
-    except (SupportgenError, KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise DataFormatError(f"bad external record: {exc}") from None
+    """Map the original environment's record shape (schema.EXTERNAL:
+    situation / command / target_commands) onto an Example. Rows become y,
+    columns x; agent_direction codes are heading codes unless a
+    direction_map maps them to heading codes. A record outside that shape
+    raises DataFormatError naming its field."""
+    shape, headings = EXTERNAL, HEADINGS
+    if direction_map is not None:
+        headings = {code: Heading(heading) for code, heading in direction_map.items()}
+        situation_shape = {**SITUATION, "agent_direction": Field(int, headings)}
+        shape = {**EXTERNAL, "situation": Field(dict, situation_shape)}
+    reason = fault(record, shape)
+    if reason is not None:
+        raise DataFormatError(f"bad external record: {reason}")
+    situation = record["situation"]
+    placed = situation.get("placed_objects", [])
+    entries = placed.values() if isinstance(placed, dict) else placed
+    objects = tuple(_object_spec(e["object"]["shape"], e["object"]["color"], e["object"]["size"],
+                                 e["position"]["column"], e["position"]["row"])
+                    for e in entries)
+    agent = situation["agent_position"]
+    state = WorldState(situation["grid_size"],
+                       AgentPose(Position(agent["column"], agent["row"]),
+                                 headings[situation["agent_direction"]]),
+                       objects)
+    return Example(state, command_of(record["command"]),
+                   external_actions(record["target_commands"]),
+                   split_of(record["split"]) if "split" in record else split)
 
 
 def export_icl_records(entries: Iterable, policy: str = "permute", seed: int = 0,

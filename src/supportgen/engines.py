@@ -22,7 +22,7 @@ from .dataset import Example
 from .errors import (ExternalServiceError, ProtocolError, RetrievalError, SolverError,
                      SolverTimeout, UnresolvableError)
 from .grammar import (INSTRUCTION_ROW, INSTRUCTIONS, REALIZED, STRING_RANK, Instruction,
-                      ground_descriptions, realize)
+                      ground_descriptions, parse, realize)
 from .index import (
     DEFAULT_CELLS,
     DEFAULT_PCA_DIM,
@@ -40,6 +40,8 @@ from .index import (
     unit_rows,
 )
 from .instruction_model import InstructionModel, infill_distribution
+from .schema import (SOLVER_ERROR, SOLVER_REPLY, SOLVER_REQUEST, _array, _build_state, _decode,
+                     fault, reply_actions)
 from .world import (CELL_WIDTH, Action, RngLike, WorldState, active_slots, as_rng, code_sums,
                     fold_slots, one_hot_rows, shared_slots, slot_value, state_codes)
 from . import planner
@@ -463,25 +465,36 @@ def gandr_supports(query: Example, helper: Solver, retriever: GandrRetriever,
 # External solver line protocol
 # ---------------------------------------------------------------------------
 
-def _parse_actions(names: Sequence[str]) -> tuple[Action, ...]:
+def _decode_reply(line: str) -> tuple[int, tuple[Action, ...] | SolverError]:
+    """The request id of one reply line and its answer: the actions, or a
+    SolverError for an error reply. A line outside schema.SOLVER_REPLY and
+    schema.SOLVER_ERROR raises ProtocolError naming the field."""
     try:
-        return tuple(Action[str(name).upper()] for name in names)
-    except KeyError as exc:
-        raise ProtocolError(f"unknown action token {exc.args[0]!r}") from None
+        msg = json.loads(line)
+    except ValueError:
+        raise ProtocolError(f"unparseable response {line[:200]!r}") from None
+    shape = SOLVER_ERROR if isinstance(msg, dict) and "error" in msg else SOLVER_REPLY
+    reason = fault(msg, shape)
+    if reason is not None:
+        raise ProtocolError(f"response {line[:200]!r}: {reason}")
+    if shape is SOLVER_ERROR:
+        return msg["id"], SolverError(str(msg["error"]))
+    return msg["id"], reply_actions(msg["actions"])
 
 
 class ExternalSolver:
     """Solver backed by a child process speaking newline-delimited JSON.
 
     Request:  {"id": <int>, "state": <state record>, "instruction": [tokens]}
-    Response: {"id": <int>, "actions": [action names]} or
+    Response: {"id": <int>, "actions": [action names, any case]} or
               {"id": <int>, "error": <string>}
     A batch's requests go out in one write before any reply is read.
     Responses may arrive in any order; a reader thread files them by id and
     drops replies to ids that are no longer awaited (timed out or unknown).
     Only an "error" reply marks a pair unsolvable (a SolverError); a
-    protocol violation, a timeout or a dead child raises an
-    ExternalServiceError."""
+    protocol violation (a line outside schema.SOLVER_REPLY and
+    schema.SOLVER_ERROR, such as an id that is not a JSON integer), a
+    timeout or a dead child raises an ExternalServiceError."""
 
     def __init__(self, command: Sequence[str], timeout: float = DEFAULT_SOLVER_TIMEOUT):
         if not command:
@@ -497,7 +510,7 @@ class ExternalSolver:
         self._cond = threading.Condition()
         self._write_lock = threading.Lock()
         self._pending: set[int] = set()
-        self._results: dict[int, dict] = {}
+        self._results: dict[int, tuple[Action, ...] | SolverError] = {}
         self._next_id = itertools.count()
         self._dead: str | None = None
         self._reader = threading.Thread(target=self._read_loop, daemon=True)
@@ -510,16 +523,15 @@ class ExternalSolver:
             if not line:
                 continue
             try:
-                msg = json.loads(line)
-                key = int(msg["id"])
-            except (ValueError, KeyError, TypeError):
+                key, answer = _decode_reply(line)
+            except ProtocolError as exc:
                 with self._cond:
-                    self._dead = f"protocol violation: unparseable response {line[:200]!r}"
+                    self._dead = f"protocol violation: {exc}"
                     self._cond.notify_all()
                 return
             with self._cond:
                 if key in self._pending:
-                    self._results[key] = msg
+                    self._results[key] = answer
                     self._cond.notify_all()
         with self._cond:
             if self._dead is None:
@@ -576,7 +588,7 @@ class ExternalSolver:
             with self._cond:
                 # no longer awaited, so a late reply is dropped rather than kept
                 self._pending.difference_update(ids)
-                replies = [self._results.pop(request_id, None) for request_id in ids]
+                answers = [self._results.pop(request_id, None) for request_id in ids]
         if unanswered and writer.is_alive():
             self._proc.kill()  # its input would be left holding a torn line
         writer.join()
@@ -585,15 +597,7 @@ class ExternalSolver:
                 raise ProtocolError(dead)
             raise SolverTimeout(f"no response for request {unanswered[0]} "
                                 f"within {self.timeout}s")
-        results: list[tuple[Action, ...] | SolverError] = []
-        for request_id, msg in zip(ids, replies):
-            if "error" in msg:
-                results.append(SolverError(str(msg["error"])))
-            elif isinstance(msg.get("actions"), list):
-                results.append(_parse_actions(msg["actions"]))
-            else:
-                raise ProtocolError(f"response {request_id} carries no actions list")
-        return results
+        return answers
 
     def solve(self, state: WorldState, instruction: Instruction) -> tuple[Action, ...]:
         (result,) = self.solve_many([(state, instruction)])
@@ -630,10 +634,15 @@ class ExternalSolver:
         self.close()
 
 
-def serve_solver(solver: Solver, infile, outfile) -> None:
-    """Serve a Solver over the line protocol (used by the CLI oracle server)."""
-    from .grammar import parse
+def _build_request(msg: dict) -> tuple[WorldState, Instruction]:
+    """The (state, instruction) of a request, on the fast path."""
+    return _build_state(msg["state"]), parse(_array(msg["instruction"]))
 
+
+def serve_solver(solver: Solver, infile, outfile) -> None:
+    """Serve a Solver over the line protocol (used by the CLI oracle server).
+    A request outside schema.SOLVER_REQUEST gets an error reply naming the
+    field."""
     for line in infile:
         line = line.strip()
         if not line:
@@ -641,9 +650,8 @@ def serve_solver(solver: Solver, infile, outfile) -> None:
         request_id = None
         try:
             msg = json.loads(line)
-            request_id = msg.get("id")
-            state = WorldState.from_record(msg["state"])
-            instruction = parse(msg["instruction"])
+            request_id = msg.get("id") if isinstance(msg, dict) else None
+            state, instruction = _decode(_build_request, msg, SOLVER_REQUEST)
             actions = solver.solve(state, instruction)
             response: dict = {"id": request_id, "actions": [a.name for a in actions]}
         except Exception as exc:  # every failure maps to an in-band error

@@ -9,7 +9,6 @@ parse(realize(i)) is i while foreign realizations still round-trip.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass
 from typing import Sequence
@@ -17,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import GrammarError, LexicalError, UnresolvableError
-from .world import DECODE_CACHE_SIZE, ObjectSpec, WorldState
+from .world import ObjectSpec, WorldState
 
 VERBS = ("walk_to", "push", "pull")
 SIZE_WORDS = ("small", "big")
@@ -201,8 +200,7 @@ def command_string(instr: Instruction) -> str:
     return ",".join(realize(instr))
 
 
-@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
 def parse_command_string(command: str) -> Instruction:
-    """parse() of a comma-joined token string; equal strings give one
-    shared Instruction."""
+    """parse() of a comma-joined token string: one of the shared
+    INSTRUCTIONS entries."""
     return parse([t for t in command.split(",") if t])

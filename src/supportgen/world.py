@@ -159,15 +159,12 @@ class WorldState:
 
     @classmethod
     def from_record(cls, record: Mapping) -> "WorldState":
-        """The state of a record; equal agent poses and object specs of
-        different records are one shared object."""
-        agent = record["agent"]
-        return cls(
-            grid_size=int(record["grid_size"]),
-            agent=_agent_pose(agent["x"], agent["y"], agent["d"]),
-            objects=tuple(_object_spec(o["shape"], o["color"], o["size"], o["x"], o["y"])
-                          for o in record["objects"]),
-        )
+        """The state of a state record (supportgen.schema.STATE); equal
+        agent poses and object specs of different records are one shared
+        object."""
+        from .schema import STATE, _build_state, _decode  # schema imports this module
+
+        return _decode(_build_state, record, STATE)
 
 
 #: Entries kept by each cache of state parts, decoded or generated. A 6x6
@@ -175,19 +172,40 @@ class WorldState:
 #: part again.
 DECODE_CACHE_SIZE = 8192
 
-
-@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
-def _agent_pose(x, y, d) -> AgentPose:
-    """The agent pose of record values x, y, d; equal values give one
-    shared pose."""
-    return AgentPose(Position(int(x), int(y)), Heading(int(d)))
+# The part caches below serve generated and decoded states alike, so equal
+# parts are one object in either. Their keys hold the values' types (1,
+# 1.0 and True are three keys), and a miss checks the values against the
+# record table, so a decoded bool or float is never taken for an integer.
 
 
-@functools.lru_cache(maxsize=DECODE_CACHE_SIZE)
-def _object_spec(shape, color, size, x, y) -> ObjectSpec:
-    """The object spec of one record entry's values; equal values give one
-    shared spec."""
-    return ObjectSpec(shape, color, int(size), Position(int(x), int(y)))
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE, typed=True)
+def _agent_pose(x: int, y: int, d: int) -> AgentPose:
+    """The agent pose at x, y with heading code d."""
+    from .schema import AGENT, check_values  # the schema module imports this one
+
+    check_values(AGENT, (x, y, d))
+    return AgentPose(Position(x, y), Heading(d))
+
+
+@functools.lru_cache(maxsize=DECODE_CACHE_SIZE, typed=True)
+def _object_spec(shape: str, color: str, size: int, x: int, y: int) -> ObjectSpec:
+    """The object spec of these values."""
+    from .schema import OBJECT, check_values  # the schema module imports this one
+
+    check_values(OBJECT, (shape, color, size, x, y))
+    return ObjectSpec(shape, color, size, Position(x, y))
+
+
+#: Each action sequence's shared tuple, keyed by itself; emptied when full.
+_ACTION_TUPLES: dict[tuple[Action, ...], tuple[Action, ...]] = {}
+
+
+def _shared_actions(actions: tuple[Action, ...]) -> tuple[Action, ...]:
+    """The one shared tuple of an action sequence, for generated and
+    decoded examples alike."""
+    if len(_ACTION_TUPLES) >= DECODE_CACHE_SIZE:
+        _ACTION_TUPLES.clear()
+    return _ACTION_TUPLES.setdefault(actions, actions)
 
 
 #: Per-object bounds of the one attribute draw of new_random_state: shape

@@ -538,6 +538,28 @@ class TestGenSupports:
         assert code == EXIT_EXTERNAL
         assert not out.exists()
 
+    @pytest.mark.parametrize("reply_id", ["str(key)", "key + 0.4", "float(key)",
+                                          "key == 1 if key < 2 else key"],
+                             ids=["string", "fraction", "integral-float", "bool"])
+    def test_reply_id_must_be_an_integer(self, data_file, tmp_path, capsys, reply_id):
+        """A reply whose id is a JSON string, float or bool is a protocol
+        violation, also when int() of it is an awaited id."""
+        helper = tmp_path / "child.py"
+        helper.write_text("import json, sys\n"
+                          "for line in sys.stdin:\n"
+                          "    key = json.loads(line)['id']\n"
+                          f"    print(json.dumps({{'id': {reply_id}, 'actions': ['WALK']}}),"
+                          " flush=True)\n")
+        out = tmp_path / "x.jsonl"
+        code = run(["gen-supports", "--data", str(data_file), "--strategy", "random",
+                    "--seed", "5", "--splits", "h", "--limit", "1", "--solver", "external",
+                    "--solver-cmd", f"{shlex.quote(sys.executable)} {shlex.quote(str(helper))}",
+                    "--out", str(out)])
+        assert code == EXIT_EXTERNAL
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "protocol violation: " in err and "field `id`: expected an integer, got " in err
+
     @pytest.mark.parametrize("existing", [False, True])
     def test_solver_death_mid_stream_leaves_no_partial_file(self, data_file, tmp_path,
                                                             monkeypatch, existing):

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -234,21 +235,28 @@ class TestExportImport:
                         {"shape": "square", "color": "blue", "size": 2, "x": 4, "y": 1}],
             "command": "walk,to,a,circle", "target": "RTURN,WALK,WALK", "split": "train"}
 
-    @pytest.mark.parametrize("change", [
-        {"target": "RTURN,FLY"},
-        {"command": "walk,a,circle"},
-        {"command": "walk,to,a,dragon"},
-        {"objects": GOOD["objects"] + [{"shape": "cylinder", "color": "green", "size": 3,
-                                        "x": 4, "y": 1}]},
-        {"agent": {"x": 6, "y": 0, "d": 1}},
-        {"split": "z"},
-    ], ids=["target", "grammar", "lexicon", "shared-cell", "agent-off-grid", "split"])
-    def test_bad_second_line_sharing_first_lines_parts(self, change, tmp_path):
-        """Line 2 reuses every part line 1 decoded but one, which is bad."""
+    @pytest.mark.parametrize("change, field", [
+        ({"target": "RTURN,FLY"}, "target"),
+        ({"command": "walk,a,circle"}, "command"),
+        ({"command": "walk,to,a,dragon"}, "command"),
+        ({"objects": GOOD["objects"] + [{"shape": "cylinder", "color": "green", "size": 3,
+                                         "x": 4, "y": 1}]}, "objects"),
+        ({"agent": {"x": 6, "y": 0, "d": 1}}, "agent.x"),
+        ({"split": "z"}, "split"),
+        ({"agent": {"x": 0, "y": 0, "d": True}}, "agent.d"),
+        ({"objects": [{**GOOD["objects"][0], "x": 2.0}, GOOD["objects"][1]]}, "objects[0].x"),
+        ({"objects": [GOOD["objects"][0], {**GOOD["objects"][1], "size": 2.0}]},
+         "objects[1].size"),
+        ({"grid_size": "6"}, "grid_size"),
+    ], ids=["target", "grammar", "lexicon", "shared-cell", "agent-off-grid", "split",
+            "bool-heading", "float-coordinate", "float-size", "string-grid"])
+    def test_bad_second_line_sharing_first_lines_parts(self, change, field, tmp_path):
+        """Line 2 reuses every part line 1 decoded but one, which is bad; a
+        bool or float equal to line 1's integer is no integer."""
         path = tmp_path / "bad.jsonl"
         lines = [json.dumps(self.GOOD), json.dumps({**self.GOOD, **change})]
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(DataFormatError, match=r"^line 2: "):
+        with pytest.raises(DataFormatError, match=rf"^line 2: field `{re.escape(field)}`: "):
             import_dataset(path)
 
 
@@ -305,6 +313,41 @@ class TestExternalImport:
                           "agent_direction": 0, "placed_objects": []},
         }
         with pytest.raises(DataFormatError, match="bad external record"):
+            import_external_record(record)
+
+    SITUATION = {"grid_size": 6, "agent_position": {"row": 0, "column": 0}, "agent_direction": 1,
+                 "placed_objects": {"0": {"object": {"shape": "square", "color": "green",
+                                                     "size": 1},
+                                          "position": {"row": 0, "column": 1}}}}
+
+    @pytest.mark.parametrize("situation, target, field", [
+        ({"agent_direction": 4}, "walk", "situation.agent_direction"),
+        ({"agent_position": {"row": 6, "column": 0}}, "walk", "situation.agent_position.row"),
+        ({"grid_size": 6.0}, "walk", "situation.grid_size"),
+        ({"placed_objects": [{"object": {"shape": "square", "color": "green", "size": 2.0},
+                              "position": {"row": 0, "column": 1}}]}, "walk",
+         "situation.placed_objects[0].object.size"),
+        ({"placed_objects": {str(i): {"object": {"shape": "square", "color": "red", "size": 1},
+                                      "position": {"row": 2, "column": 3}} for i in range(2)}},
+         "walk", "situation.placed_objects"),
+        ({}, "walk,turn around", "target_commands"),
+        ({}, ["walk"], "target_commands"),
+    ], ids=["direction", "off-grid", "float-grid", "float-size", "shared-cell", "spelling",
+            "target-array"])
+    def test_bad_field_is_named(self, situation, target, field):
+        record = {"command": "walk,to,a,square", "target_commands": target,
+                  "situation": {**self.SITUATION, **situation}}
+        with pytest.raises(DataFormatError,
+                           match=rf"^bad external record: field `{re.escape(field)}`: "):
+            import_external_record(record)
+
+    def test_direction_map_gives_the_direction_domain(self):
+        record = {"command": "walk,to,a,square", "target_commands": "Turn Left,WALK",
+                  "situation": {**self.SITUATION, "agent_direction": 7}}
+        ex = import_external_record(record, direction_map={7: 2})
+        assert ex.state.agent.direction == Heading.SOUTH
+        assert ex.actions == (Action.LTURN, Action.WALK)
+        with pytest.raises(DataFormatError, match="field `situation.agent_direction`: .*got 7"):
             import_external_record(record)
 
 

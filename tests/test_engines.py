@@ -747,6 +747,46 @@ class TestExternalSolver:
         response = json.loads(out.getvalue())
         assert response["id"] == 4 and "error" in response
 
+    @pytest.mark.parametrize("path, value, field", [
+        (("state", "objects", 0, "x"), 4.9, "state.objects[0].x"),
+        (("state", "grid_size"), "6", "state.grid_size"),
+        (("state", "agent", "d"), True, "state.agent.d"),
+        (("state", "objects"), {}, "state.objects"),
+        (("instruction", 3), 5, "instruction[3]"),
+        (("instruction",), ["walk", "a", "circle"], "instruction"),
+        (("instruction",), "walk to a red circle", "instruction"),
+        (("state",), None, "state"),
+    ], ids=["float-x", "string-grid", "bool-heading", "objects-map", "token-type", "grammar",
+            "instruction-string", "null-state"])
+    def test_serve_solver_error_names_the_field(self, s0, path, value, field):
+        """serve-oracle answers a request outside the request shape with an
+        in-band error naming the field."""
+        request = {"id": 9, "state": s0.to_record(),
+                   "instruction": ["walk", "to", "a", "red", "circle"]}
+        parent = request
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        out = io.StringIO()
+        serve_solver(OracleSolver(), [json.dumps(request)], out)
+        response = json.loads(out.getvalue())
+        assert response["id"] == 9
+        assert f"field `{field}`: " in response["error"], response["error"]
+
+    def test_serve_solver_error_for_a_request_that_is_no_object(self):
+        out = io.StringIO()
+        serve_solver(OracleSolver(), ["[1, 2]"], out)
+        assert json.loads(out.getvalue()) == {
+            "id": None, "error": "DataFormatError: expected an object, got [1, 2]"}
+
+    def test_reply_action_names_are_case_insensitive(self, s0):
+        from supportgen.world import Action
+
+        server = ECHO_SERVER.replace('["WALK", "WALK"]', '["walk", "Push"]')
+        with ExternalSolver([sys.executable, "-c", server]) as solver:
+            got = solver.solve(s0, parse("walk to a red circle".split()))
+        assert got == (Action.WALK, Action.PUSH)
+
     def test_out_of_order_responses(self, s0):
         # the protocol allows responses in any order; a reply to an id that
         # no request awaits is dropped
