@@ -70,8 +70,11 @@ from .metrics import (
     validity_correctness,
     zipf_fit,
 )
+from .permuter import apply as apply_permutation
+from .permuter import sample_permutation
 from .schema import (SUPPORT, SUPPORT_LINE, _array, _build_state, _check_field, _decode,
                      command_of, target_of)
+from .world import ACTION_TABLE_SIZE
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -468,9 +471,6 @@ def cmd_export_icl(args: argparse.Namespace) -> int:
 
 
 def cmd_permute(args: argparse.Namespace) -> int:
-    from .permuter import sample_permutation, apply as apply_permutation
-    from .world import ACTION_TABLE_SIZE
-
     def record(idx: int, ex: Example) -> dict:
         perm = sample_permutation(np.random.default_rng([args.seed, idx]), ACTION_TABLE_SIZE)
         codes = [int(a) for a in ex.actions]

@@ -31,6 +31,7 @@ import numpy as np
 from .errors import DataFormatError, GenerationError, SupportgenError
 from .grammar import (
     INSTRUCTIONS,
+    WORD_TABLE_SIZE,
     Instruction,
     command_string,
     encode_words,
@@ -38,11 +39,11 @@ from .grammar import (
     realize,
     resolve_target,
 )
-from .permuter import Permutation, identity_permutation, sample_permutation
+from .permuter import Permutation, identity_permutation, invert, sample_permutation
 from .permuter import apply as apply_permutation
 from .schema import (EXAMPLE, EXTERNAL, HEADINGS, SITUATION, Field, Split, _build_state, _decode,
                      command_of, external_actions, fault, split_of, target_of)
-from .world import SIZES, Action, AgentPose, Heading, Position, WorldState
+from .world import ACTION_TABLE_SIZE, SIZES, Action, AgentPose, Heading, Position, WorldState
 from .world import _object_spec, _shared_actions, new_random_state
 from . import planner
 
@@ -327,16 +328,15 @@ def export_icl_records(entries: Iterable, policy: str = "permute", seed: int = 0
     permutation applied to every target sequence in the record when the
     policy is "permute". The permutation codes are stored so records stay
     decodable. `entries` yields (Example, list-of-support-triples) pairs where
-    a triple is (WorldState, Instruction, actions-or-None).
+    a triple is (WorldState, Instruction, actions-or-None). An entry with no
+    supports is a DataFormatError naming its 1-based position, the line of
+    its query in a support file written by gen-supports.
     """
     if policy not in ("permute", "identity"):
         raise ValueError(f"unknown permutation policy {policy!r}")
-    from .world import ACTION_TABLE_SIZE
-    from .grammar import WORD_TABLE_SIZE
-
     for idx, (example, supports) in enumerate(entries):
         if not supports:
-            raise DataFormatError(f"example {idx} has no supports attached")
+            raise DataFormatError(f"line {idx + 1}: query has no supports")
         if policy == "permute":
             rng = np.random.default_rng([seed, idx])
             perm = sample_permutation(rng, ACTION_TABLE_SIZE)
@@ -376,8 +376,6 @@ def export_icl_records(entries: Iterable, policy: str = "permute", seed: int = 0
 
 def decode_icl_targets(record: Mapping) -> list[tuple[int, ...]]:
     """Invert the stored permutation of an ICL record (supports then query)."""
-    from .permuter import invert
-
     perm = invert(Permutation.from_codes(record["permutation"]))
     out = []
     for support in record["supports"]:

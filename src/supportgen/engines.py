@@ -76,14 +76,9 @@ class SupportSet:
 
 
 class Solver(Protocol):
-    """Anything that maps (state, instruction) to an action sequence.
-
-    `solve` raises SolverError when it cannot produce actions; `solve_many`
-    answers a batch of pairs in order, with a SolverError in place of each
-    pair it cannot solve."""
-
-    def solve(self, state: WorldState, instruction: Instruction) -> tuple[Action, ...]:
-        ...
+    """Anything that maps (state, instruction) pairs to action sequences:
+    `solve_many` answers a batch of pairs in order, with a SolverError in
+    place of each pair it cannot solve."""
 
     def solve_many(self, pairs: Sequence[tuple[WorldState, Instruction]]
                    ) -> list[tuple[Action, ...] | SolverError]:
@@ -94,6 +89,7 @@ class OracleSolver:
     """Ground-truth solver backed by the planner."""
 
     def solve(self, state: WorldState, instruction: Instruction) -> tuple[Action, ...]:
+        """The planner's actions for one pair; SolverError if it has none."""
         try:
             return planner.solve(state, instruction)
         except UnresolvableError as exc:
@@ -104,8 +100,9 @@ class OracleSolver:
         results: list[tuple[Action, ...] | SolverError] = []
         for state, instruction in pairs:
             try:
-                results.append(planner.solve(state, instruction))
-            except UnresolvableError as exc:
+                results.append(self.solve(state, instruction))
+            except SolverError as exc:
+                # a fresh error: the raised one's traceback holds the planner's frames
                 results.append(SolverError(str(exc)))
         return results
 
@@ -446,12 +443,10 @@ def gandr_supports(query: Example, helper: Solver, retriever: GandrRetriever,
 
     If the helper fails, retrieval falls back to the instruction component
     alone and the support set is flagged."""
-    helper_failed = False
-    try:
-        guess: Sequence[Action] = helper.solve(query.state, query.instruction)
-    except SolverError:
+    (guess,) = helper.solve_many([(query.state, query.instruction)])
+    helper_failed = isinstance(guess, SolverError)
+    if helper_failed:
         guess = ()
-        helper_failed = True
     instr_vec = tfidf_encode(retriever.instr_tfidf, [realize(query.instruction)])[0]
     out_vec = tfidf_encode(retriever.out_tfidf, [[a.name for a in guess]])[0]
     qvec = combine_io(instr_vec, out_vec, 0.0 if helper_failed else retriever.alpha)
@@ -599,12 +594,6 @@ class ExternalSolver:
                                 f"within {self.timeout}s")
         return answers
 
-    def solve(self, state: WorldState, instruction: Instruction) -> tuple[Action, ...]:
-        (result,) = self.solve_many([(state, instruction)])
-        if isinstance(result, SolverError):
-            raise result
-        return result
-
     def close(self) -> None:
         """Close the child's input, wait for the reader thread to end (the
         child closes its output when it exits), then reap the child, killed
@@ -651,10 +640,12 @@ def serve_solver(solver: Solver, infile, outfile) -> None:
         try:
             msg = json.loads(line)
             request_id = msg.get("id") if isinstance(msg, dict) else None
-            state, instruction = _decode(_build_request, msg, SOLVER_REQUEST)
-            actions = solver.solve(state, instruction)
-            response: dict = {"id": request_id, "actions": [a.name for a in actions]}
+            (answer,) = solver.solve_many([_decode(_build_request, msg, SOLVER_REQUEST)])
         except Exception as exc:  # every failure maps to an in-band error
-            response = {"id": request_id, "error": f"{type(exc).__name__}: {exc}"}
+            answer = exc
+        if isinstance(answer, Exception):
+            response = {"id": request_id, "error": f"{type(answer).__name__}: {answer}"}
+        else:
+            response = {"id": request_id, "actions": [a.name for a in answer]}
         outfile.write(json.dumps(response) + "\n")
         outfile.flush()

@@ -112,38 +112,27 @@ def count_one_hot(blocks: Iterable[np.ndarray], width: int, value: float) -> One
     return OneHotCounts(counts=counts, rows=rows, value=value)
 
 
-def _mean_and_cov(sample: np.ndarray | OneHotCounts) -> tuple[np.ndarray, np.ndarray]:
+def _mean_and_cov(counts: OneHotCounts) -> tuple[np.ndarray, np.ndarray]:
     """The mean and float64 covariance (divided by n - 1, or 1 for one row)
-    of pca_fit's sample; a matrix is centred in place."""
-    if isinstance(sample, OneHotCounts):
-        n = sample.rows
-        if n == 0:
-            raise FitError("pca_fit needs counts of at least one row")
-        sums = np.diagonal(sample.counts)
-        cov = (n * sample.counts - np.outer(sums, sums)).astype(np.float64)
-        cov *= sample.value ** 2 / (n * max(1, n - 1))
-        return sums * (sample.value / n), cov
-    x = sample
-    if getattr(x, "dtype", None) != np.float64 or x.ndim != 2 or x.shape[0] == 0:
-        raise FitError("pca_fit needs a nonempty 2-D float64 sample matrix")
-    mean = x.mean(axis=0)
-    x -= mean
-    cov = x.T @ x
-    cov /= max(1, x.shape[0] - 1)
-    return mean, cov
+    of the rows that `counts` counts."""
+    n = counts.rows
+    if n == 0:
+        raise FitError("pca_fit needs counts of at least one row")
+    sums = np.diagonal(counts.counts)
+    cov = (n * counts.counts - np.outer(sums, sums)).astype(np.float64)
+    cov *= counts.value ** 2 / (n * max(1, n - 1))
+    return sums * (counts.value / n), cov
 
 
-def pca_fit(sample: np.ndarray | OneHotCounts, k: int = DEFAULT_PCA_DIM) -> PcaProjector:
+def pca_fit(counts: OneHotCounts, k: int = DEFAULT_PCA_DIM) -> PcaProjector:
     """Project onto the top-k covariance eigenvectors after mean-centering.
 
-    `sample` is a nonempty 2-D float64 matrix or the OneHotCounts of one.
-    A matrix is centred in place and stays so: `x @ components.T` is bit
-    for bit `(uncentred - mean) @ components.T`. From counts C with column
-    sums s over n rows of value v, the covariance v² (C − s sᵀ/n) / (n − 1)
-    takes one rounding, after the exact integer n C − s sᵀ. When fewer than
-    k informative directions exist, the available rank is retained.
-    Component signs are fixed for determinism."""
-    mean, cov = _mean_and_cov(sample)
+    From the OneHotCounts C with column sums s over n rows of value v, the
+    covariance v² (C − s sᵀ/n) / (n − 1) takes one rounding, after the exact
+    integer n C − s sᵀ. When fewer than k informative directions exist, the
+    available rank is retained. Component signs are fixed for determinism:
+    each component's entry of largest magnitude is positive."""
+    mean, cov = _mean_and_cov(counts)
     eigvals, eigvecs = np.linalg.eigh(cov)
     del cov
     order = np.argsort(eigvals)[::-1]
@@ -357,19 +346,17 @@ def brute_force_query(vectors: np.ndarray, ids: np.ndarray | None, query: np.nda
 # ---------------------------------------------------------------------------
 
 def hybrid_encode(state_vec: np.ndarray, instr_vec: np.ndarray, alpha: float,
-                  out: np.ndarray | None = None) -> np.ndarray:
-    """Concatenate a state block with an alpha-weighted instruction block and
-    renormalize, row by row over the last axis. With `out` the result is
-    written there, in this order: the state columns (which may already be
-    out's own leading columns), alpha times the instruction columns, then
-    unit_rows in place."""
+                  out: np.ndarray) -> np.ndarray:
+    """Write a state block concatenated with an alpha-weighted instruction
+    block into `out` and renormalize, row by row over the last axis, in this
+    order: the state columns (which may already be out's own leading
+    columns), alpha times the instruction columns, then unit_rows in place.
+    Returns `out`."""
     state_vec = np.asarray(state_vec, dtype=np.float64)
     instr_vec = np.asarray(instr_vec, dtype=np.float64)
     if not (np.isfinite(state_vec).all() and np.isfinite(instr_vec).all()):
         raise EncodingError("non-finite input to hybrid_encode")
     width = state_vec.shape[-1]
-    if out is None:
-        out = np.empty(state_vec.shape[:-1] + (width + instr_vec.shape[-1],))
     out[..., :width] = state_vec
     np.multiply(instr_vec, alpha, out=out[..., width:])
     if not unit_rows(out).all():

@@ -101,6 +101,10 @@ def support_criteria(pairs: Sequence[tuple[Example, SupportSet]]) -> CriteriaRep
     return CriteriaReport(values=values, queries=len(pairs), supports=support_total)
 
 
+#: Supports per solve_many call of validity_correctness: bounds the answers held.
+_VALIDITY_BATCH = 256
+
+
 @dataclass
 class ValidityReport:
     valid: float
@@ -115,15 +119,16 @@ def validity_correctness(supports: Iterable[Support], oracle: Solver) -> Validit
     stored actions equal the oracle's. Correct implies valid because an
     unsolvable instruction has no oracle actions to match."""
     total = valid = correct = 0
-    for support in supports:
-        total += 1
-        try:
-            expected = oracle.solve(support.state, support.instruction)
-        except SolverError:
-            continue
-        valid += 1
-        if support.actions is not None and tuple(support.actions) == tuple(expected):
-            correct += 1
+    supports = iter(supports)
+    while batch := list(itertools.islice(supports, _VALIDITY_BATCH)):
+        total += len(batch)
+        for support, expected in zip(batch, oracle.solve_many(
+                [(support.state, support.instruction) for support in batch])):
+            if isinstance(expected, SolverError):
+                continue
+            valid += 1
+            if support.actions is not None and tuple(support.actions) == tuple(expected):
+                correct += 1
     if total == 0:
         raise MetricError("no supports given")
     return ValidityReport(

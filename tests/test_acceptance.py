@@ -283,24 +283,25 @@ def test_criterion_9_determinism(tmp_path):
     report(9, ok, f"rerun digest equality: {outputs[0][0][:16]}... == {outputs[1][0][:16]}...")
 
 
+@pytest.mark.pins
 def test_criterion_10_differential_solver():
+    """100 solvable random pairs go to a serve-oracle child in one solve_many
+    batch, and each answer equals the in-process oracle's."""
     rng = np.random.default_rng(1234)
     oracle = OracleSolver()
     instructions = list(INSTRUCTIONS)
-    mismatches = 0
+    pairs, expected = [], []
+    while len(pairs) < 100:
+        state = new_random_state(rng, 6, int(rng.integers(3, 11)))
+        instr = instructions[int(rng.integers(len(instructions)))]
+        try:
+            expected.append(oracle.solve(state, instr))
+        except Exception:
+            continue
+        pairs.append((state, instr))
     with ExternalSolver([sys.executable, "-m", "supportgen.cli", "serve-oracle"],
                         timeout=30.0) as external:
-        checked = 0
-        while checked < 100:
-            state = new_random_state(rng, 6, int(rng.integers(3, 11)))
-            instr = instructions[int(rng.integers(len(instructions)))]
-            try:
-                expected = oracle.solve(state, instr)
-            except Exception:
-                continue
-            got = external.solve(state, instr)
-            if got != expected:
-                mismatches += 1
-            checked += 1
+        got = external.solve_many(pairs)
+    mismatches = sum(answer != want for answer, want in zip(got, expected))
     ok = mismatches == 0
     report(10, ok, f"external oracle vs in-process oracle: {mismatches}/100 mismatches")

@@ -876,6 +876,26 @@ class TestExportIclAndPermute:
         for line in icl.read_text().splitlines():
             assert json.loads(line)["permutation"] == list(range(6))
 
+    def test_empty_other_states_set_names_its_line(self, tmp_path, capsys):
+        """Other-States leaves a query with no supports when no other train
+        state demonstrates any of its heuristic instructions; export-icl
+        refuses that file with exit 3, names the query's line and writes
+        nothing."""
+        data, sup, icl = (tmp_path / name for name in ("data.jsonl", "sup.jsonl", "icl.jsonl"))
+        assert run(["gen-data", "--seed", "3", "--train", "300", "--per-split", "5",
+                    "--out", str(data)]) == EXIT_OK
+        assert run(["gen-supports", "--data", str(data), "--strategy", "other_states",
+                    "--seed", "3", "--splits", "all", "--out", str(sup)]) == EXIT_OK
+        empty = [lineno for lineno, line in enumerate(sup.read_text().splitlines(), start=1)
+                 if not json.loads(line)["supports"]]
+        assert empty[0] == 13
+        capsys.readouterr()
+        assert run(["export-icl", "--supports", str(sup), "--seed", "1",
+                    "--out", str(icl)]) == EXIT_DATA
+        assert "error: line 13: query has no supports" in capsys.readouterr().err
+        assert not icl.exists()
+        assert not (tmp_path / "icl.jsonl.manifest.json").exists()
+
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_export_leaves_no_partial_file(self, data_file, tmp_path, existing):
         sup = tmp_path / "sup.jsonl"
@@ -1131,3 +1151,14 @@ def test_readme_commands_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README command rejected: {' '.join(argv)}")
+
+
+def test_readme_library_quick_start_runs(capsys):
+    """README's "Library quick start" block runs as written: DemoGen supports
+    solved by the oracle are correct wherever they are valid."""
+    text = README.read_text(encoding="utf-8")
+    section = text[text.index("## Library quick start"):]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    out = capsys.readouterr().out
+    assert "ValidityReport(valid=" in out and "correct_given_valid=1.0," in out, out

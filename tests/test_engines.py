@@ -275,6 +275,27 @@ class ScriptedSolver:
         return results
 
 
+class FailingSolver:
+    """Fails every pair."""
+
+    def solve_many(self, pairs):
+        return [SolverError("no guess") for _ in pairs]
+
+
+def test_oracle_batch_errors_hold_no_frames(s0):
+    """OracleSolver.solve_many answers an unsolvable pair with a SolverError
+    that carries no traceback or chained error, so a batch of answers keeps
+    no planner frames alive."""
+    solvable = parse("walk to a red circle".split())
+    unsolvable = parse("pull a blue cylinder".split())
+    oracle = OracleSolver()
+    got, failed = oracle.solve_many([(s0, solvable), (s0, unsolvable)])
+    assert got == oracle.solve(s0, solvable)
+    assert isinstance(failed, SolverError)
+    assert str(failed) == "no object matches 'pull a blue cylinder'"
+    assert (failed.__traceback__, failed.__cause__, failed.__context__) == (None, None, None)
+
+
 @pytest.mark.pins
 @pytest.mark.parametrize("keep_invalid", [False, True])
 def test_batched_solve_loop_equals_one_by_one_reference(s0, keep_invalid):
@@ -346,17 +367,19 @@ class TestCovr:
         def pca_project(vec):
             return (vec - pca.mean) @ pca.components.T
 
+        def hybrid(state_vec, instr):
+            return hybrid_encode(state_vec, instr, covr_retriever.alpha,
+                                 np.empty(len(state_vec) + len(instr)))
+
         train = corpus.split(Split.TRAIN)
         for query in corpus.split(Split.H)[:4] + corpus.split(Split.C)[:2]:
             state_vec = encode_one_hot(query.state)
             instr = tfidf_encode(covr_retriever.tfidf, [realize(query.instruction)])[0]
-            qvec = hybrid_encode(pca_project(state_vec), instr, covr_retriever.alpha)
+            qvec = hybrid(pca_project(state_vec), instr)
             scores = []
             for idx, ex in enumerate(train):
-                vec = hybrid_encode(
-                    pca_project(encode_one_hot(ex.state)),
-                    tfidf_encode(covr_retriever.tfidf, [realize(ex.instruction)])[0],
-                    covr_retriever.alpha)
+                vec = hybrid(pca_project(encode_one_hot(ex.state)),
+                             tfidf_encode(covr_retriever.tfidf, [realize(ex.instruction)])[0])
                 scores.append((-float(vec @ qvec), idx))
             scores.sort()
             pool = [idx for _, idx in scores[:128]]
@@ -455,10 +478,6 @@ class TestGandr:
         zero = build_gandr_retriever(train, cells=16, alpha=0.0, rng=0)
         query = corpus.split(Split.A)[0]
 
-        class FailingSolver:
-            def solve(self, state, instruction):
-                raise SolverError("no guess")
-
         with_helper = gandr_supports(query, OracleSolver(), zero, probes=16)
         without = gandr_supports(query, FailingSolver(), zero, probes=16)
         assert [s.instruction for s in with_helper.supports] == \
@@ -466,10 +485,6 @@ class TestGandr:
         assert without.meta["helper_failed"]
 
     def test_helper_failure_flagged(self, corpus, gandr_retriever):
-        class FailingSolver:
-            def solve(self, state, instruction):
-                raise SolverError("nope")
-
         query = corpus.split(Split.A)[0]
         sset = gandr_supports(query, FailingSolver(), gandr_retriever, probes=16)
         assert sset.meta["helper_failed"]
@@ -546,10 +561,6 @@ def test_row_matrix_builds_equal_per_row_reference(corpus, grid4_corpus, monkeyp
     monkeypatch.setattr(supportgen.engines, "ivf_query",
                         lambda index, query, **kw: sent.append(query) or
                         real_query(index, query, **kw))
-
-    class FailingSolver:
-        def solve(self, state, instruction):
-            raise SolverError("no guess")
 
     instr_tfidf, out_tfidf, vectors = ref.gandr_vectors(train, alpha)
     gandr = build_gandr_retriever(train, cells=8, alpha=alpha, rng=0)
@@ -679,8 +690,8 @@ class TestExternalSolver:
         from supportgen.world import Action
 
         with ExternalSolver([sys.executable, "-c", ECHO_SERVER]) as solver:
-            got = solver.solve(s0, parse("walk to a red circle".split()))
-        assert got == (Action.WALK, Action.WALK)
+            got = solver.solve_many([(s0, parse("walk to a red circle".split()))])
+        assert got == [(Action.WALK, Action.WALK)]
 
     def test_empty_command_raises_before_any_process(self, monkeypatch):
         import subprocess
@@ -695,18 +706,18 @@ class TestExternalSolver:
     def test_malformed_response(self, s0):
         with ExternalSolver([sys.executable, "-c", GARBAGE_SERVER]) as solver:
             with pytest.raises(ProtocolError):
-                solver.solve(s0, parse("walk to a red circle".split()))
+                solver.solve_many([(s0, parse("walk to a red circle".split()))])
 
     def test_error_response(self, s0):
         with ExternalSolver([sys.executable, "-c", ERROR_SERVER]) as solver:
-            with pytest.raises(SolverError):
-                solver.solve(s0, parse("walk to a red circle".split()))
+            (got,) = solver.solve_many([(s0, parse("walk to a red circle".split()))])
+        assert isinstance(got, SolverError) and str(got) == "cannot solve"
 
     def test_timeout(self, s0):
         with ExternalSolver([sys.executable, "-c", "import time; time.sleep(60)"],
                             timeout=0.5) as solver:
             with pytest.raises((SolverTimeout, ProtocolError)):
-                solver.solve(s0, parse("walk to a red circle".split()))
+                solver.solve_many([(s0, parse("walk to a red circle".split()))])
 
     @pytest.mark.parametrize("killed", [False, True])
     def test_close_reaps_the_child_and_closes_its_output(self, monkeypatch, killed):
@@ -739,13 +750,14 @@ class TestExternalSolver:
         response = json.loads(out.getvalue())
         assert response == {"id": 3, "actions": ["WALK", "WALK"]}
 
+    @pytest.mark.pins
     def test_serve_solver_reports_errors_in_band(self, s0):
         request = {"id": 4, "state": s0.to_record(),
                    "instruction": ["pull", "a", "blue", "cylinder"]}
         out = io.StringIO()
         serve_solver(OracleSolver(), [json.dumps(request)], out)
-        response = json.loads(out.getvalue())
-        assert response["id"] == 4 and "error" in response
+        assert json.loads(out.getvalue()) == {
+            "id": 4, "error": "SolverError: no object matches 'pull a blue cylinder'"}
 
     @pytest.mark.parametrize("path, value, field", [
         (("state", "objects", 0, "x"), 4.9, "state.objects[0].x"),
@@ -784,8 +796,8 @@ class TestExternalSolver:
 
         server = ECHO_SERVER.replace('["WALK", "WALK"]', '["walk", "Push"]')
         with ExternalSolver([sys.executable, "-c", server]) as solver:
-            got = solver.solve(s0, parse("walk to a red circle".split()))
-        assert got == (Action.WALK, Action.PUSH)
+            got = solver.solve_many([(s0, parse("walk to a red circle".split()))])
+        assert got == [(Action.WALK, Action.PUSH)]
 
     def test_out_of_order_responses(self, s0):
         # the protocol allows responses in any order; a reply to an id that
@@ -801,8 +813,8 @@ for line in sys.stdin:
         from supportgen.world import Action
 
         with ExternalSolver([sys.executable, "-c", server]) as solver:
-            got = solver.solve(s0, parse("walk to a red circle".split()))
-        assert got == (Action.WALK,)
+            got = solver.solve_many([(s0, parse("walk to a red circle".split()))])
+        assert got == [(Action.WALK,)]
 
 
 TEARING_CHECK_SERVER = r"""
@@ -913,8 +925,8 @@ class TestExternalSolverFaults:
                             timeout=10.0) as solver:
             solver._proc.stdin = HalvingPipe(solver._proc.stdin)
             with ThreadPoolExecutor(4) as pool:
-                got = list(pool.map(lambda _: solver.solve(s0, instr), range(8)))
-        assert got == [(Action.WALK,)] * 8
+                got = list(pool.map(lambda _: solver.solve_many([(s0, instr)]), range(8)))
+        assert got == [[(Action.WALK,)]] * 8
 
     def test_concurrent_batches_get_their_own_replies(self):
         """Six threads share one child; each batch gets the oracle's answers
@@ -944,10 +956,10 @@ class TestExternalSolverFaults:
         with ExternalSolver([sys.executable, "-c", LATE_FIRST_REPLY_SERVER],
                             timeout=0.2) as solver:
             with pytest.raises(SolverTimeout):
-                solver.solve(s0, instr)
+                solver.solve_many([(s0, instr)])
             solver.timeout = 10.0
             # the child answers request 0 late, then request 1
-            assert solver.solve(s0, instr) == (Action.WALK,)
+            assert solver.solve_many([(s0, instr)]) == [(Action.WALK,)]
             assert solver._results == {}
             assert solver._pending == set()
 
@@ -995,7 +1007,7 @@ class TestExternalSolverFaults:
             assert solver._results == {} and solver._pending == set()
             solver.timeout = 10.0
             # the child answers requests 2 and 3 late, then request 4
-            assert solver.solve(s0, instr) == (Action.STAY,)
+            assert solver.solve_many([(s0, instr)]) == [(Action.STAY,)]
             assert solver._results == {} and solver._pending == set()
 
     def test_deadline_restarts_at_each_reply(self, s0):

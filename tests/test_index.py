@@ -72,41 +72,26 @@ def parent_kmeans(points, cells, rng, iters=25):
     return centroids, labels
 
 
-def parent_pca(vectors, k=320):
-    """pca_fit then pca_project as index 0.4.0 wrote them, verbatim: the fit
-    centres a second copy of the samples. The in-place fit must match it
-    bit for bit. Returns (mean, components, projection of `vectors`)."""
-    x = np.asarray(vectors, dtype=np.float64)
-    mean = x.mean(axis=0)
-    centered = x - mean
-    cov = centered.T @ centered / max(1, x.shape[0] - 1)
-    eigvals, eigvecs = np.linalg.eigh(cov)
-    order = np.argsort(eigvals)[::-1]
-    eigvals = eigvals[order]
-    eigvecs = eigvecs[:, order]
-    tol = max(eigvals[0], 0.0) * 1e-12 + 1e-15
-    rank = min(k, int((eigvals > tol).sum()), x.shape[1])
-    rank = max(rank, 1)
-    components = eigvecs[:, :rank].T.copy()
-    for row in components:
-        pivot = np.argmax(np.abs(row))
-        if row[pivot] < 0:
-            row *= -1.0
-    return mean, components, (x - mean) @ components.T
+def counts_of(rows):
+    """The OneHotCounts of the 0/1 rows `rows`, each active slot holding 1."""
+    x = np.asarray(rows, dtype=np.float32)
+    return count_one_hot([x], x.shape[1], 1.0)
 
 
-def pca_samples(case):
-    rng = np.random.default_rng(8)
-    if case == "gaussian":
-        return rng.standard_normal((700, 24)), 10
-    if case == "low-rank":
-        return rng.standard_normal((300, 4)) @ rng.standard_normal((4, 32)), 8
-    if case == "fortran-order":
-        return np.asfortranarray(rng.standard_normal((200, 12))), 5
-    from supportgen.world import encode_states
+def random_state_counts(rng, count, grid=6, block=None):
+    """The OneHotCounts of `count` random states on a grid x grid board, in
+    count blocks of `block` rows, and the states' dense unit one-hot rows."""
+    from supportgen.world import CELL_WIDTH, encode_states, one_hot_rows, slot_value, state_codes
     from conftest import random_state
 
-    return encode_states([random_state(rng) for _ in range(600)], np.float64), 320
+    states = [random_state(rng, grid_size=grid, max_objects=grid * grid - 1)
+              for _ in range(count)]
+    coded = state_codes(states)
+    block = block or count
+    counts = count_one_hot((one_hot_rows(*(a[lo:lo + block] for a in coded), 1.0, np.float32)
+                            for lo in range(0, count, block)),
+                           grid * grid * CELL_WIDTH, slot_value(grid * grid))
+    return counts, encode_states(states, np.float64)
 
 
 class TestTfIdf:
@@ -194,83 +179,63 @@ class TestUnitRows:
 
 class TestPca:
     def test_line_in_3d(self):
+        """Rows that take one of two 0/1 patterns in three columns lie on the
+        line through them: one component along it, and the projection
+        reconstructs every row."""
         rng = np.random.default_rng(0)
-        direction = np.array([1.0, 2.0, -1.0])
-        direction /= np.linalg.norm(direction)
-        t = rng.standard_normal(200)
-        data = np.outer(t, direction) + np.array([5.0, -3.0, 0.5])
-        p = pca_fit(data.copy(), k=1)
-        axis = p.components[0]
-        assert abs(float(axis @ direction)) == pytest.approx(1.0, abs=1e-9)
+        a, b = np.array([1, 0, 1]), np.array([0, 1, 1])
+        data = np.where(rng.integers(0, 2, (200, 1)) == 1, a, b).astype(np.float64)
+        p = pca_fit(counts_of(data), k=1)
+        direction = (b - a) / np.linalg.norm(b - a)
+        assert abs(float(p.components[0] @ direction)) == pytest.approx(1.0, abs=1e-9)
         recon = project(p, data) @ p.components + p.mean
         assert np.allclose(recon, data, atol=1e-9)
 
     def test_isotropic_explained_variance(self):
+        """Independent fair 0/1 columns have equal variance along every
+        component."""
         rng = np.random.default_rng(1)
-        data = rng.standard_normal((20_000, 6))
-        p = pca_fit(data.copy(), k=6)
-        projected = project(p, data)
-        variances = projected.var(axis=0)
+        data = rng.integers(0, 2, (20_000, 6))
+        p = pca_fit(counts_of(data), k=6)
+        variances = project(p, data).var(axis=0)
         assert variances.max() / variances.min() < 1.15
 
     def test_inner_products_preserved_on_low_rank_data(self):
+        """Rows drawn from four patterns span at most three centred
+        directions, all of which eight components keep."""
         rng = np.random.default_rng(2)
-        basis = rng.standard_normal((4, 32))
-        coeffs = rng.standard_normal((300, 4))
-        data = coeffs @ basis
-        p = pca_fit(data.copy(), k=8)
+        patterns = rng.integers(0, 2, (4, 32))
+        data = patterns[rng.integers(0, 4, 300)].astype(np.float64)
+        p = pca_fit(counts_of(data), k=8)
         projected = project(p, data)
         centered = data - data.mean(axis=0)
         assert np.allclose(projected @ projected.T, centered @ centered.T, atol=1e-8)
 
     def test_orthonormal_components(self):
-        rng = np.random.default_rng(3)
-        p = pca_fit(rng.standard_normal((500, 20)), k=10)
+        counts, _ = random_state_counts(np.random.default_rng(3), 500)
+        p = pca_fit(counts, k=10)
         gram = p.components @ p.components.T
         assert np.allclose(gram, np.eye(p.components.shape[0]), atol=1e-6)
 
     def test_rank_retained_when_samples_scarce(self):
-        rng = np.random.default_rng(4)
-        p = pca_fit(rng.standard_normal((5, 64)), k=320)
-        assert p.components.shape[0] <= 5
+        counts, _ = random_state_counts(np.random.default_rng(4), 5)
+        p = pca_fit(counts, k=320)
+        assert 1 <= p.components.shape[0] <= 4  # five centred rows span four directions
+
+    def test_sign_rule(self):
+        """Each component's entry of largest magnitude is positive."""
+        counts, _ = random_state_counts(np.random.default_rng(10), 300)
+        p = pca_fit(counts, k=40)
+        pivots = np.argmax(np.abs(p.components), axis=1)
+        assert (p.components[np.arange(len(pivots)), pivots] > 0).all()
 
     def test_empty_input(self):
-        with pytest.raises(FitError):
-            pca_fit(np.empty((0, 3)))
-
-    @pytest.mark.parametrize("case", ["gaussian", "low-rank", "fortran-order",
-                                      "one-hot-states"])
-    def test_in_place_fit_equal_to_parent(self, case):
-        """The centring fit and the projection of its centred rows equal the
-        copy-then-centre fit and its projection bit for bit."""
-        data, k = pca_samples(case)
-        mean, components, projected = parent_pca(data, k)
-        owned = np.array(data, dtype=np.float64)
-        p = pca_fit(owned, k)
-        assert p.mean.tobytes() == mean.tobytes()
-        assert p.components.tobytes() == components.tobytes()
-        assert project(p, data).tobytes() == projected.tobytes()
-        assert (owned @ p.components.T).tobytes() == projected.tobytes()
-
-    def test_fit_centres_its_input_in_place(self):
-        data = np.random.default_rng(9).standard_normal((50, 6)) + 3.0
-        before = data.copy()
-        p = pca_fit(data, k=3)
-        assert data.tobytes() == (before - p.mean).tobytes()
-
-    @pytest.mark.parametrize("sample", [
-        np.ones((4, 3), dtype=np.float32), np.ones((4, 3), dtype=np.int64),
-        [[1.0, 2.0], [3.0, 5.0]], np.ones(3), np.ones((2, 3, 4)), np.empty((0, 3)),
-    ], ids=["float32", "int64", "list", "1-D", "3-D", "no-rows"])
-    def test_fit_rejects_anything_but_a_float64_matrix(self, sample):
-        before = np.array(sample)
-        with pytest.raises(FitError):
-            pca_fit(sample, k=2)
-        assert np.array_equal(np.array(sample), before)
+        with pytest.raises(FitError, match="at least one row"):
+            pca_fit(count_one_hot([], 3, 1.0))
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
-        p = pca_fit(rng.standard_normal((100, 8)), k=4)
+        p = pca_fit(counts_of(rng.integers(0, 2, (100, 8))), k=4)
         x, y = rng.standard_normal(8), rng.standard_normal(8)
         lhs = project(p, 2.0 * x + 3.0 * y + p.mean)
         rhs = (2.0 * project(p, x + p.mean) + 3.0 * project(p, y + p.mean))
@@ -283,18 +248,11 @@ class TestPca:
 def test_count_moments_equal_dense_moments(grid, rows, block):
     """The mean and covariance pca_fit takes from one-hot counts are within
     1e-12 of the dense float64 ones, at any count block size."""
-    from supportgen.world import encode_states, one_hot_rows, slot_value, state_codes
-    from conftest import random_state
-
-    rng = np.random.default_rng([grid, rows])
-    states = [random_state(rng, grid_size=grid, max_objects=grid * grid - 1)
-              for _ in range(rows)]
-    coded = state_codes(states)
-    counts = count_one_hot((one_hot_rows(*(a[lo:lo + block] for a in coded), 1.0, np.float32)
-                            for lo in range(0, rows, block)),
-                           grid * grid * 19, slot_value(grid * grid))
+    counts, dense = random_state_counts(np.random.default_rng([grid, rows]), rows, grid, block)
     mean, cov = _mean_and_cov(counts)
-    dense_mean, dense_cov = _mean_and_cov(encode_states(states, np.float64))
+    dense_mean = dense.mean(axis=0)
+    centred = dense - dense_mean
+    dense_cov = centred.T @ centred / max(1, rows - 1)
     assert counts.rows == rows
     assert np.abs(mean - dense_mean).max() <= 1e-12
     assert np.abs(cov - dense_cov).max() <= 1e-12
@@ -476,26 +434,33 @@ class TestIvf:
         assert recall / len(queries) >= 0.9
 
 
+def hybrid(state, instr, alpha):
+    """hybrid_encode into a fresh block."""
+    state, instr = np.asarray(state, dtype=np.float64), np.asarray(instr, dtype=np.float64)
+    out = np.empty(state.shape[:-1] + (state.shape[-1] + instr.shape[-1],))
+    return hybrid_encode(state, instr, alpha, out)
+
+
 class TestHybridEncode:
     def test_alpha_zero_depends_only_on_state(self):
         state = np.array([1.0, 0.0])
-        a = hybrid_encode(state, np.array([0.3, 0.7]), alpha=0.0)
-        b = hybrid_encode(state, np.array([0.9, 0.1]), alpha=0.0)
+        a = hybrid(state, np.array([0.3, 0.7]), alpha=0.0)
+        b = hybrid(state, np.array([0.9, 0.1]), alpha=0.0)
         assert np.allclose(a, b)
 
     def test_large_alpha_dominated_by_instruction(self):
         state = np.array([1.0, 0.0])
         instr_a = np.array([1.0, 0.0])
         instr_b = np.array([0.0, 1.0])
-        qa = hybrid_encode(state, instr_a, alpha=1e9)
-        qb = hybrid_encode(state, instr_b, alpha=1e9)
+        qa = hybrid(state, instr_a, alpha=1e9)
+        qb = hybrid(state, instr_b, alpha=1e9)
         assert float(qa @ qb) == pytest.approx(0.0, abs=1e-6)
 
     def test_alpha_ordering_hand_computed(self):
         alpha = 0.125
-        q = hybrid_encode(np.array([1.0, 0.0]), np.array([1.0]), alpha)
-        near_state = hybrid_encode(np.array([1.0, 0.0]), np.array([-1.0]), alpha)
-        near_instr = hybrid_encode(np.array([0.0, 1.0]), np.array([1.0]), alpha)
+        q = hybrid(np.array([1.0, 0.0]), np.array([1.0]), alpha)
+        near_state = hybrid(np.array([1.0, 0.0]), np.array([-1.0]), alpha)
+        near_instr = hybrid(np.array([0.0, 1.0]), np.array([1.0]), alpha)
         # hand inner products: state match beats instruction match at small alpha
         denom = 1.0 + alpha ** 2
         assert float(q @ near_state) == pytest.approx((1 - alpha ** 2) / denom)
@@ -504,32 +469,32 @@ class TestHybridEncode:
 
     def test_zero_norm(self):
         with pytest.raises(EncodingError):
-            hybrid_encode(np.zeros(3), np.zeros(2), alpha=0.5)
+            hybrid(np.zeros(3), np.zeros(2), alpha=0.5)
 
     def test_rows_equal_single_vectors(self):
         rng = np.random.default_rng(6)
         states, instrs = rng.standard_normal((30, 5)), rng.standard_normal((30, 3))
         instrs[4] = 0.0
         for alpha in (0.0, 0.125, 3.0):
-            rows = hybrid_encode(states, instrs, alpha)
+            rows = hybrid(states, instrs, alpha)
             for row, state, instr in zip(rows, states, instrs):
-                assert row.tobytes() == hybrid_encode(state, instr, alpha).tobytes()
+                assert row.tobytes() == hybrid(state, instr, alpha).tobytes()
 
     @pytest.mark.pins
     def test_in_place_rows_equal_the_allocated_rows(self):
         """Written into `out`, whose leading columns already hold the state
-        block, the rows equal the allocating call bit for bit."""
+        block, the rows equal those written into a fresh block bit for bit."""
         rng = np.random.default_rng(7)
         states, instrs = rng.standard_normal((30, 5)), rng.standard_normal((30, 3))
         for alpha in (0.0, 0.125, 3.0):
             out = np.empty((30, 8))
             out[:, :5] = states
-            assert hybrid_encode(out[:, :5], instrs, alpha, out=out) is out
-            assert out.tobytes() == hybrid_encode(states, instrs, alpha).tobytes()
+            assert hybrid_encode(out[:, :5], instrs, alpha, out) is out
+            assert out.tobytes() == hybrid(states, instrs, alpha).tobytes()
 
     def test_one_zero_row_fails_the_matrix(self):
         states = np.eye(4)
         states[2] = 0.0
         with pytest.raises(EncodingError, match="zero combined norm"):
-            hybrid_encode(states, np.zeros((4, 2)), alpha=0.5)
-        assert hybrid_encode(states, np.ones((4, 2)), alpha=0.5).shape == (4, 6)
+            hybrid(states, np.zeros((4, 2)), alpha=0.5)
+        assert hybrid(states, np.ones((4, 2)), alpha=0.5).shape == (4, 6)
