@@ -457,9 +457,17 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # export-icl / permute
 # ---------------------------------------------------------------------------
 
+def _icl_entry(rec: dict) -> tuple[Example, list]:
+    """The query and support triples of one support-file line. An empty set
+    is refused inside the read, so the error names its file line."""
+    query, sset = _support_pair_from_record(rec)
+    if not sset.supports:
+        raise DataFormatError("query has no supports")
+    return query, [s.triple() for s in sset.supports]
+
+
 def cmd_export_icl(args: argparse.Namespace) -> int:
-    pairs = read_support_file(args.supports)
-    entries = ((query, [s.triple() for s in sset.supports]) for query, sset in pairs)
+    entries = _read_jsonl(args.supports, _icl_entry)
     out = Path(args.out)
     count = _write_jsonl(out, export_icl_records(entries, policy=args.policy, seed=args.seed,
                                                  permute_words=args.permute_words))

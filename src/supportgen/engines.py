@@ -10,11 +10,13 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import selectors
 import subprocess
-import threading
 import time
+from _thread import allocate_lock
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, NoReturn, Protocol, Sequence
 
 import numpy as np
 
@@ -52,6 +54,9 @@ DEFAULT_MASK_RATE = 0.2
 RETRIEVAL_POOL = 128
 #: Seconds an ExternalSolver batch waits for its next reply by default.
 DEFAULT_SOLVER_TIMEOUT = 30.0
+#: Seconds ExternalSolver.close() lets the child take to exit before killing it.
+_CLOSE_SECONDS = 5.0
+_READ_SIZE = 65536
 
 
 @dataclass
@@ -460,18 +465,23 @@ def gandr_supports(query: Example, helper: Solver, retriever: GandrRetriever,
 # External solver line protocol
 # ---------------------------------------------------------------------------
 
-def _decode_reply(line: str) -> tuple[int, tuple[Action, ...] | SolverError]:
+def _decode_reply(line: bytes) -> tuple[int, tuple[Action, ...] | SolverError]:
     """The request id of one reply line and its answer: the actions, or a
-    SolverError for an error reply. A line outside schema.SOLVER_REPLY and
-    schema.SOLVER_ERROR raises ProtocolError naming the field."""
+    SolverError for an error reply. A line that is not UTF-8 or lies outside
+    schema.SOLVER_REPLY and schema.SOLVER_ERROR raises ProtocolError naming
+    the field."""
     try:
-        msg = json.loads(line)
+        text = line.decode()
+    except UnicodeDecodeError:
+        raise ProtocolError(f"response {line[:200]!r} is not valid UTF-8") from None
+    try:
+        msg = json.loads(text)
     except ValueError:
-        raise ProtocolError(f"unparseable response {line[:200]!r}") from None
+        raise ProtocolError(f"unparseable response {text[:200]!r}") from None
     shape = SOLVER_ERROR if isinstance(msg, dict) and "error" in msg else SOLVER_REPLY
     reason = fault(msg, shape)
     if reason is not None:
-        raise ProtocolError(f"response {line[:200]!r}: {reason}")
+        raise ProtocolError(f"response {text[:200]!r}: {reason}")
     if shape is SOLVER_ERROR:
         return msg["id"], SolverError(str(msg["error"]))
     return msg["id"], reply_actions(msg["actions"])
@@ -483,12 +493,15 @@ class ExternalSolver:
     Request:  {"id": <int>, "state": <state record>, "instruction": [tokens]}
     Response: {"id": <int>, "actions": [action names, any case]} or
               {"id": <int>, "error": <string>}
-    A batch's requests go out in one write before any reply is read.
-    Responses may arrive in any order; a reader thread files them by id and
-    drops replies to ids that are no longer awaited (timed out or unknown).
-    Only an "error" reply marks a pair unsolvable (a SolverError); a
-    protocol violation (a line outside schema.SOLVER_REPLY and
-    schema.SOLVER_ERROR, such as an id that is not a JSON integer), a
+    The client starts no thread: the calling thread writes a batch's request
+    lines as the child's input takes them while it reads the replies,
+    through one selector over both pipes (so it needs POSIX pipes). Callers
+    that share one solver take turns, one batch in flight at a time.
+    Responses may arrive in any order and are filed by id; a reply to an id
+    the batch does not await (timed out or unknown) is dropped. Only an
+    "error" reply marks a pair unsolvable (a SolverError); a protocol
+    violation (a line that is not UTF-8 or lies outside schema.SOLVER_REPLY
+    and schema.SOLVER_ERROR, such as an id that is not a JSON integer), a
     timeout or a dead child raises an ExternalServiceError."""
 
     def __init__(self, command: Sequence[str], timeout: float = DEFAULT_SOLVER_TIMEOUT):
@@ -496,125 +509,99 @@ class ExternalSolver:
             raise ValueError("the solver command is empty")
         self.timeout = timeout
         try:
-            self._proc = subprocess.Popen(
-                list(command), stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                text=True, bufsize=1,
-            )
+            self._proc = subprocess.Popen(list(command), stdin=subprocess.PIPE,
+                                          stdout=subprocess.PIPE, bufsize=0)
         except OSError as exc:
             raise ExternalServiceError(f"cannot start solver {command[0]!r}: {exc}") from None
-        self._cond = threading.Condition()
-        self._write_lock = threading.Lock()
-        self._pending: set[int] = set()
-        self._results: dict[int, tuple[Action, ...] | SolverError] = {}
+        os.set_blocking(self._proc.stdin.fileno(), False)
+        self._turn = allocate_lock()
         self._next_id = itertools.count()
+        self._partial = b""  # a reply line read up to, not including, its newline
         self._dead: str | None = None
-        self._reader = threading.Thread(target=self._read_loop, daemon=True)
-        self._reader.start()
 
-    def _read_loop(self) -> None:
-        assert self._proc.stdout is not None
-        for line in self._proc.stdout:
-            line = line.strip()
+    def _fail(self, reason: str) -> NoReturn:
+        """End the session: this and every later batch raise ProtocolError."""
+        self._dead = reason
+        raise ProtocolError(reason)
+
+    def _file_replies(self, chunk: bytes, waiting: set[int], answers: dict) -> bool:
+        """File each whole reply line that `chunk` completes whose id is in
+        `waiting`, taking the id out; True if any was filed. An empty chunk,
+        the end of the output, also ends the last line."""
+        *lines, self._partial = (self._partial + (chunk or b"\n")).split(b"\n")
+        filed = False
+        for line in map(bytes.strip, lines):
             if not line:
                 continue
             try:
                 key, answer = _decode_reply(line)
             except ProtocolError as exc:
-                with self._cond:
-                    self._dead = f"protocol violation: {exc}"
-                    self._cond.notify_all()
-                return
-            with self._cond:
-                if key in self._pending:
-                    self._results[key] = answer
-                    self._cond.notify_all()
-        with self._cond:
-            if self._dead is None:
-                self._dead = "solver process closed its output"
-            self._cond.notify_all()
-
-    def _send(self, payload: str) -> None:
-        """Write request lines in one write; the lock keeps concurrent lines
-        whole. A failed write may leave a torn line, so it ends the session."""
-        try:
-            with self._write_lock:
-                self._proc.stdin.write(payload)
-                self._proc.stdin.flush()
-        except (OSError, ValueError) as exc:
-            with self._cond:
-                if self._dead is None:
-                    self._dead = f"cannot write to solver: {exc}"
-                self._cond.notify_all()
-
-    def _await(self, ids: list[int]) -> list[int]:
-        """Under the lock, wait until every id is answered, the child died or
-        `timeout` seconds passed without a reply to any of them; return the
-        ids still unanswered."""
-        waiting = ids
-        deadline = time.monotonic() + self.timeout
-        while True:
-            still = [key for key in waiting if key not in self._results]
-            if len(still) < len(waiting):
-                waiting, deadline = still, time.monotonic() + self.timeout
-            left = deadline - time.monotonic()
-            if not waiting or self._dead is not None or left <= 0:
-                return waiting
-            self._cond.wait(left)
+                self._fail(f"protocol violation: {exc}")
+            if key in waiting:
+                waiting.remove(key)
+                answers[key] = answer
+                filed = True
+        return filed
 
     def solve_many(self, pairs: Sequence[tuple[WorldState, Instruction]]
                    ) -> list[tuple[Action, ...] | SolverError]:
-        if self._proc.stdin is None or self._proc.poll() is not None:
-            raise ProtocolError("solver process is not running")
-        ids = [next(self._next_id) for _ in pairs]
-        payload = "".join(
-            json.dumps({"id": request_id, "state": state.to_record(),
-                        "instruction": realize(instruction)}) + "\n"
-            for request_id, (state, instruction) in zip(ids, pairs))
-        with self._cond:
-            self._pending.update(ids)
-        # written from a thread, so that the deadline also holds while a
-        # batch larger than the pipe waits for a child that stopped reading
-        writer = threading.Thread(target=self._send, args=(payload,), daemon=True)
-        writer.start()
-        try:
-            with self._cond:
-                unanswered, dead = self._await(ids), self._dead
-        finally:
-            with self._cond:
-                # no longer awaited, so a late reply is dropped rather than kept
-                self._pending.difference_update(ids)
-                answers = [self._results.pop(request_id, None) for request_id in ids]
-        if unanswered and writer.is_alive():
-            self._proc.kill()  # its input would be left holding a torn line
-        writer.join()
-        if unanswered:
-            if dead is not None:
-                raise ProtocolError(dead)
-            raise SolverTimeout(f"no response for request {unanswered[0]} "
-                                f"within {self.timeout}s")
-        return answers
+        with self._turn:
+            if self._dead is None and self._proc.poll() is not None:
+                self._dead = "solver process is not running"
+            if self._dead is not None:
+                raise ProtocolError(self._dead)
+            ids = [next(self._next_id) for _ in pairs]
+            unsent = memoryview("".join(
+                json.dumps({"id": request_id, "state": state.to_record(),
+                            "instruction": realize(instruction)}) + "\n"
+                for request_id, (state, instruction) in zip(ids, pairs)).encode())
+            waiting, answers = set(ids), {}
+            stdin, stdout = self._proc.stdin.fileno(), self._proc.stdout.fileno()
+            with selectors.DefaultSelector() as selector:
+                selector.register(stdout, selectors.EVENT_READ)
+                selector.register(stdin, selectors.EVENT_WRITE)
+                deadline = time.monotonic() + self.timeout
+                while waiting and (left := deadline - time.monotonic()) > 0:
+                    for key, _ in selector.select(left):
+                        if key.fd == stdout:
+                            chunk = os.read(stdout, _READ_SIZE)
+                            if self._file_replies(chunk, waiting, answers):
+                                deadline = time.monotonic() + self.timeout
+                            if not chunk and waiting:
+                                self._fail("solver process closed its output")
+                        else:
+                            try:
+                                unsent = unsent[os.write(stdin, unsent):]
+                            except BlockingIOError:
+                                pass
+                            except OSError as exc:
+                                self._fail(f"cannot write to solver: {exc}")
+                            if not unsent:
+                                selector.unregister(stdin)
+            if waiting:
+                if unsent:
+                    self._proc.kill()  # its input would be left holding a torn line
+                first = next(request_id for request_id in ids if request_id in waiting)
+                raise SolverTimeout(f"no response for request {first} within {self.timeout}s")
+            return [answers[request_id] for request_id in ids]
 
     def close(self) -> None:
-        """Close the child's input, wait for the reader thread to end (the
-        child closes its output when it exits), then reap the child, killed
-        if 5 s pass in all first. A grandchild can hold that output open
-        after the child exits; then the reader keeps running and the pipe
-        stays open."""
-        deadline = time.monotonic() + 5
-        if self._proc.stdin is not None:
-            try:
-                self._proc.stdin.close()
-            except OSError:
-                pass
-        self._reader.join(timeout=5)
-        try:
-            self._proc.wait(timeout=max(0.0, deadline - time.monotonic()))
-        except subprocess.TimeoutExpired:
-            self._proc.kill()
-            self._proc.wait()
-            self._reader.join(timeout=1)
-        if not self._reader.is_alive():
-            self._proc.stdout.close()
+        """Close the child's input, read its output to the end (the child
+        closes it when it exits), then reap the child, killed if 5 s pass
+        before that end. A grandchild can hold that output open after the
+        child exits; the output is closed all the same."""
+        self._proc.stdin.close()
+        stdout = self._proc.stdout.fileno()
+        deadline = time.monotonic() + _CLOSE_SECONDS
+        with selectors.DefaultSelector() as selector:
+            selector.register(stdout, selectors.EVENT_READ)
+            while time.monotonic() < deadline and selector.select(deadline - time.monotonic()):
+                if not os.read(stdout, _READ_SIZE):
+                    break
+            else:  # no end of output within the grace period
+                self._proc.kill()
+        self._proc.wait()
+        self._proc.stdout.close()
 
     def __enter__(self) -> "ExternalSolver":
         return self

@@ -114,11 +114,11 @@ def test_negative_seed_is_usage_error_before_any_read(data_file, tmp_path, monke
     file is read, and nothing is written."""
     import supportgen.cli
 
-    def no_read(path):
+    def no_read(*args):
         raise AssertionError("an input file was read")
 
     monkeypatch.setattr(supportgen.cli, "import_dataset", no_read)
-    monkeypatch.setattr(supportgen.cli, "read_support_file", no_read)
+    monkeypatch.setattr(supportgen.cli, "_read_jsonl", no_read)
     source = "--supports" if command == "export-icl" else "--data"
     with pytest.raises(SystemExit) as exc:
         run([command, source, str(data_file), "--seed", "-1",
@@ -879,8 +879,8 @@ class TestExportIclAndPermute:
     def test_empty_other_states_set_names_its_line(self, tmp_path, capsys):
         """Other-States leaves a query with no supports when no other train
         state demonstrates any of its heuristic instructions; export-icl
-        refuses that file with exit 3, names the query's line and writes
-        nothing."""
+        refuses that file with exit 3, names the query's file line, also
+        past a blank line, and writes nothing."""
         data, sup, icl = (tmp_path / name for name in ("data.jsonl", "sup.jsonl", "icl.jsonl"))
         assert run(["gen-data", "--seed", "3", "--train", "300", "--per-split", "5",
                     "--out", str(data)]) == EXIT_OK
@@ -895,6 +895,11 @@ class TestExportIclAndPermute:
         assert "error: line 13: query has no supports" in capsys.readouterr().err
         assert not icl.exists()
         assert not (tmp_path / "icl.jsonl.manifest.json").exists()
+        sup.write_text("\n" + sup.read_text())
+        assert run(["export-icl", "--supports", str(sup), "--seed", "1",
+                    "--out", str(icl)]) == EXIT_DATA
+        assert "error: line 14: query has no supports" in capsys.readouterr().err
+        assert not icl.exists()
 
     @pytest.mark.parametrize("existing", [False, True])
     def test_failed_export_leaves_no_partial_file(self, data_file, tmp_path, existing):

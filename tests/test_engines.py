@@ -687,11 +687,18 @@ for line in sys.stdin:
 
 class TestExternalSolver:
     def test_echo_double(self, s0):
+        """The client starts no thread, from construction through a batch to
+        close()."""
+        import threading
+
         from supportgen.world import Action
 
+        threads = threading.active_count()
         with ExternalSolver([sys.executable, "-c", ECHO_SERVER]) as solver:
             got = solver.solve_many([(s0, parse("walk to a red circle".split()))])
+            assert threading.active_count() == threads
         assert got == [(Action.WALK, Action.WALK)]
+        assert threading.active_count() == threads
 
     def test_empty_command_raises_before_any_process(self, monkeypatch):
         import subprocess
@@ -721,26 +728,26 @@ class TestExternalSolver:
 
     @pytest.mark.parametrize("killed", [False, True])
     def test_close_reaps_the_child_and_closes_its_output(self, monkeypatch, killed):
-        """close() leaves no running child and no open pipe, also when the
-        child ignores the end of its input and has to be killed."""
-        import subprocess
+        """close() leaves no running child, no open pipe and no thread, also
+        when the child ignores the end of its input and has to be killed
+        once close()'s grace period (cut short here) runs out."""
+        import signal
+        import threading
+        import time
 
+        import supportgen.engines
+
+        monkeypatch.setattr(supportgen.engines, "_CLOSE_SECONDS", 0.3)
+        threads = threading.active_count()
         script = "import time; time.sleep(60)" if killed else ECHO_SERVER
         solver = ExternalSolver([sys.executable, "-c", script])
         proc = solver._proc
-        if killed:
-            real_wait = proc.wait
-
-            def impatient_wait(timeout=None):
-                if timeout is not None:
-                    raise subprocess.TimeoutExpired(proc.args, timeout)
-                return real_wait()
-
-            monkeypatch.setattr(proc, "wait", impatient_wait)
+        start = time.monotonic()
         solver.close()
-        assert proc.returncode is not None
+        assert time.monotonic() - start < 5
+        assert proc.returncode == (-signal.SIGKILL if killed else 0)
         assert proc.stdin.closed and proc.stdout.closed
-        assert not solver._reader.is_alive()
+        assert threading.active_count() == threads
 
     def test_serve_solver_round_trip(self, s0):
         request = {"id": 3, "state": s0.to_record(),
@@ -798,6 +805,23 @@ class TestExternalSolver:
         with ExternalSolver([sys.executable, "-c", server]) as solver:
             got = solver.solve_many([(s0, parse("walk to a red circle".split()))])
         assert got == [(Action.WALK, Action.PUSH)]
+
+    def test_reply_that_is_not_utf8_is_a_protocol_violation(self, s0):
+        """A reply line that is not valid UTF-8 ends the batch at once with a
+        ProtocolError naming the line, not after the timeout."""
+        import time
+
+        server = r"""
+import sys
+for line in sys.stdin.buffer:
+    sys.stdout.buffer.write(b"\xff\xfe{}\n")
+    sys.stdout.buffer.flush()
+"""
+        with ExternalSolver([sys.executable, "-c", server], timeout=30.0) as solver:
+            start = time.monotonic()
+            with pytest.raises(ProtocolError, match=r"b'\\xff\\xfe\{\}' is not valid UTF-8"):
+                solver.solve_many([(s0, parse("walk to a red circle".split()))])
+            assert time.monotonic() - start < 2
 
     def test_out_of_order_responses(self, s0):
         # the protocol allows responses in any order; a reply to an id that
@@ -873,28 +897,12 @@ for line in sys.stdin:
 """
 
 
-class HalvingPipe:
-    """A stdin that writes each request in two halves with a pause between,
-    as a pipe taking partial writes may; unserialised writers then tear each
-    other's lines."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def write(self, text):
-        import time
-
-        half = len(text) // 2
-        self.inner.write(text[:half])
-        self.inner.flush()
-        time.sleep(0.02)
-        self.inner.write(text[half:])
-
-    def flush(self):
-        self.inner.flush()
-
-    def close(self):
-        self.inner.close()
+HALF_BATCH_THEN_EXIT_SERVER = r"""
+import json, sys
+for _ in range(2):
+    msg = json.loads(sys.stdin.readline())
+    print(json.dumps({"id": msg["id"], "actions": ["WALK"]}), flush=True)
+"""
 
 
 def large_batch() -> list:
@@ -915,22 +923,27 @@ def outcomes(results: list) -> list:
 
 
 class TestExternalSolverFaults:
-    def test_concurrent_requests_keep_lines_whole(self, s0):
+    def test_concurrent_requests_keep_lines_whole(self, s0, monkeypatch):
+        """Concurrent callers' request lines stay whole when the child's
+        input takes at most 7 bytes a write."""
         from concurrent.futures import ThreadPoolExecutor
 
+        import supportgen.engines
         from supportgen.world import Action
 
+        real_write = supportgen.engines.os.write
         instr = parse("walk to a red circle".split())
         with ExternalSolver([sys.executable, "-c", TEARING_CHECK_SERVER],
                             timeout=10.0) as solver:
-            solver._proc.stdin = HalvingPipe(solver._proc.stdin)
+            monkeypatch.setattr(supportgen.engines.os, "write",
+                                lambda fd, data: real_write(fd, data[:7]))
             with ThreadPoolExecutor(4) as pool:
-                got = list(pool.map(lambda _: solver.solve_many([(s0, instr)]), range(8)))
-        assert got == [[(Action.WALK,)]] * 8
+                got = list(pool.map(lambda _: solver.solve_many([(s0, instr)] * 2), range(8)))
+        assert got == [[(Action.WALK,)] * 2] * 8
 
     def test_concurrent_batches_get_their_own_replies(self):
-        """Six threads share one child; each batch gets the oracle's answers
-        to its own pairs, and nothing stays filed."""
+        """Six threads share one child; each batch, and the batch after them
+        all, gets the oracle's answers to its own pairs."""
         from concurrent.futures import ThreadPoolExecutor
 
         rng = np.random.default_rng(13)
@@ -943,11 +956,12 @@ class TestExternalSolverFaults:
             with ExternalSolver([sys.executable, "-m", "supportgen.cli", "serve-oracle"],
                                 timeout=30.0) as solver:
                 with ThreadPoolExecutor(6) as pool:
-                    got = list(pool.map(solver.solve_many, batches))
-                assert solver._results == {} and solver._pending == set()
+                    got = list(pool.map(solver.solve_many, batches[1:]))
+                got.append(solver.solve_many(batches[0]))
         finally:
             sys.setswitchinterval(interval)
-        assert [outcomes(r) for r in got] == [outcomes(oracle.solve_many(b)) for b in batches]
+        want = [outcomes(oracle.solve_many(b)) for b in batches[1:] + batches[:1]]
+        assert [outcomes(r) for r in got] == want
 
     def test_late_reply_to_timed_out_request_is_dropped(self, s0):
         from supportgen.world import Action
@@ -960,8 +974,6 @@ class TestExternalSolverFaults:
             solver.timeout = 10.0
             # the child answers request 0 late, then request 1
             assert solver.solve_many([(s0, instr)]) == [(Action.WALK,)]
-            assert solver._results == {}
-            assert solver._pending == set()
 
     def test_batch_larger_than_a_pipe_buffer(self):
         """One batch of request lines larger than a pipe holds is written
@@ -976,7 +988,8 @@ class TestExternalSolverFaults:
 
     def test_large_batch_to_a_child_that_stopped_reading_times_out(self):
         """The deadline holds while the request lines cannot all be written;
-        the child, whose input would hold a torn line, is killed."""
+        the child, whose input would hold a torn line, is killed, and the
+        session is over."""
         import time
 
         with ExternalSolver([sys.executable, "-c", "import time; time.sleep(60)"],
@@ -986,7 +999,8 @@ class TestExternalSolverFaults:
                 solver.solve_many(large_batch())
             assert time.monotonic() - start < 5
             assert solver._proc.wait(timeout=5) is not None
-            assert solver._results == {} and solver._pending == set()
+            with pytest.raises(ProtocolError):
+                solver.solve_many(large_batch()[:1])
 
     def test_batch_answered_in_reverse_order(self, s0):
         instr = parse("walk to a red circle".split())
@@ -1004,11 +1018,9 @@ class TestExternalSolverFaults:
             with pytest.raises(SolverTimeout, match="request 2 "):
                 solver.solve_many([(s0, instr)] * 4)
             assert 0.3 <= time.monotonic() - start < 1.0
-            assert solver._results == {} and solver._pending == set()
             solver.timeout = 10.0
             # the child answers requests 2 and 3 late, then request 4
             assert solver.solve_many([(s0, instr)]) == [(Action.STAY,)]
-            assert solver._results == {} and solver._pending == set()
 
     def test_deadline_restarts_at_each_reply(self, s0):
         """A batch whose replies come 0.25 s apart outlasts a 1 s timeout:
@@ -1016,3 +1028,16 @@ class TestExternalSolverFaults:
         instr = parse("walk to a red circle".split())
         with ExternalSolver([sys.executable, "-c", TRICKLING_SERVER], timeout=1.0) as solver:
             assert solver.solve_many([(s0, instr)] * 6) == [(Action.WALK,)] * 6
+
+    def test_child_exiting_mid_batch_is_a_protocol_violation(self, s0):
+        """A child that answers half a batch and exits ends it with a
+        ProtocolError at once, not after the timeout."""
+        import time
+
+        instr = parse("walk to a red circle".split())
+        with ExternalSolver([sys.executable, "-c", HALF_BATCH_THEN_EXIT_SERVER],
+                            timeout=30.0) as solver:
+            start = time.monotonic()
+            with pytest.raises(ProtocolError, match="closed its output|cannot write"):
+                solver.solve_many([(s0, instr)] * 4)
+            assert time.monotonic() - start < 5
