@@ -359,7 +359,7 @@ def build_covr_retriever(examples: Sequence[Example], cells: int = DEFAULT_CELLS
     n, grid_cells = coded[0].shape
     blocks = [slice(lo, lo + _COVR_BLOCK_ROWS) for lo in range(0, n, _COVR_BLOCK_ROWS)]
     value = slot_value(grid_cells)
-    pca = pca_fit(count_one_hot((one_hot_rows(*(a[b] for a in coded), 1.0, np.float32)
+    pca = pca_fit(count_one_hot((one_hot_rows(*(a[b] for a in coded))
                                  for b in blocks), grid_cells * CELL_WIDTH, value), pca_dim)
     pose_rows, change_rows = fold_slots(pca.components.T * value)
     # centring: every row has one pose row, so it carries the mean's projection

@@ -31,11 +31,12 @@ import numpy as np
 
 from .dataset import Example
 from .engines import Solver, Support, SupportSet
-from .errors import FitError, MetricError, PatternError, SolverError, UnresolvableError
+from .errors import (DimensionError, FitError, MetricError, PatternError, SolverError,
+                     UnresolvableError)
 from .grammar import resolve_target
 from .index import fixed_blocks
-from .world import (ACTION_TABLE_SIZE, Action, RngLike, WorldState, as_rng, encode_states,
-                    one_hot_rows, slot_value, state_codes)
+from .world import (ACTION_TABLE_SIZE, Action, RngLike, WorldState, active_slots, as_rng,
+                    one_hot_rows, state_codes)
 
 CRITERIA_ROWS = (
     "(1) described object",
@@ -156,7 +157,11 @@ def nn_profile(split_states: Sequence[WorldState], train_states: Sequence[WorldS
     """Mean cosine similarity between sampled split states and their Nth
     nearest training state, over unit one-hot encodings (exact search).
 
-    Ranks beyond the training size are dropped with a warning."""
+    The cosine of two states is k / active_slots(cells) for the k active
+    slots they share. nn_profile counts k as the product of 0/1 one-hot
+    rows, which is exact in float32, and sums the counts as integers, so
+    the profile does not depend on the BLAS kernel. Ranks beyond the
+    training size are dropped with a warning."""
     if not split_states or not train_states:
         raise MetricError("nn_profile needs nonempty split and train states")
     ranks = sorted(set(int(r) for r in ranks))
@@ -173,22 +178,25 @@ def nn_profile(split_states: Sequence[WorldState], train_states: Sequence[WorldS
         idx = gen.choice(len(split_states), size=sample, replace=False)
         split_states = [split_states[int(i)] for i in idx]
     coded = state_codes(train_states)
-    value = slot_value(coded[0].shape[1])
+    split_coded = state_codes(split_states)
+    cells = coded[0].shape[1]
+    if split_coded[0].shape[1] != cells:
+        raise DimensionError(f"grid sizes differ: {split_states[0].grid_size} vs "
+                             f"{train_states[0].grid_size}")
     max_rank = usable[-1]
-    sums = np.zeros(len(usable), dtype=np.float64)
+    sums = np.zeros(len(usable), dtype=np.int64)
     buffer = np.empty((min(_NN_CHUNK, len(split_states)), len(train_states)), dtype=np.float32)
     for start in range(0, len(split_states), _NN_CHUNK):
-        q = encode_states(split_states[start:start + _NN_CHUNK])
+        q = one_hot_rows(*(a[start:start + _NN_CHUNK] for a in split_coded))
         sims = buffer[:len(q)]
         for rows in fixed_blocks(len(train_states), _NN_TRAIN_BLOCK):
-            train = one_hot_rows(*(a[rows] for a in coded), value, np.float32)
+            train = one_hot_rows(*(a[rows] for a in coded))
             np.matmul(q, train.T, out=sims[:, rows])
         part = -np.partition(-sims, max_rank - 1, axis=1)[:, :max_rank]
-        part.sort(axis=1)
-        part = part[:, ::-1]
-        for j, r in enumerate(usable):
-            sums[j] += float(part[:, r - 1].sum())
-    return [(r, sums[j] / len(split_states)) for j, r in enumerate(usable)]
+        part.sort(axis=1)  # ascending: rank r sits at max_rank - r
+        sums += part[:, max_rank - np.array(usable)].astype(np.int64).sum(axis=0)
+    total = active_slots(cells) * len(split_states)
+    return [(r, int(k) / total) for r, k in zip(usable, sums)]
 
 
 # ---------------------------------------------------------------------------

@@ -329,8 +329,8 @@ _HEADING_OFF = _AGENT_OFF + 1
 #: Cell code of each object (shape, color, size), from 1 in product order;
 #: 0 is an empty cell. Only state_codes reads it.
 _CELL_CODES = {}
-#: The shape, color and size bits of each cell code.
-_CELL_ROWS = np.zeros((1 + len(SHAPES) * len(COLORS) * len(SIZES), CELL_WIDTH))
+#: The shape, color and size bits of each cell code, as float32 0/1 rows.
+_CELL_ROWS = np.zeros((1 + len(SHAPES) * len(COLORS) * len(SIZES), CELL_WIDTH), dtype=np.float32)
 _CELL_ROWS[0, [_SHAPE_OFF + len(SHAPES), _COLOR_OFF + len(COLORS), _SIZE_OFF + len(SIZES)]] = 1.0
 for _code, (_shape, _color, _size) in enumerate(itertools.product(SHAPES, COLORS, SIZES), 1):
     _CELL_CODES[_shape, _color, _size] = _code
@@ -374,27 +374,30 @@ def state_codes(states: Sequence[WorldState]) -> tuple[np.ndarray, np.ndarray, n
     return codes, agent_cells, headings
 
 
-def one_hot_rows(codes: np.ndarray, agent_cells: np.ndarray, headings: np.ndarray,
-                 value: float, dtype) -> np.ndarray:
-    """The one-hot rows of state_codes output, every active slot holding
-    `value` and every other slot 0. Cells are laid out row-major; see the
-    CELL_WIDTH block order above."""
+def one_hot_rows(codes: np.ndarray, agent_cells: np.ndarray, headings: np.ndarray) -> np.ndarray:
+    """The float32 0/1 one-hot rows of state_codes output. Cells are laid
+    out row-major; see the CELL_WIDTH block order above. The product of two
+    rows counts the active slots they share, at most active_slots(cells), so
+    it is exact in float32 whatever the BLAS kernel or summation order."""
     count, cells = codes.shape
-    rows = (_CELL_ROWS * value).astype(dtype)[codes]
+    rows = _CELL_ROWS[codes]
     index = np.arange(count)
-    rows[index, agent_cells, _AGENT_OFF] = value
-    rows[index, agent_cells, _HEADING_OFF + headings] = value
+    rows[index, agent_cells, _AGENT_OFF] = 1.0
+    rows[index, agent_cells, _HEADING_OFF + headings] = 1.0
     return rows.reshape(count, cells * CELL_WIDTH)
 
 
 def encode_states(states: Iterable[WorldState], dtype=np.float32) -> np.ndarray:
     """Unit-norm one-hot encodings of same-size states, one row per state:
-    the one_hot_rows of their state_codes.
+    the one_hot_rows of their state_codes times slot_value. The tests'
+    dense reference for the exact counts.
 
     Every state activates exactly active_slots(cells) slots, so normalization
     is a constant scale and the encoding stays injective on valid states."""
     codes, agent_cells, headings = state_codes(list(states))
-    return one_hot_rows(codes, agent_cells, headings, slot_value(codes.shape[1]), dtype)
+    rows = one_hot_rows(codes, agent_cells, headings).astype(dtype)
+    rows *= slot_value(codes.shape[1])
+    return rows
 
 
 def shared_slots(codes: np.ndarray, agent_cells: np.ndarray, headings: np.ndarray,

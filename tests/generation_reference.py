@@ -9,9 +9,9 @@ templates before each became one closed form, and the retrieval vectors
 built one row per call (tf-idf and input/output encodings, each with its
 own division by the L2 norm) before they became row matrices, the
 same-state solve loop that asked the solver for one pair at a time before
-it handed over each round's shortfall in one batch, and the nearest
-neighbour profile that encoded every train state into one matrix before it
-encoded them in blocks.
+it handed over each round's shortfall in one batch. It also holds an
+exact nearest neighbour profile: int64 products of the 0/1 one-hot rows
+and a full sort per query.
 
 Each function is kept as it was, fresh objects and full candidate lists
 included, so tests can require the current generator to draw the same
@@ -74,8 +74,10 @@ from supportgen.world import (
     Position,
     RngLike,
     WorldState,
+    active_slots,
     as_rng,
-    encode_states,
+    one_hot_rows,
+    state_codes,
 )
 
 
@@ -580,16 +582,12 @@ def nn_profile(split_states: Sequence[WorldState], train_states: Sequence[WorldS
     if len(split_states) > sample:
         idx = gen.choice(len(split_states), size=sample, replace=False)
         split_states = [split_states[int(i)] for i in idx]
-    train_mat = encode_states(train_states)
-    max_rank = usable[-1]
-    sums = np.zeros(len(usable), dtype=np.float64)
-    for start in range(0, len(split_states), 128):
-        block = split_states[start:start + 128]
-        q = encode_states(block)
-        sims = q @ train_mat.T
-        part = -np.partition(-sims, max_rank - 1, axis=1)[:, :max_rank]
-        part.sort(axis=1)
-        part = part[:, ::-1]
+    train_codes = state_codes(train_states)
+    train_rows = one_hot_rows(*train_codes).astype(np.int64)
+    sums = [0] * len(usable)
+    for row in one_hot_rows(*state_codes(split_states)).astype(np.int64):
+        shared = np.sort(train_rows @ row)[::-1]
         for j, r in enumerate(usable):
-            sums[j] += float(part[:, r - 1].sum())
-    return [(r, sums[j] / len(split_states)) for j, r in enumerate(usable)]
+            sums[j] += int(shared[r - 1])
+    total = active_slots(train_codes[0].shape[1]) * len(split_states)
+    return [(r, sums[j] / total) for j, r in enumerate(usable)]

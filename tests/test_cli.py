@@ -756,6 +756,22 @@ class TestAnalyze:
         values = [profile[str(r)] for r in (1, 2, 4, 8, 16, 32)]
         assert values == sorted(values, reverse=True)
 
+    def test_nn_profile_split_on_another_grid_is_data_error(self, data_file, tmp_path,
+                                                             capsys):
+        small = tmp_path / "small.jsonl"
+        assert run(["gen-data", "--seed", "7", "--grid", "4", "--objects", "1..5",
+                    "--train", "10", "--per-split", "4", "--out", str(small)]) == EXIT_OK
+        mixed = tmp_path / "mixed.jsonl"
+        mixed.write_text("".join(
+            line + "\n" for path, split in ((data_file, "train"), (small, "h"))
+            for line in path.read_text().splitlines() if json.loads(line)["split"] == split))
+        report = tmp_path / "nn.json"
+        capsys.readouterr()
+        assert run(["analyze", "--data", str(mixed), "--nn-profile", "--split", "h",
+                    "--ranks", "1,2", "--out", str(report)]) == EXIT_DATA
+        assert "grid sizes differ: 4 vs 6" in capsys.readouterr().err
+        assert not report.exists()
+
     @pytest.mark.parametrize("pattern", ["WALK(99999999999)", "( WALK )(99999999999)"])
     def test_huge_repeat_count_is_data_error(self, data_file, tmp_path, pattern):
         report = tmp_path / "pattern.json"

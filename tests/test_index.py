@@ -88,7 +88,7 @@ def random_state_counts(rng, count, grid=6, block=None):
               for _ in range(count)]
     coded = state_codes(states)
     block = block or count
-    counts = count_one_hot((one_hot_rows(*(a[lo:lo + block] for a in coded), 1.0, np.float32)
+    counts = count_one_hot((one_hot_rows(*(a[lo:lo + block] for a in coded))
                             for lo in range(0, count, block)),
                            grid * grid * CELL_WIDTH, slot_value(grid * grid))
     return counts, encode_states(states, np.float64)

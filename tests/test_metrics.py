@@ -7,7 +7,7 @@ import pytest
 
 from supportgen.dataset import DatasetConfig, Example, Split, TEST_SPLITS, generate_dataset
 from supportgen.engines import OracleSolver, Support, SupportSet, heuristic_supports
-from supportgen.errors import FitError, PatternError
+from supportgen.errors import DimensionError, FitError, PatternError
 from supportgen.grammar import parse
 from supportgen.metrics import (
     CRITERIA_ROWS,
@@ -174,6 +174,15 @@ class TestNnProfile:
             profile = nn_profile(split, train, ranks=(1, 8192), sample=10, rng=0)
         assert [r for r, _ in profile] == [1]
 
+    def test_split_and_train_on_different_grids_rejected(self):
+        from conftest import random_state
+
+        rng = np.random.default_rng(4)
+        train = [random_state(rng) for _ in range(20)]
+        split = [random_state(rng, grid_size=4) for _ in range(5)]
+        with pytest.raises(DimensionError, match="grid sizes differ: 4 vs 6"):
+            nn_profile(split, train, ranks=(1, 2), sample=5, rng=0)
+
     def test_matches_brute_force_on_5k_corpus(self):
         # exact nn_profile against an independent full-sort implementation
         rng = np.random.default_rng(5)
@@ -216,6 +225,23 @@ def test_nn_profile_equals_reference(train_size, split_size, sample):
         got = nn_profile(split, train, ranks=ranks, sample=sample, rng=3)
         want = generation_reference.nn_profile(split, train, ranks=ranks, sample=sample, rng=3)
     assert got == want
+
+
+@pytest.mark.pins
+def test_nn_profile_rank_one_is_the_most_shared_slots():
+    """For one split state, the rank-1 value is CovR's count of shared slots
+    with the nearest train state over the active slots: the gather count and
+    the one-hot product agree exactly."""
+    from conftest import random_state
+    from supportgen.world import active_slots, shared_slots, state_codes
+
+    rng = np.random.default_rng(17)
+    train = [random_state(rng) for _ in range(1500)]
+    query = random_state(rng)
+    codes, agent_cells, headings = state_codes([query])
+    shared = shared_slots(*state_codes(train), codes[0], agent_cells[0], headings[0])
+    assert nn_profile([query], train, ranks=(1,), sample=1, rng=0) == \
+        [(1, int(shared.max()) / active_slots(36))]
 
 
 class TestZipfFit:

@@ -239,15 +239,31 @@ class TestCodes:
         slot_rows = rng.standard_normal((grid * grid * CELL_WIDTH, 5))
         out = np.empty((len(states), 5))
         code_sums(*fold_slots(slot_rows), *coded, out)
-        dense = one_hot_rows(*coded, 1.0, np.float64) @ slot_rows
+        dense = one_hot_rows(*coded) @ slot_rows
         assert np.abs(out - dense).max() <= 1e-12
+
+    @pytest.mark.pins
+    @pytest.mark.parametrize("grid, objects", [(6, None), (6, 35), (4, None)],
+                             ids=["6x6-random", "6x6-full", "4x4-random"])
+    def test_one_hot_product_is_an_exact_count(self, grid, objects):
+        """The float32 product of 0/1 one_hot_rows equals their int64 product,
+        and a row shares all active_slots(cells) of its own slots."""
+        rng = np.random.default_rng([grid, objects or 0])
+        states = [new_random_state(rng, grid, objects) if objects else
+                  random_state(rng, grid_size=grid, max_objects=grid * grid - 1)
+                  for _ in range(300)]
+        rows = one_hot_rows(*state_codes(states))
+        assert rows.dtype == np.float32
+        counts = rows.astype(np.int64) @ rows.astype(np.int64).T
+        assert (rows @ rows.T == counts).all()
+        assert (np.diagonal(counts) == active_slots(grid * grid)).all()
 
     @pytest.mark.pins
     def test_shared_slots_is_the_one_hot_dot_product(self, s0):
         rng = np.random.default_rng(3)
         states = [random_state(rng) for _ in range(300)] + [s0]
         codes, agent_cells, headings = state_codes(states)
-        rows = one_hot_rows(codes, agent_cells, headings, 1.0, np.float64)
+        rows = one_hot_rows(codes, agent_cells, headings)
         for q in (0, 7, len(states) - 1):
             shared = shared_slots(codes, agent_cells, headings,
                                   codes[q], agent_cells[q], headings[q])
