@@ -316,17 +316,18 @@ def _prepare_other_states(train, args, solver):
 class _Strategy(NamedTuple):
     aliases: tuple[str, ...]
     prepare: Callable  # (train, args, solver) -> run(query, rng) -> SupportSet
+    solves: bool = True  # False: run never calls the solver
 
 
 #: The six support strategies by canonical name (the `strategy` of their
 #: support sets and manifests). Names and aliases match case-insensitively.
 STRATEGIES = {
     "demogen": _Strategy(("dg",), _prepare_demogen),
-    "covr": _Strategy(("cr",), _prepare_covr),
+    "covr": _Strategy(("cr",), _prepare_covr, solves=False),
     "gandr": _Strategy(("gr",), _prepare_gandr),
     "heuristic": _Strategy((), _prepare_heuristic),
     "random": _Strategy(("rd", "rand-instrs"), _prepare_random),
-    "other_states": _Strategy(("other-states", "os"), _prepare_other_states),
+    "other_states": _Strategy(("other-states", "os"), _prepare_other_states, solves=False),
 }
 _STRATEGY_NAMES = {alias: name for name, strategy in STRATEGIES.items()
                    for alias in (name, *strategy.aliases)}
@@ -346,6 +347,8 @@ def cmd_gen_supports(args: argparse.Namespace) -> int:
         raise DataFormatError("--solver-cmd requires --solver external")
     if args.solver == "oracle" and args.solver_timeout is not None:
         raise DataFormatError("--solver-timeout requires --solver external")
+    if args.solver == "external" and not STRATEGIES[strategy].solves:
+        raise DataFormatError(f"--solver external: strategy {strategy} calls no solver")
     # The solver child starts before the data is read, so its interpreter
     # start-up overlaps the decode. Each support set is written as soon as it
     # is built, so only one is held at a time.
@@ -457,13 +460,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # export-icl / permute
 # ---------------------------------------------------------------------------
 
-def _icl_entry(rec: dict) -> tuple[Example, list]:
-    """The query and support triples of one support-file line. An empty set
-    is refused inside the read, so the error names its file line."""
+def _icl_entry(rec: dict) -> tuple[Example, SupportSet]:
+    """The query and support set of one support-file line. An empty set is
+    refused inside the read, so the error names its file line."""
     query, sset = _support_pair_from_record(rec)
     if not sset.supports:
         raise DataFormatError("query has no supports")
-    return query, [s.triple() for s in sset.supports]
+    return query, sset
 
 
 def cmd_export_icl(args: argparse.Namespace) -> int:

@@ -322,20 +322,20 @@ def import_external_record(record: Mapping, direction_map: Mapping[int, int] | N
 
 def export_icl_records(entries: Iterable, policy: str = "permute", seed: int = 0,
                        permute_words: bool = False) -> Iterator[dict]:
-    """Serialize (example, supports) pairs into in-context-learning records.
+    """Serialize (Example, SupportSet) pairs, as read_support_file yields
+    them, into in-context-learning records.
 
-    Each record carries the support triples and the query, with ONE shared
+    Each record carries the supports and the query, with ONE shared
     permutation applied to every target sequence in the record when the
     policy is "permute". The permutation codes are stored so records stay
-    decodable. `entries` yields (Example, list-of-support-triples) pairs where
-    a triple is (WorldState, Instruction, actions-or-None). An entry with no
-    supports is a DataFormatError naming its 1-based position, the line of
-    its query in a support file written by gen-supports.
+    decodable. An entry with no supports is a DataFormatError naming its
+    1-based position, the line of its query in a support file written by
+    gen-supports.
     """
     if policy not in ("permute", "identity"):
         raise ValueError(f"unknown permutation policy {policy!r}")
-    for idx, (example, supports) in enumerate(entries):
-        if not supports:
+    for idx, (example, sset) in enumerate(entries):
+        if not sset.supports:
             raise DataFormatError(f"line {idx + 1}: query has no supports")
         if policy == "permute":
             rng = np.random.default_rng([seed, idx])
@@ -357,11 +357,11 @@ def export_icl_records(entries: Iterable, policy: str = "permute", seed: int = 0
         yield {
             "supports": [
                 {
-                    "state": s.to_record(),
-                    "command": encode_instruction(i),
-                    "target": encode_actions(a),
+                    "state": s.state.to_record(),
+                    "command": encode_instruction(s.instruction),
+                    "target": encode_actions(s.actions),
                 }
-                for (s, i, a) in supports
+                for s in sset.supports
             ],
             "query": {
                 "state": example.state.to_record(),

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import os
 import selectors
 import subprocess
@@ -21,8 +22,8 @@ from typing import Iterable, Mapping, NoReturn, Protocol, Sequence
 import numpy as np
 
 from .dataset import Example
-from .errors import (ExternalServiceError, ProtocolError, RetrievalError, SolverError,
-                     SolverTimeout, UnresolvableError)
+from .errors import (EncodingError, ExternalServiceError, ProtocolError, RetrievalError,
+                     SolverError, SolverTimeout, UnresolvableError)
 from .grammar import (INSTRUCTION_ROW, INSTRUCTIONS, REALIZED, STRING_RANK, Instruction,
                       ground_descriptions, parse, realize)
 from .index import (
@@ -65,9 +66,6 @@ class Support:
     instruction: Instruction
     actions: tuple[Action, ...] | None
     meta: dict = field(default_factory=dict)
-
-    def triple(self) -> tuple[WorldState, Instruction, tuple[Action, ...] | None]:
-        return (self.state, self.instruction, self.actions)
 
 
 @dataclass
@@ -326,6 +324,13 @@ class CovrRetriever:
     change_rows: np.ndarray
 
 
+def _check_alpha(alpha: float) -> None:
+    """A retriever's hybrid weight must be a finite number >= 0; any other
+    value would put NaN or infinite entries into its vectors."""
+    if not 0.0 <= alpha < math.inf:
+        raise EncodingError(f"alpha must be a finite number >= 0, got {alpha!r}")
+
+
 def _encode_instructions(examples: Sequence[Example]) -> tuple[TfIdfEncoder, np.ndarray]:
     """Fit tf-idf on the examples' realized instructions and return it with
     their vectors, one row per example."""
@@ -352,6 +357,7 @@ def build_covr_retriever(examples: Sequence[Example], cells: int = DEFAULT_CELLS
     """Fit the PCA on exact one-hot counts of the train states and project
     their cell codes block by block into the hybrid matrix: no n x d one-hot
     matrix is ever built."""
+    _check_alpha(alpha)
     examples = list(examples)
     if not examples:
         raise RetrievalError("cannot build a retriever over an empty corpus")
@@ -429,6 +435,7 @@ class GandrRetriever:
 
 def build_gandr_retriever(examples: Sequence[Example], cells: int = DEFAULT_CELLS,
                           alpha: float = 0.5, rng: RngLike = 0) -> GandrRetriever:
+    _check_alpha(alpha)
     examples = list(examples)
     if not examples:
         raise RetrievalError("cannot build a retriever over an empty corpus")

@@ -198,13 +198,12 @@ def kmeans(points: np.ndarray, cells: int, rng: RngLike, iters: int = 25
            ) -> tuple[np.ndarray, np.ndarray]:
     """Seeded k-means++ with an iteration budget.
 
-    Seeding draws each next centroid by inverse CDF, as
-    `Generator.choice(n, p=d2 / d2.sum())` does: one `random()` located by a
-    right-sided search in the normalised cumsum of d2, the squared distance
-    to the nearest centroid so far. If d2 sums to 0 the remaining centroids
-    are drawn uniformly. d2 comes from the expansion ‖x‖² − 2x·c + ‖c‖², which
-    may differ from ‖x − c‖² in the last bits, so a draw within that rounding
-    of a cumsum step may pick the neighbouring point.
+    Seeding draws each next centroid with probability proportional to d2,
+    the squared distance to the nearest centroid so far; if d2 sums to 0 the
+    remaining centroids are drawn uniformly. d2 comes from the expansion
+    ‖x‖² − 2x·c + ‖c‖², which may differ from ‖x − c‖² in the last bits, so a
+    draw that falls within that rounding of a boundary may pick the
+    neighbouring point.
 
     Empty cells are re-seeded from the largest cell (its farthest member), so
     every centroid stays live. Iteration stops once an assignment repeats the
@@ -231,9 +230,7 @@ def kmeans(points: np.ndarray, cells: int, rng: RngLike, iters: int = 25
         if total <= 0:
             centroids[i:] = x[gen.integers(n, size=cells - i)]
             break
-        cdf = (d2 / total).cumsum()
-        cdf /= cdf[-1]
-        pick = int(cdf.searchsorted(gen.random(), side="right"))
+        pick = int(gen.choice(n, p=d2 / total))
         centroids[i] = x[pick]
         np.minimum(d2, _sq_dist_to_row(x, sq, pick, tol), out=d2)
 
@@ -291,14 +288,13 @@ class IvfIndex:
         return [self.vectors[ids] for ids in self.cell_ids]
 
 
-def ivf_build(vectors: np.ndarray, cells: int = DEFAULT_CELLS, rng: RngLike = 0,
-              iters: int = 25) -> IvfIndex:
+def ivf_build(vectors: np.ndarray, cells: int = DEFAULT_CELLS, rng: RngLike = 0) -> IvfIndex:
     """Ids are row numbers, ascending within each cell. A float64 `vectors`
     is kept by the index as it is, so the caller must not change it later."""
     x = np.asarray(vectors, dtype=np.float64)
     if x.ndim != 2 or x.shape[0] == 0:
         raise FitError("cannot build an index over an empty vector set")
-    centroids, labels = kmeans(x, cells, rng, iters)
+    centroids, labels = kmeans(x, cells, rng)
     cell_ids = [np.flatnonzero(labels == c) for c in range(centroids.shape[0])]
     return IvfIndex(centroids=centroids, cell_ids=cell_ids, vectors=x)
 

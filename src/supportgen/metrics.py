@@ -34,7 +34,6 @@ from .engines import Solver, Support, SupportSet
 from .errors import (DimensionError, FitError, MetricError, PatternError, SolverError,
                      UnresolvableError)
 from .grammar import resolve_target
-from .index import fixed_blocks
 from .world import (ACTION_TABLE_SIZE, Action, RngLike, WorldState, active_slots, as_rng,
                     one_hot_rows, state_codes)
 
@@ -189,7 +188,8 @@ def nn_profile(split_states: Sequence[WorldState], train_states: Sequence[WorldS
     for start in range(0, len(split_states), _NN_CHUNK):
         q = one_hot_rows(*(a[start:start + _NN_CHUNK] for a in split_coded))
         sims = buffer[:len(q)]
-        for rows in fixed_blocks(len(train_states), _NN_TRAIN_BLOCK):
+        for lo in range(0, len(train_states), _NN_TRAIN_BLOCK):
+            rows = slice(lo, lo + _NN_TRAIN_BLOCK)
             train = one_hot_rows(*(a[rows] for a in coded))
             np.matmul(q, train.T, out=sims[:, rows])
         part = -np.partition(-sims, max_rank - 1, axis=1)[:, :max_rank]

@@ -7,6 +7,7 @@ endpoint configured through PARA_ENDPOINT / PARA_API_KEY.
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -117,25 +118,22 @@ _REQUEST_LINE = 'Can you generate 25 similar statements for "{query}" in English
 
 
 def templatize(query: str) -> str:
-    """Replace the object description (size, color, shape run) with a
-    template placeholder."""
+    """Replace the object description, the longest run of size, color and
+    shape words in any case (the first on a tie), with a template
+    placeholder."""
     words = set(SIZE_WORDS) | set(COLOR_WORDS) | set(SHAPE_WORDS)
     tokens = query.split(" ")
-    best: tuple[int, int] | None = None
-    i = 0
-    while i < len(tokens):
-        if tokens[i].lower() in words:
-            j = i
-            while j < len(tokens) and tokens[j].lower() in words:
-                j += 1
-            if best is None or j - i > best[1] - best[0]:
-                best = (i, j)
-            i = j
-        else:
-            i += 1
-    if best is None:
+    runs: list[tuple[int, int]] = []
+    start = 0
+    for described, run in itertools.groupby(tokens, key=lambda token: token.lower() in words):
+        stop = start + len(list(run))
+        if described:
+            runs.append((start, stop))
+        start = stop
+    if not runs:
         return query
-    return " ".join(tokens[: best[0]] + [OBJECT_PLACEHOLDER] + tokens[best[1]:])
+    start, stop = max(runs, key=lambda r: r[1] - r[0])  # max keeps the first of the longest
+    return " ".join(tokens[:start] + [OBJECT_PLACEHOLDER] + tokens[stop:])
 
 
 def build_prompt(mode: PromptMode | str, query: str, template_mode: bool = False) -> str:

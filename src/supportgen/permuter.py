@@ -8,6 +8,7 @@ in-context learner to actually read its supports.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -111,13 +112,5 @@ def expand_notation(text: str) -> list[str]:
 def compress_notation(items: Sequence) -> str:
     """Render a sequence in run-length notation: runs of length n >= 2 become
     "x(n)". Inverse-compatible with expand_notation for plain symbol runs."""
-    parts: list[str] = []
-    i = 0
-    items = [str(x) for x in items]
-    while i < len(items):
-        j = i
-        while j < len(items) and items[j] == items[i]:
-            j += 1
-        parts.append(items[i] if j - i == 1 else f"{items[i]}({j - i})")
-        i = j
-    return " ".join(parts)
+    runs = ((item, len(list(run))) for item, run in itertools.groupby(map(str, items)))
+    return " ".join(item if count == 1 else f"{item}({count})" for item, count in runs)

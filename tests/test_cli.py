@@ -623,6 +623,24 @@ class TestGenSupports:
                     "--out", str(out)]) == EXIT_DATA
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("strategy", ["covr", "other_states"])
+    def test_external_solver_for_a_strategy_that_never_solves_is_data_error(
+            self, data_file, tmp_path, capsys, strategy):
+        """covr and other_states call no solver, so --solver external is
+        refused before the data is read or the solver command starts."""
+        marker = tmp_path / "started"
+        helper = tmp_path / "helper.py"
+        helper.write_text(f"open({str(marker)!r}, 'w').close()\n")
+        out = tmp_path / "x.jsonl"
+        assert run(["gen-supports", "--data", str(data_file), "--strategy", strategy,
+                    "--seed", "5", "--splits", "h", "--limit", "2", "--cells", "16",
+                    "--solver", "external",
+                    "--solver-cmd", f"{shlex.quote(sys.executable)} {shlex.quote(str(helper))}",
+                    "--out", str(out)]) == EXIT_DATA
+        assert f"strategy {strategy} calls no solver" in capsys.readouterr().err
+        assert not marker.exists()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["helper.py"]
+
     @pytest.mark.parametrize("flags", [[], ["--solver", "oracle"]], ids=["default", "explicit"])
     def test_solver_timeout_without_external_solver_is_data_error(self, data_file, tmp_path,
                                                                   monkeypatch, capsys, flags):

@@ -357,8 +357,7 @@ def _attach_oracle_supports(dataset, per_query=3):
     solver = OracleSolver()
     entries = []
     for ex in dataset.split(Split.H)[:4]:
-        sset = heuristic_supports(ex, solver, n=per_query)
-        entries.append((ex, [s.triple() for s in sset.supports]))
+        entries.append((ex, heuristic_supports(ex, solver, n=per_query)))
     return entries
 
 
@@ -373,26 +372,44 @@ class TestExportIcl:
     def test_permute_policy_is_invertible(self, small_dataset):
         entries = _attach_oracle_supports(small_dataset)
         records = list(export_icl_records(iter(entries), policy="permute", seed=9))
-        for (example, supports), record in zip(entries, records):
+        for (example, sset), record in zip(entries, records):
             decoded = decode_icl_targets(record)
             assert decoded[-1] == tuple(int(a) for a in example.actions)
-            for (_, _, actions), back in zip(supports, decoded[:-1]):
-                assert back == tuple(int(a) for a in actions)
+            for support, back in zip(sset.supports, decoded[:-1]):
+                assert back == tuple(int(a) for a in support.actions)
 
     def test_shared_permutation_within_record(self, small_dataset):
         # the same relabeling maps every target in a record: symbol histograms
         # must agree after applying the stored mapping
         entries = _attach_oracle_supports(small_dataset)
         records = list(export_icl_records(iter(entries), policy="permute", seed=9))
-        for (example, supports), record in zip(entries, records):
+        for (example, sset), record in zip(entries, records):
             mapping = record["permutation"]
-            for (_, _, actions), emitted in zip(supports, [s["target"] for s in record["supports"]]):
-                assert [mapping[int(a)] for a in actions] == emitted
+            for support, emitted in zip(sset.supports, [s["target"] for s in record["supports"]]):
+                assert [mapping[int(a)] for a in support.actions] == emitted
+
+    def test_unsolved_support_has_null_target(self, small_dataset):
+        """A support the solver could not solve keeps its state and command
+        and exports a null target, under either policy."""
+        from supportgen.engines import Support
+
+        (example, sset), = _attach_oracle_supports(small_dataset)[:1]
+        unsolved = Support(sset.supports[0].state, sset.supports[0].instruction, None)
+        sset.supports.insert(1, unsolved)
+        for policy in ("identity", "permute"):
+            (record,) = export_icl_records([(example, sset)], policy=policy, seed=4)
+            assert [s["target"] is None for s in record["supports"]] == \
+                [s is unsolved for s in sset.supports]
+            assert record["supports"][1] == {**record["supports"][0], "target": None}
+            assert decode_icl_targets(record)[1] is None
 
     def test_missing_supports_error(self, small_dataset):
+        from supportgen.engines import SupportSet
+
         example = small_dataset.examples[0]
         with pytest.raises(DataFormatError):
-            list(export_icl_records(iter([(example, [])]), policy="identity", seed=0))
+            list(export_icl_records(iter([(example, SupportSet("heuristic", []))]),
+                                    policy="identity", seed=0))
 
     def test_word_permutation_flag(self, small_dataset):
         entries = _attach_oracle_supports(small_dataset)

@@ -1,6 +1,7 @@
 import io
 import json
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from supportgen.engines import (
     random_supports,
     serve_solver,
 )
-from supportgen.errors import ProtocolError, SolverError, SolverTimeout
+from supportgen.errors import EncodingError, ProtocolError, SolverError, SolverTimeout
 from supportgen.grammar import INSTRUCTIONS, parse, realize
 from supportgen.instruction_model import fit
 from supportgen.planner import solve
@@ -470,6 +471,24 @@ def test_support_count_caps_every_strategy(corpus, model, covr_retriever, gandr_
         ]
         for sset in ssets:
             assert len(sset.supports) <= n, sset.strategy
+
+
+class _Unread:
+    def __iter__(self):
+        raise AssertionError("the examples were read")
+
+
+@pytest.mark.parametrize("build", [build_covr_retriever, build_gandr_retriever],
+                         ids=["covr", "gandr"])
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0], ids=["nan", "inf", "-1"])
+def test_retriever_rejects_alpha_that_is_not_a_finite_weight(corpus, build, alpha):
+    """Such an alpha would build NaN vectors; it is refused before the
+    examples are read, and no numpy warning is raised on the way."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for examples in (corpus.split(Split.TRAIN), _Unread()):
+            with pytest.raises(EncodingError, match="alpha must be a finite number >= 0"):
+                build(examples, cells=16, alpha=alpha, rng=0)
 
 
 class TestGandr:

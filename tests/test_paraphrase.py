@@ -77,6 +77,19 @@ class TestBuildPrompt:
             f"walk to a {OBJECT_PLACEHOLDER} hesitantly"
         assert templatize("no description words here") == "no description words here"
 
+    @pytest.mark.parametrize("query,want", [
+        ("push a red square next to a blue circle", "push a [object] next to a blue circle"),
+        ("walk to a red square beside a big blue circle", "walk to a red square beside a [object]"),
+        ("Push the Red Square", "Push the [object]"),
+        ("BIG GREEN circle then walk", "[object] then walk"),
+        ("walk to a small yellow cylinder", "walk to a [object]"),
+        ("square", "[object]"),
+        ("", ""),
+    ], ids=["tie-first-wins", "longer-later-wins", "capitalised", "at-start", "at-end",
+            "whole-query", "empty"])
+    def test_templatize_run_rules(self, query, want):
+        assert templatize(query) == want
+
     def test_deterministic(self):
         assert build_prompt("adverb", "pull a circle") == build_prompt("adverb", "pull a circle")
 

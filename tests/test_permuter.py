@@ -151,3 +151,11 @@ class TestNotation:
         seq = ["WALK"] * 5 + ["RTURN"] + ["WALK"] * 5
         assert compress_notation(seq) == "WALK(5) RTURN WALK(5)"
         assert expand_notation(compress_notation(seq)) == seq
+
+    @pytest.mark.parametrize("seq,want", [
+        ([], ""),
+        ([2, 2, 2, 0, 1, 1, 2], "2(3) 0 1(2) 2"),
+        ([5], "5"),
+    ], ids=["empty", "int-runs", "single"])
+    def test_compress_edge_cases(self, seq, want):
+        assert compress_notation(seq) == want
