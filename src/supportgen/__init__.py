@@ -7,7 +7,7 @@ six strategies, and computes the support-quality, similarity and linguistic
 statistics used to analyze them.
 """
 
-__version__ = "0.5.1"
+__version__ = "0.5.2"
 
 from .world import (  # noqa: F401
     Action,

@@ -400,8 +400,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             for name, value in crit.as_row_list():
                 print(f"{name:24s} {value:.2f}")
         if args.validity:
-            flat = [s for _, sset in pairs for s in sset.supports]
-            rep = validity_correctness(flat, OracleSolver())
+            rep = validity_correctness(pairs, OracleSolver())
             report["validity"] = {
                 "valid": round(rep.valid, 6), "correct": round(rep.correct, 6),
                 "correct_and_valid": round(rep.correct_and_valid, 6),
@@ -603,9 +602,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pattern", default=None,
                    help=f"named pattern ({', '.join(NAMED_PATTERNS)}) or expression")
     p.add_argument("--permutations", action="store_true")
-    p.add_argument("--zipf", default=None, help="token corpus file")
-    p.add_argument("--zipf-commands", action="store_true",
-                   help="fit the zipf law on the dataset's command tokens")
+    zipf = p.add_mutually_exclusive_group()
+    zipf.add_argument("--zipf", default=None, help="token corpus file")
+    zipf.add_argument("--zipf-commands", action="store_true",
+                      help="fit the zipf law on the dataset's command tokens")
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_analyze)

@@ -346,9 +346,8 @@ def _covr_rows(pose_rows: np.ndarray, change_rows: np.ndarray, alpha: float,
     projection of the centred one-hot rows, which code_sums adds up from the
     codes without a BLAS call, then hybrid_encode in place. A row's bits do
     not depend on its block, so a query is a block of one."""
-    state = out[:, :pose_rows.shape[1]]
-    code_sums(pose_rows, change_rows, *coded, state)
-    hybrid_encode(state, instr_vecs, alpha, out=out)
+    code_sums(pose_rows, change_rows, *coded, out[:, :pose_rows.shape[1]])
+    hybrid_encode(instr_vecs, alpha, out)
 
 
 def build_covr_retriever(examples: Sequence[Example], cells: int = DEFAULT_CELLS,
@@ -453,15 +452,16 @@ def gandr_supports(query: Example, helper: Solver, retriever: GandrRetriever,
     """Encode (query instruction, helper's guessed output), retrieve similar
     (instruction, stored output) pairs, greedily cover the query input.
 
-    If the helper fails, retrieval falls back to the instruction component
-    alone and the support set is flagged."""
+    If the helper fails, the guess is the empty output, whose tf-idf row is
+    zero, so the query keeps only its instruction component, weighted by the
+    retriever's alpha as the index is, and the support set is flagged."""
     (guess,) = helper.solve_many([(query.state, query.instruction)])
     helper_failed = isinstance(guess, SolverError)
     if helper_failed:
         guess = ()
     instr_vec = tfidf_encode(retriever.instr_tfidf, [realize(query.instruction)])[0]
     out_vec = tfidf_encode(retriever.out_tfidf, [[a.name for a in guess]])[0]
-    qvec = combine_io(instr_vec, out_vec, 0.0 if helper_failed else retriever.alpha)
+    qvec = combine_io(instr_vec, out_vec, retriever.alpha)
     ordered = [(ex, {"retrieval": retrieval_score})
                for _, ex, retrieval_score in _pool(query, retriever, qvec, probes)]
     return SupportSet(strategy="gandr", supports=_greedy_cover(query, ordered, n),

@@ -341,20 +341,12 @@ def brute_force_query(vectors: np.ndarray, ids: np.ndarray | None, query: np.nda
 # Hybrid state+instruction encoding
 # ---------------------------------------------------------------------------
 
-def hybrid_encode(state_vec: np.ndarray, instr_vec: np.ndarray, alpha: float,
-                  out: np.ndarray) -> np.ndarray:
-    """Write a state block concatenated with an alpha-weighted instruction
-    block into `out` and renormalize, row by row over the last axis, in this
-    order: the state columns (which may already be out's own leading
-    columns), alpha times the instruction columns, then unit_rows in place.
-    Returns `out`."""
-    state_vec = np.asarray(state_vec, dtype=np.float64)
-    instr_vec = np.asarray(instr_vec, dtype=np.float64)
-    if not (np.isfinite(state_vec).all() and np.isfinite(instr_vec).all()):
-        raise EncodingError("non-finite input to hybrid_encode")
-    width = state_vec.shape[-1]
-    out[..., :width] = state_vec
-    np.multiply(instr_vec, alpha, out=out[..., width:])
+def hybrid_encode(instr_vec: np.ndarray, alpha: float, out: np.ndarray) -> np.ndarray:
+    """Finish hybrid rows whose leading state columns the caller has already
+    written into `out`: write alpha times the instruction columns after
+    them, then renormalize with unit_rows in place, row by row over the last
+    axis. Returns `out`."""
+    np.multiply(instr_vec, alpha, out=out[..., out.shape[-1] - instr_vec.shape[-1]:])
     if not unit_rows(out).all():
         raise EncodingError("zero combined norm in hybrid_encode")
     return out

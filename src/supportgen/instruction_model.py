@@ -5,10 +5,10 @@ shape, adverb). Fitting is balanced: every distinct instruction counts once,
 so duplicating the corpus changes nothing. Absent optional slots are ordinary
 "none" values, which makes them maskable like any other position.
 
-Scoring and infilling both read one add-k smoothed joint table over the 675
-instructions: a score is a log joint probability over the slot count, and the
-infill distribution is the exact mixture, over the 32 mask patterns, of the
-table's slice on the query's unmasked values.
+Scoring and infilling both read one smoothed joint table over the 675
+instructions, each count plus SMOOTHING: a score is a log joint probability
+over the slot count, and the infill distribution is the exact mixture, over
+the 32 mask patterns, of the table's slice on the query's unmasked values.
 """
 
 from __future__ import annotations
@@ -20,20 +20,21 @@ from typing import Iterable
 import numpy as np
 
 from .errors import FitError
-from .grammar import INSTRUCTION_ROW, INSTRUCTIONS, SLOT_DOMAINS, Instruction, realize
+from .grammar import INSTRUCTION_ROW, INSTRUCTIONS, SLOT_DOMAINS, Instruction
 
 SLOT_NAMES = ("verb", "size", "color", "shape", "adverb")
 _SHAPE = tuple(len(d) for d in SLOT_DOMAINS)
+#: The add-k pseudo-count of every instruction in the smoothed table.
+SMOOTHING = 0.1
 
 
 @dataclass
 class InstructionModel:
     counts: np.ndarray
-    k: float = 0.1
 
     @property
     def smoothed(self) -> np.ndarray:
-        return self.counts + self.k
+        return self.counts + SMOOTHING
 
     @property
     def log_table(self) -> np.ndarray:
@@ -50,14 +51,14 @@ class InstructionModel:
         return np.log(table.ravel() / table.sum()) / len(SLOT_NAMES)
 
 
-def fit(corpus: Iterable[Instruction], k: float = 0.1) -> InstructionModel:
+def fit(corpus: Iterable[Instruction]) -> InstructionModel:
     """Balanced fit: each unique instruction contributes one count."""
     seen = list({INSTRUCTION_ROW[instr] for instr in corpus})
     if not seen:
         raise FitError("cannot fit an instruction model on an empty corpus")
     counts = np.zeros(len(INSTRUCTIONS))
     counts[seen] = 1.0
-    return InstructionModel(counts=counts.reshape(_SHAPE), k=k)
+    return InstructionModel(counts=counts.reshape(_SHAPE))
 
 
 def infill_distribution(model: InstructionModel, query: Instruction,
@@ -80,9 +81,5 @@ def infill_distribution(model: InstructionModel, query: Instruction,
         if weight == 0.0:
             continue
         index = tuple(slice(None) if m else v for m, v in zip(mask, query_idx))
-        mass = table[index].sum()
-        if mass == 0.0:
-            raise ValueError("the model gives no mass to any infill of "
-                             f"{' '.join(realize(query))!r} under some mask")
-        dist[index] += weight * table[index] / mass
+        dist[index] += weight * table[index] / table[index].sum()
     return dist.ravel()

@@ -15,7 +15,9 @@ Criteria semantics. Rows (1)-(5) are pooled per-support fractions; rows
   (8) both (6) and (7) hold for the query's support set
   (9) some support satisfies (4), and (8) holds
 
-Unresolvable support instructions count as non-matching everywhere.
+Rows (1) and (2) compare the instruction and the agent, so they need no
+referent; rows (3)-(9) count a support whose instruction is unresolvable in
+its state as non-matching.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .dataset import Example
-from .engines import Solver, Support, SupportSet
+from .engines import Solver, SupportSet
 from .errors import (DimensionError, FitError, MetricError, PatternError, SolverError,
                      UnresolvableError)
 from .grammar import resolve_target
@@ -60,14 +62,13 @@ class CriteriaReport:
         return [(name, self.values[name]) for name in CRITERIA_ROWS]
 
 
-def support_criteria(pairs: Sequence[tuple[Example, SupportSet]]) -> CriteriaReport:
+def support_criteria(pairs: Iterable[tuple[Example, SupportSet]]) -> CriteriaReport:
     per_support = np.zeros(5, dtype=np.float64)
     per_query = np.zeros(4, dtype=np.float64)
-    support_total = 0
-    if not pairs:
-        raise MetricError("criteria need at least one (query, supports) pair")
+    query_total = support_total = 0
 
     for query, support_set in pairs:
+        query_total += 1
         q_res = resolve_target(query.instruction, query.state).object
         q_diff = (q_res.pos.x - query.state.agent.pos.x,
                   q_res.pos.y - query.state.agent.pos.y)
@@ -95,14 +96,12 @@ def support_criteria(pairs: Sequence[tuple[Example, SupportSet]]) -> CriteriaRep
         both = any_verb and any_adverb
         per_query += (any_verb, any_adverb, both, any_diff and both)
 
+    if query_total == 0:
+        raise MetricError("criteria need at least one (query, supports) pair")
     per_support /= max(support_total, 1)
-    per_query /= len(pairs)
+    per_query /= query_total
     values = dict(zip(CRITERIA_ROWS, (*per_support, *per_query)))
-    return CriteriaReport(values=values, queries=len(pairs), supports=support_total)
-
-
-#: Supports per solve_many call of validity_correctness: bounds the answers held.
-_VALIDITY_BATCH = 256
+    return CriteriaReport(values=values, queries=query_total, supports=support_total)
 
 
 @dataclass
@@ -114,16 +113,18 @@ class ValidityReport:
     total: int
 
 
-def validity_correctness(supports: Iterable[Support], oracle: Solver) -> ValidityReport:
-    """valid: the support instruction is solvable in its state; correct: the
-    stored actions equal the oracle's. Correct implies valid because an
-    unsolvable instruction has no oracle actions to match."""
+def validity_correctness(pairs: Iterable[tuple[Example, SupportSet]],
+                         oracle: Solver) -> ValidityReport:
+    """Over the supports of (query, support set) pairs, solved one set per
+    solve_many call. valid: the support instruction is solvable in its
+    state; correct: the stored actions equal the oracle's. Correct implies
+    valid because an unsolvable instruction has no oracle actions to match."""
     total = valid = correct = 0
-    supports = iter(supports)
-    while batch := list(itertools.islice(supports, _VALIDITY_BATCH)):
-        total += len(batch)
-        for support, expected in zip(batch, oracle.solve_many(
-                [(support.state, support.instruction) for support in batch])):
+    for _, support_set in pairs:
+        supports = support_set.supports
+        total += len(supports)
+        for support, expected in zip(supports, oracle.solve_many(
+                [(support.state, support.instruction) for support in supports])):
             if isinstance(expected, SolverError):
                 continue
             valid += 1

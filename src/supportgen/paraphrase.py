@@ -17,7 +17,7 @@ import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Protocol, Sequence
 
 from .dataset import _write_lines
 from .errors import DataFormatError, ExternalServiceError, ParaphraseError
@@ -176,19 +176,12 @@ def _word_present(word: str, text: str) -> bool:
     return re.search(rf"\b{re.escape(word)}\b", text, flags=re.IGNORECASE) is not None
 
 
-def check_retention(original: str, paraphrase: str,
-                    synonyms: Mapping[str, Sequence[str]] | None = None) -> bool:
+def check_retention(original: str, paraphrase: str) -> bool:
     """True iff the original's size word, color word and shape word (those
-    present) all appear in the paraphrase, case-insensitively; a synonym
-    table may widen the match."""
+    present) all appear in the paraphrase, case-insensitively."""
     tokens = [t.lower() for t in original.replace(",", " ").split()]
-    needed = [t for t in tokens
-              if t in SIZE_WORDS or t in COLOR_WORDS or t in SHAPE_WORDS]
-    for word in needed:
-        alternatives = [word, *(synonyms or {}).get(word, ())]
-        if not any(_word_present(alt, paraphrase) for alt in alternatives):
-            return False
-    return True
+    return all(_word_present(t, paraphrase) for t in tokens
+               if t in SIZE_WORDS or t in COLOR_WORDS or t in SHAPE_WORDS)
 
 
 @dataclass
@@ -268,14 +261,12 @@ class ParaphraseClient:
     or a malformed cache file, is rejected before any request is sent."""
 
     def __init__(self, transport: Transport, cache_path: str | Path | None = None,
-                 synonyms: Mapping[str, Sequence[str]] | None = None,
                  max_workers: int = 4):
         self.transport = transport
         self.cache_path = Path(cache_path) if cache_path else None
         if self.cache_path and not self.cache_path.parent.is_dir():
             raise FileNotFoundError(
                 f"cache directory {str(self.cache_path.parent)!r} does not exist")
-        self.synonyms = synonyms
         self.max_workers = max_workers
         self._cache: dict[str, list[str]] = {}
         self._lock = threading.Lock()
@@ -299,7 +290,7 @@ class ParaphraseClient:
         return self._cache[prompt]
 
     def _record(self, query: str, paraphrases: list[str]) -> ParaphraseRecord:
-        retained = [check_retention(query, p, self.synonyms) for p in paraphrases]
+        retained = [check_retention(query, p) for p in paraphrases]
         return ParaphraseRecord(original=query, paraphrases=list(paraphrases),
                                 retained=retained)
 

@@ -218,12 +218,10 @@ def test_criterion_5_retrieval_correctness():
 def test_criterion_6_demogen_oracle_validity(h1000, train50k):
     model = fit_model(ex.instruction for ex in train50k.examples)
     oracle = OracleSolver()
-    supports = []
-    for idx, query in enumerate(h1000[:500]):
-        sset = demogen_supports(query, model, oracle,
-                                rng=np.random.default_rng([9001, idx]))
-        supports.extend(sset.supports)
-    rep = validity_correctness(supports, oracle)
+    pairs = [(query, demogen_supports(query, model, oracle,
+                                      rng=np.random.default_rng([9001, idx])))
+             for idx, query in enumerate(h1000[:500])]
+    rep = validity_correctness(pairs, oracle)
     ok = rep.correct_given_valid == 1.0
     report(6, ok, f"demogen-with-oracle over 500 queries ({rep.total} supports): "
                   f"valid={rep.valid:.3f} correct={rep.correct:.3f} "

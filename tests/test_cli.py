@@ -867,6 +867,32 @@ class TestAnalyze:
             "alpha": round(fit.alpha, 6), "rmse": round(fit.rmse, 6),
             "vocabulary": fit.vocabulary, "tokens": fit.tokens}
 
+    def test_zipf_file_and_commands_together_is_usage_error(self, data_file, tmp_path):
+        """The two zipf corpora exclude each other: asking for both exits 2
+        and writes nothing."""
+        corpus = tmp_path / "corpus.txt"
+        corpus.write_text("the of the and")
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", "--data", str(data_file), "--zipf", str(corpus),
+                 "--zipf-commands", "--out", str(tmp_path / "zipf.json")])
+        assert exc.value.code == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["corpus.txt"]
+
+    def test_support_metrics_take_the_lazy_reader(self, data_file, tmp_path):
+        """support_criteria and validity_correctness take the generator that
+        read_support_file returns and report what they report for its list."""
+        from supportgen.engines import OracleSolver
+        from supportgen.metrics import support_criteria, validity_correctness
+
+        out = tmp_path / "sup.jsonl"
+        assert run(["gen-supports", "--data", str(data_file), "--strategy", "demogen",
+                    "--seed", "2", "--splits", "c,h", "--limit", "3", "--k", "64",
+                    "--out", str(out)]) == EXIT_OK
+        listed = list(read_support_file(out))
+        assert support_criteria(read_support_file(out)) == support_criteria(listed)
+        assert (validity_correctness(read_support_file(out), OracleSolver())
+                == validity_correctness(listed, OracleSolver()))
+
     def test_no_metric_requested_is_data_error(self, data_file):
         assert run(["analyze", "--data", str(data_file)]) == EXIT_DATA
 

@@ -369,8 +369,8 @@ class TestCovr:
             return (vec - pca.mean) @ pca.components.T
 
         def hybrid(state_vec, instr):
-            return hybrid_encode(state_vec, instr, covr_retriever.alpha,
-                                 np.empty(len(state_vec) + len(instr)))
+            out = np.concatenate([state_vec, np.empty(len(instr))])
+            return hybrid_encode(instr, covr_retriever.alpha, out)
 
         train = corpus.split(Split.TRAIN)
         for query in corpus.split(Split.H)[:4] + corpus.split(Split.C)[:2]:
@@ -503,6 +503,15 @@ class TestGandr:
             [s.instruction for s in without.supports]
         assert without.meta["helper_failed"]
 
+    def test_helper_failure_ranks_by_instruction_above_alpha_one(self, corpus):
+        """Above alpha 1 the index's instruction block has a negative weight.
+        A failed helper's query carries the same weight, so its nearest
+        neighbours still share instruction words with it."""
+        above = build_gandr_retriever(corpus.split(Split.TRAIN), cells=16, alpha=2.0, rng=0)
+        for query in corpus.split(Split.H):
+            sset = gandr_supports(query, FailingSolver(), above, probes=16)
+            assert max(s.meta["retrieval"] for s in sset.supports) > 0.0
+
     def test_helper_failure_flagged(self, corpus, gandr_retriever):
         query = corpus.split(Split.A)[0]
         sset = gandr_supports(query, FailingSolver(), gandr_retriever, probes=16)
@@ -589,7 +598,7 @@ def test_row_matrix_builds_equal_per_row_reference(corpus, grid4_corpus, monkeyp
             sent.clear()
             failed = gandr_supports(query, helper, gandr, probes=8).meta["helper_failed"]
             guess = () if failed else solve(query.state, query.instruction)
-            weight = 0.0 if failed else alpha
+            weight = gandr.alpha
             want = ref.combine_io(ref.tfidf_encode(instr_tfidf, realize(query.instruction)),
                                   ref.tfidf_encode(out_tfidf, [a.name for a in guess]),
                                   weight)

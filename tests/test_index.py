@@ -435,10 +435,11 @@ class TestIvf:
 
 
 def hybrid(state, instr, alpha):
-    """hybrid_encode into a fresh block."""
+    """hybrid_encode of a fresh block whose leading columns hold `state`."""
     state, instr = np.asarray(state, dtype=np.float64), np.asarray(instr, dtype=np.float64)
     out = np.empty(state.shape[:-1] + (state.shape[-1] + instr.shape[-1],))
-    return hybrid_encode(state, instr, alpha, out)
+    out[..., :state.shape[-1]] = state
+    return hybrid_encode(instr, alpha, out)
 
 
 class TestHybridEncode:
@@ -482,15 +483,18 @@ class TestHybridEncode:
 
     @pytest.mark.pins
     def test_in_place_rows_equal_the_allocated_rows(self):
-        """Written into `out`, whose leading columns already hold the state
-        block, the rows equal those written into a fresh block bit for bit."""
+        """Finished in `out`, whose leading columns already hold the state
+        block, the rows equal the unit rows of a freshly allocated
+        concatenation bit for bit."""
         rng = np.random.default_rng(7)
         states, instrs = rng.standard_normal((30, 5)), rng.standard_normal((30, 3))
         for alpha in (0.0, 0.125, 3.0):
             out = np.empty((30, 8))
             out[:, :5] = states
-            assert hybrid_encode(out[:, :5], instrs, alpha, out) is out
-            assert out.tobytes() == hybrid(states, instrs, alpha).tobytes()
+            assert hybrid_encode(instrs, alpha, out) is out
+            fresh = np.concatenate([states, instrs * alpha], axis=1)
+            unit_rows(fresh)
+            assert out.tobytes() == fresh.tobytes()
 
     def test_one_zero_row_fails_the_matrix(self):
         states = np.eye(4)

@@ -9,6 +9,7 @@ from supportgen.grammar import INSTRUCTION_ROW, Instruction, parse, realize
 from supportgen.instruction_model import (
     INSTRUCTIONS,
     SLOT_DOMAINS,
+    SMOOTHING,
     fit,
     infill_distribution,
 )
@@ -91,7 +92,7 @@ class TestFit:
     def test_single_instruction_is_sampling_mode(self):
         # with smoothing on, the one observed form is still the unique mode
         x = parse("pull a small yellow cylinder while spinning".split())
-        dist = infill_distribution(fit([x], k=0.1), x, 1.0)
+        dist = infill_distribution(fit([x]), x, 1.0)
         first, second = np.sort(dist)[::-1][:2]
         assert INSTRUCTIONS[int(np.argmax(dist))] == x
         assert first > second
@@ -115,10 +116,14 @@ class TestSampleInfill:
         assert np.count_nonzero(dist) == 1
 
     def test_fully_masked_single_corpus(self):
+        # every slot masked: the whole smoothed table, normalised, whose mode
+        # is the one observed instruction
         x = parse("walk to a red circle".split())
-        dist = infill_distribution(fit([x], k=0.0), parse("push a square".split()), 1.0)
-        assert dist[INSTRUCTION_ROW[x]] == 1.0
-        assert np.count_nonzero(dist) == 1
+        model = fit([x])
+        dist = infill_distribution(model, parse("push a square".split()), 1.0)
+        assert np.array_equal(dist, model.smoothed.ravel() / model.smoothed.sum())
+        assert INSTRUCTIONS[int(np.argmax(dist))] == x
+        assert np.count_nonzero(dist) == len(INSTRUCTIONS)
 
     def test_determinism_per_seed(self):
         model = fit(INSTRUCTIONS)
@@ -164,10 +169,10 @@ class TestInfillDistribution:
     @pytest.mark.parametrize("mask_rate", [0.0, 0.2, 1.0])
     def test_matches_brute_force(self, mask_rate):
         corpus = list(INSTRUCTIONS)[::7][:40]
-        model = fit(corpus, k=0.1)
+        model = fit(corpus)
         query = parse("pull a small yellow cylinder while spinning".split())
         ours = infill_distribution(model, query, mask_rate)
-        brute = brute_force_infill(corpus, 0.1, query, mask_rate)
+        brute = brute_force_infill(corpus, SMOOTHING, query, mask_rate)
         want = np.asarray([brute[tup] for tup in itertools.product(*SLOT_DOMAINS)])
         assert np.abs(ours - want).max() <= 1e-12
         assert abs(ours.sum() - 1.0) <= 1e-12
@@ -179,12 +184,6 @@ class TestInfillDistribution:
         assert INSTRUCTIONS[int(np.argmax(dist))] == query
         assert dist.max() == 1.0
 
-    def test_zero_mass_slice_raises(self):
-        x = parse("walk to a red circle".split())
-        model = fit([x], k=0.0)
-        with pytest.raises(ValueError):
-            infill_distribution(model, parse("push a square".split()), 0.2)
-
     def test_bad_mask_rate(self):
         model = fit(INSTRUCTIONS)
         with pytest.raises(ValueError):
@@ -193,14 +192,14 @@ class TestInfillDistribution:
 
 class TestScore:
     def test_closed_form_exactly(self):
-        model = fit(list(INSTRUCTIONS)[::3], k=0.1)
+        model = fit(list(INSTRUCTIONS)[::3])
         table = model.smoothed
         for instr, joint in zip(INSTRUCTIONS, table.ravel()):
             assert (model.log_table[INSTRUCTION_ROW[instr]]
                     == float(np.log(joint / table.sum())) / 5)
 
     def test_equal_joint_means_equal_score(self):
-        model = fit(list(INSTRUCTIONS)[::3], k=0.1)
+        model = fit(list(INSTRUCTIONS)[::3])
         by_joint: dict[float, set] = {}
         for instr, joint in zip(INSTRUCTIONS, model.smoothed.ravel()):
             by_joint.setdefault(float(joint), set()).add(model.log_table[INSTRUCTION_ROW[instr]])
@@ -234,13 +233,13 @@ class TestScore:
 
     def test_ranking_matches_brute_force(self):
         corpus = list(INSTRUCTIONS)[::7][:40]
-        model = fit(corpus, k=0.1)
+        model = fit(corpus)
         probes = list(INSTRUCTIONS)[::33][:20]
         ours = sorted(probes, key=lambda i: (-round(model.log_table[INSTRUCTION_ROW[i]], 9),
                                              " ".join(realize(i))))
-        brute = sorted(probes, key=lambda i: (-round(brute_force_score(corpus, 0.1, i), 9),
+        brute = sorted(probes, key=lambda i: (-round(brute_force_score(corpus, SMOOTHING, i), 9),
                                               " ".join(realize(i))))
         assert ours == brute
         for probe in probes:
             assert model.log_table[INSTRUCTION_ROW[probe]] == pytest.approx(
-                brute_force_score(corpus, 0.1, probe), rel=1e-9)
+                brute_force_score(corpus, SMOOTHING, probe), rel=1e-9)

@@ -113,10 +113,8 @@ class TestSupportCriteria:
 class TestValidityCorrectness:
     def test_oracle_solved_supports(self, corpus):
         solver = OracleSolver()
-        supports = []
-        for ex in corpus.split(Split.H):
-            supports.extend(heuristic_supports(ex, solver).supports)
-        report = validity_correctness(supports, solver)
+        pairs = [(ex, heuristic_supports(ex, solver)) for ex in corpus.split(Split.H)]
+        report = validity_correctness(pairs, solver)
         assert report.valid == 1.0
         assert report.correct == 1.0
         assert report.correct_given_valid == 1.0
@@ -124,20 +122,19 @@ class TestValidityCorrectness:
     def test_unresolvable_counts_invalid_and_incorrect(self):
         query, _ = example_with_duplicate_support()
         bad = Support(query.state, parse("push a blue cylinder".split()), None)
-        report = validity_correctness([bad], OracleSolver())
+        report = validity_correctness([(query, SupportSet("x", [bad]))], OracleSolver())
         assert report.valid == 0.0 and report.correct == 0.0
         assert math.isnan(report.correct_given_valid)
 
     def test_corrupting_half_gives_exactly_half(self, corpus):
         solver = OracleSolver()
-        supports = []
-        for ex in corpus.split(Split.TRAIN)[:100]:
-            supports.append(Support(ex.state, ex.instruction, ex.actions))
+        queries = corpus.split(Split.TRAIN)[:100]
+        supports = [Support(ex.state, ex.instruction, ex.actions) for ex in queries]
         for s in supports[:50]:
             flipped = Action.STAY if (not s.actions or s.actions[0] != Action.STAY) \
                 else Action.WALK
             s.actions = (flipped,) + tuple(s.actions[1:])
-        report = validity_correctness(supports, solver)
+        report = validity_correctness([(queries[0], SupportSet("x", supports))], solver)
         assert report.valid == 1.0
         assert report.correct == 0.5
         assert report.correct_and_valid == 0.5
@@ -149,7 +146,9 @@ class TestValidityCorrectness:
                     for ex in corpus.split(Split.TRAIN)[:40]]
         supports.append(Support(supports[0].state,
                                 parse("push a blue cylinder".split()), None))
-        report = validity_correctness(supports, solver)
+        query = corpus.split(Split.TRAIN)[0]
+        report = validity_correctness([(query, SupportSet("x", supports[:20])),
+                                       (query, SupportSet("x", supports[20:]))], solver)
         assert report.correct_and_valid <= min(report.valid, report.correct) + 1e-12
 
 

@@ -8,9 +8,15 @@ assignment, a loop target) or that a comprehension binds as its target is
 not a reference, since Python resolves it to that variable. Otherwise the
 scan matches names only, so a name used for anything else counts as
 reached: it can miss dead code but never flags live code.
+
+Likewise every setting of `src/supportgen`, a defaulted parameter of a
+module-level function or class method or a defaulted dataclass field, must
+be set by some call in `src/supportgen` or `bench`. Calls match by the name
+they call, as above, after `import ... as` aliases are resolved.
 """
 
 import ast
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -129,3 +135,165 @@ def test_every_public_function_is_reached():
 ])
 def test_only_local_variables_are_skipped(source, reached):
     assert ("score" in referenced_names(ast.parse(source))) is reached
+
+
+#: Settings that no call in src/ or bench/ sets, kept on purpose.
+KEPT_SETTINGS = {
+    # deployment settings of the paraphrase endpoint
+    "paraphrase.HttpTransport.endpoint",
+    "paraphrase.HttpTransport.api_key",
+    "paraphrase.HttpTransport.retries",
+    "paraphrase.HttpTransport.backoff",
+    "paraphrase.HttpTransport.timeout",
+    # the tests pass a fake sleep to check the retry back-off
+    "paraphrase.HttpTransport.sleep",
+    # the test references run k-means and the dense encoding at other settings
+    "index.kmeans.iters",
+    "world.encode_states.dtype",
+    # acceptance criterion 7 fits the synthetic Zipf sample from x_min = 1
+    "metrics.zipf_fit.x_min",
+    # the importer for the original environment's files, documented in README
+    "dataset.import_external_record.direction_map",
+    "dataset.import_external_record.split",
+}
+
+
+@dataclass(frozen=True)
+class Setting:
+    """A defaulted parameter or field: `owner` is the name a call uses (the
+    function, the method, or the class for __init__ and dataclass fields),
+    `position` its index among the call's positional arguments, None if it
+    is keyword-only."""
+    qualname: str
+    owner: str
+    name: str
+    position: int | None
+
+
+@dataclass(frozen=True)
+class Call:
+    callee: str
+    positional: int
+    keywords: frozenset[str]
+    starred: bool
+
+    def sets(self, setting: Setting) -> bool:
+        return self.callee == setting.owner and (
+            self.starred or setting.name in self.keywords
+            or setting.position is not None and setting.position < self.positional)
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in cls.decorator_list)
+
+
+def _parameter_settings(fn: ast.FunctionDef, qualname: str, owner: str,
+                        bound: bool) -> list[Setting]:
+    """The defaulted parameters of `fn`; a bound method's first parameter
+    (self or cls) takes no position in a call."""
+    args = fn.args
+    positional = [*args.posonlyargs, *args.args][1 if bound else 0:]
+    defaulted = positional[len(positional) - len(args.defaults):]
+    settings = [Setting(f"{qualname}.{a.arg}", owner, a.arg, positional.index(a))
+                for a in defaulted]
+    settings += [Setting(f"{qualname}.{a.arg}", owner, a.arg, None)
+                 for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                 if default is not None]
+    return settings
+
+
+def settings_of(tree: ast.Module, module: str) -> list[Setting]:
+    """Defaulted parameters of module-level functions and class methods,
+    and defaulted dataclass fields, named 'module.function.param',
+    'module.Class.method.param' or 'module.Class.param' (__init__ and
+    fields)."""
+    settings = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            settings += _parameter_settings(node, f"{module}.{node.name}", node.name, False)
+        elif isinstance(node, ast.ClassDef):
+            if _is_dataclass(node):
+                fields = [stmt for stmt in node.body if isinstance(stmt, ast.AnnAssign)
+                          and isinstance(stmt.target, ast.Name)
+                          and "ClassVar" not in ast.unparse(stmt.annotation)]
+                settings += [Setting(f"{module}.{node.name}.{f.target.id}", node.name,
+                                     f.target.id, i)
+                             for i, f in enumerate(fields) if f.value is not None]
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                if fn.name == "__init__":
+                    settings += _parameter_settings(fn, f"{module}.{node.name}",
+                                                    node.name, True)
+                else:
+                    settings += _parameter_settings(fn, f"{module}.{node.name}.{fn.name}",
+                                                    fn.name, not static)
+    return settings
+
+
+def _callee(func: ast.expr, aliases: dict[str, str]) -> str | None:
+    if isinstance(func, ast.Name):
+        return aliases.get(func.id, func.id)
+    if isinstance(func, ast.Attribute):
+        return func.attr
+    return None
+
+
+def calls_in(tree: ast.Module) -> list[Call]:
+    """Every call in `tree`; functools.partial(f, ...) counts as a call of
+    f with the arguments it binds."""
+    aliases = {alias.asname: alias.name.rsplit(".", 1)[-1]
+               for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               for alias in node.names if alias.asname}
+    calls = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        callee, args = _callee(node.func, aliases), node.args
+        if callee == "partial" and args:
+            callee, args = _callee(args[0], aliases), args[1:]
+        if callee is None:
+            continue
+        keywords = frozenset(k.arg for k in node.keywords if k.arg is not None)
+        starred = (any(isinstance(a, ast.Starred) for a in args)
+                   or any(k.arg is None for k in node.keywords))
+        calls.append(Call(callee, len(args), keywords, starred))
+    return calls
+
+
+def unset_settings(sources: list[Path]) -> set[str]:
+    settings, calls = [], []
+    for path in sources:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        if path.parent.name == "supportgen":
+            settings += settings_of(tree, path.stem)
+        calls += calls_in(tree)
+    return {s.qualname for s in settings if not any(call.sets(s) for call in calls)}
+
+
+def test_every_setting_has_a_caller():
+    assert unset_settings(SOURCES) == KEPT_SETTINGS
+
+
+@pytest.mark.parametrize("call,sets", [
+    ("f(1, 2)", True),
+    ("f(1)", False),
+    ("f(1, b=2)", True),
+    ("f(1, c=2)", False),
+    ("f(*xs)", True),
+    ("f(1, **kw)", True),
+    ("obj.f(1, 2)", True),
+    ("h(1, 2)", True),
+    ("g(1, 2)", False),
+    ("partial(f, 1, 2)()", True),
+    ("functools.partial(f, 1)()", False),
+])
+def test_calls_set_a_setting_by_position_keyword_or_star(call, sets):
+    """Setting b is f's second positional parameter; h is f imported as h."""
+    tree = ast.parse(f"from m import f as h\n{call}")
+    setting = Setting("m.f.b", "f", "b", 1)
+    assert any(c.sets(setting) for c in calls_in(tree)) is sets
