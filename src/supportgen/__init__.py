@@ -7,7 +7,7 @@ six strategies, and computes the support-quality, similarity and linguistic
 statistics used to analyze them.
 """
 
-__version__ = "0.5.2"
+__version__ = "0.5.3"
 
 from .world import (  # noqa: F401
     Action,
@@ -32,6 +32,8 @@ from .dataset import (  # noqa: F401
     DatasetConfig,
     Example,
     Split,
+    Support,
+    SupportSet,
     classify,
     export_dataset,
     export_icl_records,
@@ -50,8 +52,6 @@ from .instruction_model import InstructionModel, fit  # noqa: F401
 from .engines import (  # noqa: F401
     ExternalSolver,
     OracleSolver,
-    Support,
-    SupportSet,
     covr_supports,
     demogen_supports,
     gandr_supports,

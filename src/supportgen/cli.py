@@ -17,24 +17,27 @@ import shlex
 import sys
 from contextlib import nullcontext
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .dataset import (
-    Dataset,
     DatasetConfig,
     Example,
     Split,
+    SupportSet,
     TEST_SPLITS,
     _read_jsonl,
+    _support_pair_from_record,
     _write_jsonl,
     _write_lines,
     export_dataset,
     export_icl_records,
     generate_dataset,
     import_dataset,
+    read_support_file,
+    write_support_file,
 )
 from .engines import (
     DEFAULT_MASK_RATE,
@@ -43,8 +46,6 @@ from .engines import (
     DEFAULT_SUPPORT_COUNT,
     ExternalSolver,
     OracleSolver,
-    Support,
-    SupportSet,
     build_covr_retriever,
     build_gandr_retriever,
     build_instruction_index,
@@ -57,7 +58,7 @@ from .engines import (
     serve_solver,
 )
 from .errors import DataFormatError, ExternalServiceError, SupportgenError
-from .grammar import command_string, realize
+from .grammar import realize
 from .index import DEFAULT_CELLS, DEFAULT_PCA_DIM, DEFAULT_PROBES
 from .instruction_model import fit as fit_instruction_model
 from .metrics import (
@@ -72,8 +73,6 @@ from .metrics import (
 )
 from .permuter import apply as apply_permutation
 from .permuter import sample_permutation
-from .schema import (SUPPORT, SUPPORT_LINE, _array, _build_state, _check_field, _decode,
-                     command_of, target_of)
 from .world import ACTION_TABLE_SIZE
 
 EXIT_OK = 0
@@ -216,59 +215,6 @@ def cmd_gen_data(args: argparse.Namespace) -> int:
 # gen-supports
 # ---------------------------------------------------------------------------
 
-def _plain(value):
-    """A provenance value as plain JSON, floats rounded to 9 places."""
-    if isinstance(value, np.generic):
-        value = value.item()
-    return round(value, 9) if isinstance(value, float) else value
-
-
-def _support_to_record(support: Support) -> dict:
-    rec = {key: _plain(value) for key, value in support.meta.items()}
-    rec.update(support.state.to_record())
-    rec["command"] = command_string(support.instruction)
-    rec["target"] = ",".join(a.name for a in support.actions) if support.actions is not None else None
-    rec["valid"] = support.actions is not None
-    return rec
-
-
-def write_support_file(path: str | Path, pairs: Iterable[tuple[Example, SupportSet]]) -> int:
-    """One canonical JSON line per (query, support set), written as `pairs`
-    yields them; inverts `read_support_file`. Returns the line count."""
-    return _write_jsonl(path, ({
-        "query": query.to_record(),
-        "strategy": sset.strategy,
-        "meta": {key: _plain(value) for key, value in sset.meta.items()},
-        "supports": [_support_to_record(s) for s in sset.supports],
-    } for query, sset in pairs))
-
-
-def read_support_file(path: str | Path) -> Iterator[tuple[Example, SupportSet]]:
-    """The (query, support set) of each line, decoded as the iterator
-    reaches it. Every support keeps its provenance keys (all but the state,
-    `command` and `target`) as meta, and each set keeps its line's `meta`."""
-    return _read_jsonl(path, _support_pair_from_record)
-
-
-def _support_pair_from_record(rec: dict) -> tuple[Example, SupportSet]:
-    """The (query, support set) of one support-file line (schema.SUPPORT_LINE)."""
-    return _decode(_build_support_pair, rec, SUPPORT_LINE)
-
-
-def _build_support_pair(rec: dict) -> tuple[Example, SupportSet]:
-    """_support_pair_from_record's fast path."""
-    query = Example.from_record(rec["query"])
-    supports = [Support(
-        state=_build_state(srec),
-        instruction=command_of(srec["command"]),
-        actions=None if srec.get("target") is None else target_of(srec["target"]),
-        meta={k: v for k, v in srec.items() if k not in SUPPORT},
-    ) for srec in _array(rec["supports"])]
-    return query, SupportSet(
-        strategy=_check_field(rec.get("strategy", "?"), SUPPORT_LINE["strategy"]),
-        supports=supports, meta=_check_field(rec.get("meta", {}), SUPPORT_LINE["meta"]))
-
-
 def _alpha(args: argparse.Namespace) -> dict:
     """--alpha when given; otherwise each retriever's own default applies."""
     return {} if args.alpha is None else {"alpha": args.alpha}
@@ -387,10 +333,16 @@ def cmd_gen_supports(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    # check every input before the first read: a failed check prints nothing
+    needs_data = args.nn_profile or args.pattern or args.zipf_commands
+    if (args.criteria or args.validity) and not args.supports:
+        raise DataFormatError("--criteria/--validity need --supports FILE")
+    if needs_data and not args.data:
+        raise DataFormatError("this metric needs --data FILE")
+    if not (args.criteria or args.validity or needs_data or args.zipf):
+        raise DataFormatError("no metric requested")
     report: dict = {}
     if args.criteria or args.validity:
-        if not args.supports:
-            raise DataFormatError("--criteria/--validity need --supports FILE")
         pairs = list(read_support_file(args.supports))  # read twice below
         if args.criteria:
             crit = support_criteria(pairs)
@@ -410,11 +362,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             print(f"valid {rep.valid:.2f}  correct {rep.correct:.2f}  "
                   f"C&V {rep.correct_and_valid:.2f}  C|V {rep.correct_given_valid:.2f}")
 
-    dataset: Dataset | None = None
-    if args.nn_profile or args.pattern or args.zipf_commands:
-        if not args.data:
-            raise DataFormatError("this metric needs --data FILE")
-        dataset = import_dataset(args.data)
+    dataset = import_dataset(args.data) if needs_data else None
 
     if args.nn_profile:
         train_states = [ex.state for ex in dataset.split(Split.TRAIN)]
@@ -448,8 +396,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         print(f"zipf alpha {fit.alpha:.3f} rmse {fit.rmse:.4f} "
               f"vocab {fit.vocabulary} tokens {fit.tokens}")
 
-    if not report:
-        raise DataFormatError("no metric requested")
     if args.out:
         _write_lines(args.out, [json.dumps(report, sort_keys=True, indent=2)])
     return EXIT_OK
@@ -459,7 +405,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # export-icl / permute
 # ---------------------------------------------------------------------------
 
-def _icl_entry(rec: dict) -> tuple[Example, SupportSet]:
+def _nonempty_support_pair(rec: dict) -> tuple[Example, SupportSet]:
     """The query and support set of one support-file line. An empty set is
     refused inside the read, so the error names its file line."""
     query, sset = _support_pair_from_record(rec)
@@ -469,7 +415,7 @@ def _icl_entry(rec: dict) -> tuple[Example, SupportSet]:
 
 
 def cmd_export_icl(args: argparse.Namespace) -> int:
-    entries = _read_jsonl(args.supports, _icl_entry)
+    entries = _read_jsonl(args.supports, _nonempty_support_pair)
     out = Path(args.out)
     count = _write_jsonl(out, export_icl_records(entries, policy=args.policy, seed=args.seed,
                                                  permute_words=args.permute_words))
@@ -529,7 +475,7 @@ def cmd_paraphrase(args: argparse.Namespace) -> int:
                               max_workers=args.workers)
     records = client.paraphrase_many(args.mode, queries, template_mode=args.template)
     out = Path(args.out or "paraphrases.jsonl")
-    _write_lines(out, (json.dumps(rec.to_dict(), sort_keys=True) for rec in records))
+    _write_jsonl(out, (rec.to_dict() for rec in records))
     retained = sum(sum(r.retained) for r in records)
     total = sum(len(r.retained) for r in records)
     print(f"wrote {len(records)} records to {out}; retention {retained}/{total}")

@@ -1,5 +1,5 @@
-"""Example construction, compositional split classification, dataset
-generation, and bit-exact serialization.
+"""Examples and support sets, compositional split classification, dataset
+generation, and bit-exact serialization of dataset, support and ICL files.
 
 Hold-out predicates (an example belongs to a test split when it satisfies
 exactly that split's predicate; TRAIN and split A satisfy none):
@@ -41,8 +41,9 @@ from .grammar import (
 )
 from .permuter import Permutation, identity_permutation, invert, sample_permutation
 from .permuter import apply as apply_permutation
-from .schema import (EXAMPLE, EXTERNAL, HEADINGS, SITUATION, Field, Split, _build_state, _decode,
-                     command_of, external_actions, fault, split_of, target_of)
+from .schema import (EXAMPLE, EXTERNAL, HEADINGS, SITUATION, SUPPORT, SUPPORT_LINE, Field, Split,
+                     _array, _build_state, _check_field, _decode, command_of, external_actions,
+                     fault, split_of, target_of)
 from .world import ACTION_TABLE_SIZE, SIZES, Action, AgentPose, Heading, Position, WorldState
 from .world import _object_spec, _shared_actions, new_random_state
 from . import planner
@@ -81,9 +82,7 @@ class Example:
     split: Split
 
     def to_record(self) -> dict:
-        rec = self.state.to_record()
-        rec["command"] = command_string(self.instruction)
-        rec["target"] = ",".join(a.name for a in self.actions)
+        rec = _solved_record(self)
         rec["split"] = self.split.value
         return rec
 
@@ -98,6 +97,33 @@ def _build_example(record) -> Example:
     """Example.from_record's fast path."""
     return Example(_build_state(record), command_of(record["command"]),
                    target_of(record["target"]), split_of(record["split"]))
+
+
+@dataclass
+class Support:
+    state: WorldState
+    instruction: Instruction
+    actions: tuple[Action, ...] | None
+    meta: dict = field(default_factory=dict)
+
+
+@dataclass
+class SupportSet:
+    strategy: str
+    supports: list[Support]
+    meta: dict = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        return len(self.supports)
+
+
+def _solved_record(item: Example | Support) -> dict:
+    """The state fields of an example or support plus its `command` and
+    `target`, the comma-joined action names or None when unsolved."""
+    rec = item.state.to_record()
+    rec["command"] = command_string(item.instruction)
+    rec["target"] = None if item.actions is None else ",".join(a.name for a in item.actions)
+    return rec
 
 
 def _flags(predicates: Mapping, *args) -> frozenset[Split]:
@@ -289,6 +315,60 @@ def import_dataset(path: str | Path) -> Dataset:
     return Dataset(list(_read_jsonl(path, Example.from_record)))
 
 
+def _plain(value):
+    """A provenance value as plain JSON, floats rounded to 9 places."""
+    if isinstance(value, np.generic):
+        value = value.item()
+    return round(value, 9) if isinstance(value, float) else value
+
+
+def _support_to_record(support: Support) -> dict:
+    """A support's record: its state, `command`, `target` and `valid`, plus
+    its provenance keys, which never override those fields."""
+    rec = _solved_record(support)
+    for key, value in support.meta.items():
+        rec.setdefault(key, _plain(value))
+    rec["valid"] = support.actions is not None
+    return rec
+
+
+def write_support_file(path: str | Path, pairs: Iterable[tuple[Example, SupportSet]]) -> int:
+    """One canonical JSON line per (query, support set), written as `pairs`
+    yields them; inverts `read_support_file`. Returns the line count."""
+    return _write_jsonl(path, ({
+        "query": query.to_record(),
+        "strategy": sset.strategy,
+        "meta": {key: _plain(value) for key, value in sset.meta.items()},
+        "supports": [_support_to_record(s) for s in sset.supports],
+    } for query, sset in pairs))
+
+
+def read_support_file(path: str | Path) -> Iterator[tuple[Example, SupportSet]]:
+    """The (query, support set) of each line, decoded as the iterator
+    reaches it. Every support keeps its provenance keys (all but the state,
+    `command` and `target`) as meta, and each set keeps its line's `meta`."""
+    return _read_jsonl(path, _support_pair_from_record)
+
+
+def _support_pair_from_record(rec: dict) -> tuple[Example, SupportSet]:
+    """The (query, support set) of one support-file line (schema.SUPPORT_LINE)."""
+    return _decode(_build_support_pair, rec, SUPPORT_LINE)
+
+
+def _build_support_pair(rec: dict) -> tuple[Example, SupportSet]:
+    """_support_pair_from_record's fast path."""
+    query = Example.from_record(rec["query"])
+    supports = [Support(
+        state=_build_state(srec),
+        instruction=command_of(srec["command"]),
+        actions=None if srec.get("target") is None else target_of(srec["target"]),
+        meta={k: v for k, v in srec.items() if k not in SUPPORT},
+    ) for srec in _array(rec["supports"])]
+    return query, SupportSet(
+        strategy=_check_field(rec.get("strategy", "?"), SUPPORT_LINE["strategy"]),
+        supports=supports, meta=_check_field(rec.get("meta", {}), SUPPORT_LINE["meta"]))
+
+
 def import_external_record(record: Mapping, direction_map: Mapping[int, int] | None = None,
                            split: Split = Split.TRAIN) -> Example:
     """Map the original environment's record shape (schema.EXTERNAL:
@@ -320,8 +400,21 @@ def import_external_record(record: Mapping, direction_map: Mapping[int, int] | N
                    split_of(record["split"]) if "split" in record else split)
 
 
-def export_icl_records(entries: Iterable, policy: str = "permute", seed: int = 0,
-                       permute_words: bool = False) -> Iterator[dict]:
+def _icl_entry(item: Example | Support, perm: Permutation,
+               word_perm: Permutation | None) -> dict:
+    """An example's or support's ICL record: its state, its word codes under
+    `word_perm` if any, and its target codes under `perm` (None if unsolved)."""
+    command = encode_words(realize(item.instruction))
+    return {
+        "state": item.state.to_record(),
+        "command": command if word_perm is None else list(apply_permutation(word_perm, command)),
+        "target": None if item.actions is None
+        else list(apply_permutation(perm, [int(a) for a in item.actions])),
+    }
+
+
+def export_icl_records(entries: Iterable[tuple[Example, SupportSet]], policy: str = "permute",
+                       seed: int = 0, permute_words: bool = False) -> Iterator[dict]:
     """Serialize (Example, SupportSet) pairs, as read_support_file yields
     them, into in-context-learning records.
 
@@ -344,42 +437,18 @@ def export_icl_records(entries: Iterable, policy: str = "permute", seed: int = 0
         else:
             perm = identity_permutation(ACTION_TABLE_SIZE)
             word_perm = identity_permutation(WORD_TABLE_SIZE) if permute_words else None
-
-        def encode_instruction(instr: Instruction) -> list[int]:
-            codes = encode_words(realize(instr))
-            return list(apply_permutation(word_perm, codes)) if word_perm else codes
-
-        def encode_actions(actions) -> list[int] | None:
-            if actions is None:
-                return None
-            return list(apply_permutation(perm, [int(a) for a in actions]))
-
         yield {
-            "supports": [
-                {
-                    "state": s.state.to_record(),
-                    "command": encode_instruction(s.instruction),
-                    "target": encode_actions(s.actions),
-                }
-                for s in sset.supports
-            ],
-            "query": {
-                "state": example.state.to_record(),
-                "command": encode_instruction(example.instruction),
-                "target": encode_actions(example.actions),
-            },
+            "supports": [_icl_entry(s, perm, word_perm) for s in sset.supports],
+            "query": _icl_entry(example, perm, word_perm),
             "permutation": perm.to_codes(),
             "word_permutation": word_perm.to_codes() if word_perm else None,
             "split": example.split.value,
         }
 
 
-def decode_icl_targets(record: Mapping) -> list[tuple[int, ...]]:
-    """Invert the stored permutation of an ICL record (supports then query)."""
+def decode_icl_targets(record: Mapping) -> list[tuple[int, ...] | None]:
+    """Invert the stored permutation of an ICL record's targets, supports
+    then query; an unsolved target stays None."""
     perm = invert(Permutation.from_codes(record["permutation"]))
-    out = []
-    for support in record["supports"]:
-        target = support["target"]
-        out.append(apply_permutation(perm, target) if target is not None else None)
-    out.append(apply_permutation(perm, record["query"]["target"]))
-    return out
+    return [None if item["target"] is None else apply_permutation(perm, item["target"])
+            for item in (*record["supports"], record["query"])]

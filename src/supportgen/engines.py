@@ -16,12 +16,12 @@ import selectors
 import subprocess
 import time
 from _thread import allocate_lock
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, NoReturn, Protocol, Sequence
 
 import numpy as np
 
-from .dataset import Example
+from .dataset import Example, Support, SupportSet
 from .errors import (EncodingError, ExternalServiceError, ProtocolError, RetrievalError,
                      SolverError, SolverTimeout, UnresolvableError)
 from .grammar import (INSTRUCTION_ROW, INSTRUCTIONS, REALIZED, STRING_RANK, Instruction,
@@ -58,24 +58,6 @@ DEFAULT_SOLVER_TIMEOUT = 30.0
 #: Seconds ExternalSolver.close() lets the child take to exit before killing it.
 _CLOSE_SECONDS = 5.0
 _READ_SIZE = 65536
-
-
-@dataclass
-class Support:
-    state: WorldState
-    instruction: Instruction
-    actions: tuple[Action, ...] | None
-    meta: dict = field(default_factory=dict)
-
-
-@dataclass
-class SupportSet:
-    strategy: str
-    supports: list[Support]
-    meta: dict = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.supports)
 
 
 class Solver(Protocol):

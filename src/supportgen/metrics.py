@@ -31,8 +31,8 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .dataset import Example
-from .engines import Solver, SupportSet
+from .dataset import Example, SupportSet
+from .engines import Solver
 from .errors import (DimensionError, FitError, MetricError, PatternError, SolverError,
                      UnresolvableError)
 from .grammar import resolve_target

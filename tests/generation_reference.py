@@ -45,9 +45,10 @@ from supportgen.dataset import (
     DatasetConfig,
     Example,
     Split,
+    Support,
     _flags,
 )
-from supportgen.engines import Solver, Support
+from supportgen.engines import Solver
 from supportgen.errors import (CapacityError, GenerationError, MetricError,
                                GrammarError, LexicalError, PatternError, SolverError)
 from supportgen.grammar import (

@@ -253,16 +253,24 @@ class TestPinnedBytes:
                     "--seed", "3", "--splits", "h,c", *flags, "--out", str(out)]) == EXIT_OK
         assert digests(out) == digest
 
-    def test_export_icl_bytes(self, data_file, tmp_path):
+    @pytest.mark.parametrize("flags, digest", [
+        (["--policy", "permute", "--permute-words"],
+         "ee4f74f4a98ce01bbea4019a60dc042b70f2b156bcc825200810b40e80a225f7"),
+        (["--policy", "identity", "--permute-words"],
+         "cf6f0c37e756075ebd929b107576ee65150fafd724247a03546f63e3b517745e"),
+        (["--policy", "permute"],
+         "c904daabc936fdbb9cdf6f9d15f330573bfea6aa8cdc3e0b8b20860845b8ede2"),
+    ], ids=["permute-words", "identity-words", "permute"])
+    def test_export_icl_bytes(self, data_file, tmp_path, flags, digest):
         """Pins the ICL record layout and its action and word permutations
-        over heuristic supports of two splits."""
+        over heuristic supports of two splits, under each policy with and
+        without word permutation."""
         sup, icl = tmp_path / "sup.jsonl", tmp_path / "icl.jsonl"
         assert run(["gen-supports", "--data", str(data_file), "--strategy", "heuristic",
                     "--seed", "3", "--splits", "h,c", "--out", str(sup)]) == EXIT_OK
-        assert run(["export-icl", "--supports", str(sup), "--policy", "permute",
-                    "--permute-words", "--seed", "11", "--out", str(icl)]) == EXIT_OK
-        assert digests(icl) == \
-            "ee4f74f4a98ce01bbea4019a60dc042b70f2b156bcc825200810b40e80a225f7"
+        assert run(["export-icl", "--supports", str(sup), *flags,
+                    "--seed", "11", "--out", str(icl)]) == EXIT_OK
+        assert digests(icl) == digest
 
     def test_permute_bytes(self, data_file, tmp_path):
         out = tmp_path / "perm.jsonl"
@@ -413,9 +421,10 @@ class TestGenSupports:
         assert {"pca_dim", "replace_invalid"} <= ma["config"].keys()
 
     @pytest.mark.pins
-    @pytest.mark.parametrize("strategy", ["covr", "gandr", "demogen"])
+    @pytest.mark.parametrize("strategy", list(STRATEGIES))
     def test_support_file_round_trip(self, data_file, tmp_path, strategy):
-        """Reading a support file and writing it back gives the same bytes."""
+        """Reading a support file and writing it back gives the same bytes,
+        for each strategy's provenance keys and for an empty support set."""
         out = tmp_path / f"{strategy}.jsonl"
         assert run(["gen-supports", "--data", str(data_file), "--strategy", strategy,
                     "--seed", "2", "--splits", "c,h", "--limit", "3", "--k", "64",
@@ -423,6 +432,9 @@ class TestGenSupports:
         pairs = list(read_support_file(out))
         if strategy == "demogen":
             assert any(s.actions is None for _, sset in pairs for s in sset.supports)
+        if strategy == "other_states":
+            assert any(not sset.supports for _, sset in pairs)
+            assert all("from_train" in s.meta for _, sset in pairs for s in sset.supports)
         again = tmp_path / "again.jsonl"
         write_support_file(again, pairs)
         assert again.read_bytes() == out.read_bytes()
@@ -565,11 +577,11 @@ class TestGenSupports:
                                                             monkeypatch, existing):
         """Support sets are written as they are built; a solver that dies
         after the first set is written still leaves the old output alone."""
-        import supportgen.cli
+        import supportgen.dataset
 
         written = []
-        to_record = supportgen.cli._support_to_record
-        monkeypatch.setattr(supportgen.cli, "_support_to_record",
+        to_record = supportgen.dataset._support_to_record
+        monkeypatch.setattr(supportgen.dataset, "_support_to_record",
                             lambda support: written.append(support) or to_record(support))
         helper = tmp_path / "child.py"
         helper.write_text("import json, sys\n"
@@ -896,6 +908,30 @@ class TestAnalyze:
     def test_no_metric_requested_is_data_error(self, data_file):
         assert run(["analyze", "--data", str(data_file)]) == EXIT_DATA
 
+    @pytest.mark.parametrize("flags", [
+        ["--criteria", "--nn-profile"], ["--validity", "--pattern", "H"],
+        ["--criteria", "--zipf-commands"],
+    ], ids=["nn-profile", "pattern", "zipf-commands"])
+    def test_missing_data_fails_before_the_support_file_is_read(self, data_file, tmp_path,
+                                                                 monkeypatch, capsys, flags):
+        """A data metric without --data fails before the support metrics
+        read their file: nothing is printed and no report is written."""
+        import supportgen.cli
+
+        sup, report = tmp_path / "sup.jsonl", tmp_path / "report.json"
+        assert run(["gen-supports", "--data", str(data_file), "--strategy", "heuristic",
+                    "--seed", "3", "--splits", "h", "--limit", "2", "--out", str(sup)]) == EXIT_OK
+        opened = []
+        monkeypatch.setattr(supportgen.cli, "read_support_file",
+                            lambda path: opened.append(path) or read_support_file(path))
+        capsys.readouterr()
+        assert run(["analyze", "--supports", str(sup), *flags,
+                    "--out", str(report)]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == "" and "error: this metric needs --data FILE" in err
+        assert opened == []
+        assert not report.exists()
+
     def test_validity_on_oracle_supports(self, data_file, tmp_path):
         sup = tmp_path / "sup.jsonl"
         run(["gen-supports", "--data", str(data_file), "--strategy", "heuristic",
@@ -1086,8 +1122,9 @@ class TestParaphraseCli:
 @pytest.mark.parametrize("command", ["paraphrase", "analyze"])
 def test_failed_write_keeps_earlier_output(data_file, tmp_path, monkeypatch, command):
     """paraphrase and analyze --out write through the same temporary file
-    as the JSONL outputs, in their own JSON layouts: when the final replace
-    fails, the earlier output is unchanged and no temporary file is left."""
+    as the JSONL outputs, paraphrase in the canonical JSONL layout and the
+    report in its own: when the final replace fails, the earlier output is
+    unchanged and no temporary file is left."""
     import os
 
     from supportgen.paraphrase import ENDPOINT_ENV, HttpTransport
@@ -1099,8 +1136,9 @@ def test_failed_write_keeps_earlier_output(data_file, tmp_path, monkeypatch, com
     out = tmp_path / "out.json"
     if command == "paraphrase":
         argv = ["paraphrase", "--input", str(queries), "--out", str(out)]
-        layout = lambda text: "".join(json.dumps(json.loads(line), sort_keys=True) + "\n"
-                                      for line in text.splitlines())
+        layout = lambda text: "".join(
+            json.dumps(json.loads(line), sort_keys=True, separators=(",", ":")) + "\n"
+            for line in text.splitlines())
     else:
         argv = ["analyze", "--data", str(data_file), "--zipf-commands", "--out", str(out)]
         layout = lambda text: json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"

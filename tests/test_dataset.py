@@ -11,6 +11,8 @@ from supportgen.dataset import (
     Dataset,
     DatasetConfig,
     Split,
+    Support,
+    SupportSet,
     TEST_SPLITS,
     _candidates,
     classify,
@@ -391,8 +393,6 @@ class TestExportIcl:
     def test_unsolved_support_has_null_target(self, small_dataset):
         """A support the solver could not solve keeps its state and command
         and exports a null target, under either policy."""
-        from supportgen.engines import Support
-
         (example, sset), = _attach_oracle_supports(small_dataset)[:1]
         unsolved = Support(sset.supports[0].state, sset.supports[0].instruction, None)
         sset.supports.insert(1, unsolved)
@@ -404,8 +404,6 @@ class TestExportIcl:
             assert decode_icl_targets(record)[1] is None
 
     def test_missing_supports_error(self, small_dataset):
-        from supportgen.engines import SupportSet
-
         example = small_dataset.examples[0]
         with pytest.raises(DataFormatError):
             list(export_icl_records(iter([(example, SupportSet("heuristic", []))]),

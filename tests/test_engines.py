@@ -8,6 +8,7 @@ import pytest
 
 from supportgen.dataset import DatasetConfig, Example, Split, TEST_SPLITS, generate_dataset
 from supportgen.engines import (
+    RETRIEVAL_POOL,
     ExternalSolver,
     OracleSolver,
     build_covr_retriever,
@@ -511,6 +512,27 @@ class TestGandr:
         for query in corpus.split(Split.H):
             sset = gandr_supports(query, FailingSolver(), above, probes=16)
             assert max(s.meta["retrieval"] for s in sset.supports) > 0.0
+
+    def test_helper_failure_at_alpha_one_retrieves_by_train_id(self, corpus):
+        """At alpha 1 the instruction block weighs 0 and a failed helper's
+        guess is empty, so the query vector is zero: every candidate scores
+        0.0, and the supports come from the lowest train ids of the first
+        probed cells, in id order. Below alpha 1 the instruction still
+        ranks them."""
+        train = corpus.split(Split.TRAIN)
+        one = build_gandr_retriever(train, cells=8, alpha=1.0, rng=0)
+        half = build_gandr_retriever(train, cells=8, alpha=0.5, rng=0)
+        pool = np.sort(np.concatenate(one.ivf.cell_ids[:2]))[:RETRIEVAL_POOL].tolist()
+        train_id = {(ex.state, ex.instruction): idx for idx, ex in enumerate(train)}
+        for query in corpus.split(Split.H):
+            sset = gandr_supports(query, FailingSolver(), one, n=16, probes=2)
+            assert sset.meta["helper_failed"]
+            assert len(sset) == 16
+            assert all(s.meta["retrieval"] == 0.0 for s in sset.supports)
+            ids = [train_id[s.state, s.instruction] for s in sset.supports]
+            assert ids == sorted(ids) and set(ids) <= set(pool)
+            ranked = gandr_supports(query, FailingSolver(), half, n=16, probes=2)
+            assert max(s.meta["retrieval"] for s in ranked.supports) > 0.0
 
     def test_helper_failure_flagged(self, corpus, gandr_retriever):
         query = corpus.split(Split.A)[0]

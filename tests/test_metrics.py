@@ -5,8 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from supportgen.dataset import DatasetConfig, Example, Split, TEST_SPLITS, generate_dataset
-from supportgen.engines import OracleSolver, Support, SupportSet, heuristic_supports
+from supportgen.dataset import (DatasetConfig, Example, Split, Support, SupportSet, TEST_SPLITS,
+                                generate_dataset)
+from supportgen.engines import OracleSolver, heuristic_supports
 from supportgen.errors import DimensionError, FitError, PatternError
 from supportgen.grammar import parse
 from supportgen.metrics import (
