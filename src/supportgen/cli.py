@@ -65,6 +65,7 @@ from .metrics import (
     DEFAULT_NN_SAMPLE,
     DEFAULT_RANKS,
     NAMED_PATTERNS,
+    compile_pattern,
     nn_profile,
     pattern_frequency,
     support_criteria,
@@ -341,6 +342,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise DataFormatError("this metric needs --data FILE")
     if not (args.criteria or args.validity or needs_data or args.zipf):
         raise DataFormatError("no metric requested")
+    if args.pattern:
+        compile_pattern(args.pattern)  # a bad pattern fails before any read
     report: dict = {}
     if args.criteria or args.validity:
         pairs = list(read_support_file(args.supports))  # read twice below

@@ -33,7 +33,6 @@ from .index import (
     IvfIndex,
     PcaProjector,
     TfIdfEncoder,
-    count_one_hot,
     hybrid_encode,
     ivf_build,
     ivf_query,
@@ -46,7 +45,7 @@ from .instruction_model import InstructionModel, infill_distribution
 from .schema import (SOLVER_ERROR, SOLVER_REPLY, SOLVER_REQUEST, _array, _build_state, _decode,
                      fault, reply_actions)
 from .world import (CELL_WIDTH, Action, RngLike, WorldState, active_slots, as_rng, code_sums,
-                    fold_slots, one_hot_rows, shared_slots, slot_value, state_codes)
+                    fold_slots, one_hot_rows, shared_slot_counts, slot_value, state_codes)
 from . import planner
 
 DEFAULT_SUPPORT_COUNT = 16
@@ -291,17 +290,15 @@ _COVR_BLOCK_ROWS = 256
 
 @dataclass
 class CovrRetriever:
-    """The CovR index plus each train state's int8 cell codes, agent cell and
-    heading (world.state_codes), from which the state cosines are counted,
-    and the PCA projection folded into world.fold_slots rows."""
+    """The CovR index plus the train states' world.state_codes triple, from
+    which the state cosines are counted, and the PCA projection folded into
+    world.fold_slots rows."""
     examples: list[Example]
     tfidf: TfIdfEncoder
     pca: PcaProjector
     ivf: IvfIndex
     alpha: float
-    codes: np.ndarray
-    agent_cells: np.ndarray
-    headings: np.ndarray
+    codes: tuple[np.ndarray, np.ndarray, np.ndarray]
     pose_rows: np.ndarray
     change_rows: np.ndarray
 
@@ -346,8 +343,8 @@ def build_covr_retriever(examples: Sequence[Example], cells: int = DEFAULT_CELLS
     n, grid_cells = coded[0].shape
     blocks = [slice(lo, lo + _COVR_BLOCK_ROWS) for lo in range(0, n, _COVR_BLOCK_ROWS)]
     value = slot_value(grid_cells)
-    pca = pca_fit(count_one_hot((one_hot_rows(*(a[b] for a in coded))
-                                 for b in blocks), grid_cells * CELL_WIDTH, value), pca_dim)
+    pca = pca_fit((one_hot_rows(*(a[b] for a in coded)) for b in blocks),
+                  grid_cells * CELL_WIDTH, value, pca_dim)
     pose_rows, change_rows = fold_slots(pca.components.T * value)
     # centring: every row has one pose row, so it carries the mean's projection
     pose_rows -= np.sum(pca.components * pca.mean, axis=1)
@@ -359,8 +356,7 @@ def build_covr_retriever(examples: Sequence[Example], cells: int = DEFAULT_CELLS
     del instr_vecs  # freed before k-means
     return CovrRetriever(examples=examples, tfidf=tfidf, pca=pca,
                          ivf=ivf_build(hybrid, cells=cells, rng=rng), alpha=alpha,
-                         codes=coded[0], agent_cells=coded[1], headings=coded[2],
-                         pose_rows=pose_rows, change_rows=change_rows)
+                         codes=coded, pose_rows=pose_rows, change_rows=change_rows)
 
 
 def covr_supports(query: Example, retriever: CovrRetriever,
@@ -368,19 +364,20 @@ def covr_supports(query: Example, retriever: CovrRetriever,
     """Retrieve the RETRIEVAL_POOL nearest hybrid vectors, stable-sort by (matching
     two-grams, one-grams, state cosine) descending, then greedily cover the
     query's n-grams and fill to n. The state cosine of two one-hot rows is
-    k / active_slots(cells) for the k active slots they share."""
-    codes, agent_cells, headings = coded = state_codes([query.state])
+    k / active_slots(cells) for the k active slots they share, counted by
+    world.shared_slot_counts."""
+    coded = state_codes([query.state])
     qvec = np.empty((1, retriever.ivf.vectors.shape[1]), dtype=np.float64)
     _covr_rows(retriever.pose_rows, retriever.change_rows, retriever.alpha, coded,
                tfidf_encode(retriever.tfidf, [realize(query.instruction)]), qvec)
     pool = _pool(query, retriever, qvec[0], probes)
     ids = np.array([idx for idx, _, _ in pool], dtype=np.intp)
-    shared = shared_slots(retriever.codes[ids], retriever.agent_cells[ids],
-                          retriever.headings[ids], codes[0], agent_cells[0], headings[0])
-    active = active_slots(codes.shape[1])
+    shared = shared_slot_counts(coded, [a[ids] for a in retriever.codes],
+                                np.empty((1, len(ids)), dtype=np.float32))
+    active = active_slots(coded[0].shape[1])
     query_grams = _GRAMS[INSTRUCTION_ROW[query.instruction]]
     candidates = []
-    for rank, ((idx, ex, retrieval_score), k) in enumerate(zip(pool, shared.tolist())):
+    for rank, ((idx, ex, retrieval_score), k) in enumerate(zip(pool, shared[0].tolist())):
         grams = _GRAMS[INSTRUCTION_ROW[ex.instruction]] & query_grams
         one = (grams & _ONE_GRAM_BITS).bit_count()
         two = grams.bit_count() - one

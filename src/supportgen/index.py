@@ -90,49 +90,47 @@ class PcaProjector:
         return self.components.shape[0]
 
 
-@dataclass
-class OneHotCounts:
-    """The exact second moments of `rows` one-hot rows whose active slots
-    all hold `value`: `counts` is XᵀX for their 0/1 pattern X, as int64, so
-    its diagonal holds the column sums of X."""
-    counts: np.ndarray
-    rows: int
-    value: float
-
-
-def count_one_hot(blocks: Iterable[np.ndarray], width: int, value: float) -> OneHotCounts:
-    """Accumulate the OneHotCounts of 0/1 float32 row blocks of `width`
-    columns. A block under 2**24 rows has an exact float32 product, so the
-    counts depend neither on the blocks nor on BLAS threads."""
+def _count_one_hot(blocks: Iterable[np.ndarray], width: int) -> tuple[np.ndarray, int]:
+    """XᵀX of the 0/1 float32 row blocks X of `width` columns, as int64, so
+    its diagonal holds the column sums, and the number of rows. A block
+    under 2**24 rows has an exact float32 product, so the counts depend
+    neither on the blocks nor on BLAS threads."""
     counts = np.zeros((width, width), dtype=np.int64)
     rows = 0
     for block in blocks:
         np.add(counts, block.T @ block, out=counts, casting="unsafe")
         rows += block.shape[0]
-    return OneHotCounts(counts=counts, rows=rows, value=value)
+    return counts, rows
 
 
-def _mean_and_cov(counts: OneHotCounts) -> tuple[np.ndarray, np.ndarray]:
+def _mean_and_cov(counts: np.ndarray, n: int, value: float) -> tuple[np.ndarray, np.ndarray]:
     """The mean and float64 covariance (divided by n - 1, or 1 for one row)
-    of the rows that `counts` counts."""
-    n = counts.rows
+    of the n one-hot rows, whose active slots all hold `value`, that
+    `counts` counts."""
     if n == 0:
-        raise FitError("pca_fit needs counts of at least one row")
-    sums = np.diagonal(counts.counts)
-    cov = (n * counts.counts - np.outer(sums, sums)).astype(np.float64)
-    cov *= counts.value ** 2 / (n * max(1, n - 1))
-    return sums * (counts.value / n), cov
+        raise FitError("pca_fit needs at least one row")
+    sums = np.diagonal(counts)
+    cov = (n * counts - np.outer(sums, sums)).astype(np.float64)
+    cov *= value ** 2 / (n * max(1, n - 1))
+    return sums * (value / n), cov
 
 
-def pca_fit(counts: OneHotCounts, k: int = DEFAULT_PCA_DIM) -> PcaProjector:
-    """Project onto the top-k covariance eigenvectors after mean-centering.
+def pca_fit(blocks: Iterable[np.ndarray], width: int, value: float,
+            k: int = DEFAULT_PCA_DIM) -> PcaProjector:
+    """Project one-hot rows onto their top-k covariance eigenvectors after
+    mean-centering. The rows come as 0/1 float32 blocks of `width` columns,
+    and each active slot holds `value`.
 
-    From the OneHotCounts C with column sums s over n rows of value v, the
-    covariance v² (C − s sᵀ/n) / (n − 1) takes one rounding, after the exact
-    integer n C − s sᵀ. When fewer than k informative directions exist, the
-    available rank is retained. Component signs are fixed for determinism:
-    each component's entry of largest magnitude is positive."""
-    mean, cov = _mean_and_cov(counts)
+    From the exact counts C = XᵀX of the 0/1 pattern X, with column sums s
+    over n rows, the covariance v² (C − s sᵀ/n) / (n − 1) takes one
+    rounding, after the exact integer n C − s sᵀ. When fewer than k
+    informative directions exist, the available rank is retained. Component
+    signs are fixed for determinism: each component's entry of largest
+    magnitude is positive."""
+    # the blocks are counted in _count_one_hot's frame, so the last one is
+    # freed before eigh; the counts are kept until eigh returns
+    counts, n = _count_one_hot(blocks, width)
+    mean, cov = _mean_and_cov(counts, n, value)
     eigvals, eigvecs = np.linalg.eigh(cov)
     del cov
     order = np.argsort(eigvals)[::-1]

@@ -33,11 +33,10 @@ import numpy as np
 
 from .dataset import Example, SupportSet
 from .engines import Solver
-from .errors import (DimensionError, FitError, MetricError, PatternError, SolverError,
-                     UnresolvableError)
+from .errors import FitError, MetricError, PatternError, SolverError, UnresolvableError
 from .grammar import resolve_target
 from .world import (ACTION_TABLE_SIZE, Action, RngLike, WorldState, active_slots, as_rng,
-                    one_hot_rows, state_codes)
+                    shared_slot_counts, state_codes)
 
 CRITERIA_ROWS = (
     "(1) described object",
@@ -146,9 +145,6 @@ DEFAULT_RANKS = tuple(2 ** i for i in range(14))  # 1 .. 8192
 DEFAULT_NN_SAMPLE = 1000
 #: Split states nn_profile scores against the train states in one block.
 _NN_CHUNK = 128
-#: Train states nn_profile encodes at a time, each block into its columns
-#: of the block's similarities.
-_NN_TRAIN_BLOCK = 1024
 
 
 def nn_profile(split_states: Sequence[WorldState], train_states: Sequence[WorldState],
@@ -158,10 +154,10 @@ def nn_profile(split_states: Sequence[WorldState], train_states: Sequence[WorldS
     nearest training state, over unit one-hot encodings (exact search).
 
     The cosine of two states is k / active_slots(cells) for the k active
-    slots they share. nn_profile counts k as the product of 0/1 one-hot
-    rows, which is exact in float32, and sums the counts as integers, so
-    the profile does not depend on the BLAS kernel. Ranks beyond the
-    training size are dropped with a warning."""
+    slots they share. nn_profile counts k with shared_slot_counts, as CovR
+    does, and sums the counts as integers, so the profile does not depend
+    on the BLAS kernel. Ranks beyond the training size are dropped with a
+    warning."""
     if not split_states or not train_states:
         raise MetricError("nn_profile needs nonempty split and train states")
     ranks = sorted(set(int(r) for r in ranks))
@@ -179,24 +175,16 @@ def nn_profile(split_states: Sequence[WorldState], train_states: Sequence[WorldS
         split_states = [split_states[int(i)] for i in idx]
     coded = state_codes(train_states)
     split_coded = state_codes(split_states)
-    cells = coded[0].shape[1]
-    if split_coded[0].shape[1] != cells:
-        raise DimensionError(f"grid sizes differ: {split_states[0].grid_size} vs "
-                             f"{train_states[0].grid_size}")
     max_rank = usable[-1]
     sums = np.zeros(len(usable), dtype=np.int64)
     buffer = np.empty((min(_NN_CHUNK, len(split_states)), len(train_states)), dtype=np.float32)
     for start in range(0, len(split_states), _NN_CHUNK):
-        q = one_hot_rows(*(a[start:start + _NN_CHUNK] for a in split_coded))
-        sims = buffer[:len(q)]
-        for lo in range(0, len(train_states), _NN_TRAIN_BLOCK):
-            rows = slice(lo, lo + _NN_TRAIN_BLOCK)
-            train = one_hot_rows(*(a[rows] for a in coded))
-            np.matmul(q, train.T, out=sims[:, rows])
+        chunk = [a[start:start + _NN_CHUNK] for a in split_coded]
+        sims = shared_slot_counts(chunk, coded, buffer[:len(chunk[0])])
         part = -np.partition(-sims, max_rank - 1, axis=1)[:, :max_rank]
         part.sort(axis=1)  # ascending: rank r sits at max_rank - r
         sums += part[:, max_rank - np.array(usable)].astype(np.int64).sum(axis=0)
-    total = active_slots(cells) * len(split_states)
+    total = active_slots(coded[0].shape[1]) * len(split_states)
     return [(r, int(k) / total) for r, k in zip(usable, sums)]
 
 

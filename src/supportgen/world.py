@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Iterable, Mapping, Sequence, Union
@@ -340,8 +341,8 @@ for _code, (_shape, _color, _size) in enumerate(itertools.product(SHAPES, COLORS
 _CODE_SLOTS = np.array([np.flatnonzero(row) for row in _CELL_ROWS])
 #: The none slot of the attribute of each shape, color and size slot.
 _NONE_SLOT = np.repeat(_CODE_SLOTS[0], [len(SHAPES) + 1, len(COLORS) + 1, len(SIZES) + 1])
-#: The slots two cell codes share: equal shape, color and size bits.
-_SHARED_SLOTS = (_CELL_ROWS @ _CELL_ROWS.T).astype(np.int8)
+#: States of its second operand that shared_slot_counts expands at a time.
+_SHARED_BLOCK_ROWS = 1024
 
 
 def active_slots(cells: int) -> int:
@@ -387,27 +388,22 @@ def one_hot_rows(codes: np.ndarray, agent_cells: np.ndarray, headings: np.ndarra
     return rows.reshape(count, cells * CELL_WIDTH)
 
 
-def encode_states(states: Iterable[WorldState], dtype=np.float32) -> np.ndarray:
-    """Unit-norm one-hot encodings of same-size states, one row per state:
-    the one_hot_rows of their state_codes times slot_value. The tests'
-    dense reference for the exact counts.
-
-    Every state activates exactly active_slots(cells) slots, so normalization
-    is a constant scale and the encoding stays injective on valid states."""
-    codes, agent_cells, headings = state_codes(list(states))
-    rows = one_hot_rows(codes, agent_cells, headings).astype(dtype)
-    rows *= slot_value(codes.shape[1])
-    return rows
-
-
-def shared_slots(codes: np.ndarray, agent_cells: np.ndarray, headings: np.ndarray,
-                 code: np.ndarray, agent_cell: int, heading: int) -> np.ndarray:
-    """The active one-hot slots each state of the state_codes arrays shares
-    with one state (its `code` row, agent cell and heading): the dot product
-    of their 0/1 one-hot rows, as int64."""
-    same_cell = agent_cells == agent_cell
-    return (_SHARED_SLOTS[codes, code].sum(axis=1, dtype=np.int64)
-            + same_cell * (1 + (headings == heading)))
+def shared_slot_counts(a: Sequence[np.ndarray], b: Sequence[np.ndarray],
+                       out: np.ndarray) -> np.ndarray:
+    """Write into `out` the active slots each state of `a` shares with each
+    state of `b`, both state_codes triples: the float32 product of their
+    0/1 one_hot_rows, exact whatever the BLAS kernel. `b` is expanded
+    _SHARED_BLOCK_ROWS states at a time, each block into its columns of
+    `out`. Raises DimensionError when the grids differ. Returns `out`."""
+    cells = a[0].shape[1]
+    if b[0].shape[1] != cells:
+        raise DimensionError(f"grid sizes differ: {math.isqrt(cells)} vs "
+                             f"{math.isqrt(b[0].shape[1])}")
+    rows = one_hot_rows(*a)
+    for lo in range(0, b[0].shape[0], _SHARED_BLOCK_ROWS):
+        block = slice(lo, lo + _SHARED_BLOCK_ROWS)
+        np.matmul(rows, one_hot_rows(*(part[block] for part in b)).T, out=out[:, block])
+    return out
 
 
 def fold_slots(slot_rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,8 @@ own division by the L2 norm) before they became row matrices, the
 same-state solve loop that asked the solver for one pair at a time before
 it handed over each round's shortfall in one batch. It also holds an
 exact nearest neighbour profile: int64 products of the 0/1 one-hot rows
-and a full sort per query.
+and a full sort per query, and the dense unit one-hot encoding of states
+that the exact slot counts are checked against.
 
 Each function is kept as it was, fresh objects and full candidate lists
 included, so tests can require the current generator to draw the same
@@ -78,6 +79,7 @@ from supportgen.world import (
     active_slots,
     as_rng,
     one_hot_rows,
+    slot_value,
     state_codes,
 )
 
@@ -592,3 +594,15 @@ def nn_profile(split_states: Sequence[WorldState], train_states: Sequence[WorldS
             sums[j] += int(shared[r - 1])
     total = active_slots(train_codes[0].shape[1]) * len(split_states)
     return [(r, sums[j] / total) for j, r in enumerate(usable)]
+
+
+def encode_states(states: Iterable[WorldState], dtype=np.float32) -> np.ndarray:
+    """Unit-norm one-hot encodings of same-size states, one row per state:
+    the one_hot_rows of their state_codes times slot_value.
+
+    Every state activates exactly active_slots(cells) slots, so normalization
+    is a constant scale and the encoding stays injective on valid states."""
+    codes, agent_cells, headings = state_codes(list(states))
+    rows = one_hot_rows(codes, agent_cells, headings).astype(dtype)
+    rows *= slot_value(codes.shape[1])
+    return rows

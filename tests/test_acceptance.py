@@ -258,7 +258,8 @@ def test_criterion_8_nn_profile(train50k):
     values = [v for _, v in profile]
     rank1 = values[0]
     monotone = all(a >= b - 1e-12 for a, b in zip(values, values[1:]))
-    # float32 accumulation bounds self-similarity within ~1e-7 of exact 1.0
+    # nn_profile sums exact integer slot counts, so each state's rank-1
+    # match, itself, counts all its active slots
     ok = rank1 == pytest.approx(1.0, abs=1e-6) and monotone and len(values) == 14
     report(8, ok, f"train-vs-train rank-1 mean similarity {rank1:.6f}; "
                   f"monotone over ranks 1..8192 ({values[0]:.3f} -> {values[-1]:.3f})")

@@ -272,6 +272,16 @@ class TestPinnedBytes:
                     "--seed", "11", "--out", str(icl)]) == EXIT_OK
         assert digests(icl) == digest
 
+    def test_nn_profile_report_bytes(self, data_file, tmp_path):
+        """Pins the nn-profile report: the shared-slot counts, the sample
+        draw and the report layout, at the default ranks on split h."""
+        out = tmp_path / "nn.json"
+        with pytest.warns(UserWarning, match="truncated"):
+            assert run(["analyze", "--data", str(data_file), "--nn-profile", "--split", "h",
+                        "--out", str(out)]) == EXIT_OK
+        assert digests(out) == \
+            "a715b2abaa932c7ae7d757d8c4847e5af28f2b42647217eaff98f056bce062e2"
+
     def test_permute_bytes(self, data_file, tmp_path):
         out = tmp_path / "perm.jsonl"
         assert run(["permute", "--data", str(data_file), "--seed", "2",
@@ -929,6 +939,26 @@ class TestAnalyze:
                     "--out", str(report)]) == EXIT_DATA
         out, err = capsys.readouterr()
         assert out == "" and "error: this metric needs --data FILE" in err
+        assert opened == []
+        assert not report.exists()
+
+    def test_bad_pattern_fails_before_any_file_is_read(self, data_file, tmp_path,
+                                                       monkeypatch, capsys):
+        """A --pattern that does not compile fails with the other input
+        checks: the criteria are not printed and no report is written."""
+        import supportgen.cli
+
+        sup, report = tmp_path / "sup.jsonl", tmp_path / "report.json"
+        assert run(["gen-supports", "--data", str(data_file), "--strategy", "heuristic",
+                    "--seed", "3", "--splits", "h", "--limit", "2", "--out", str(sup)]) == EXIT_OK
+        opened = []
+        monkeypatch.setattr(supportgen.cli, "read_support_file",
+                            lambda path: opened.append(path) or read_support_file(path))
+        capsys.readouterr()
+        assert run(["analyze", "--supports", str(sup), "--criteria", "--data", str(data_file),
+                    "--pattern", "((", "--out", str(report)]) == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert out == "" and "error: unbalanced '(' in '(('" in err
         assert opened == []
         assert not report.exists()
 

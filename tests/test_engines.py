@@ -359,7 +359,7 @@ class TestCovr:
         # independent reimplementation: dense one-hot rows projected with the
         # fitted PCA, exact scan, same sort keys, same greedy
         from supportgen.index import hybrid_encode, tfidf_encode
-        from supportgen.world import encode_states
+        from generation_reference import encode_states
 
         pca = covr_retriever.pca
 
@@ -428,6 +428,15 @@ class TestCovr:
         with pytest.raises(DimensionError, match="grid sizes differ"):
             covr_supports(Example(state, query.instruction, query.actions, Split.H),
                           covr_retriever)
+
+    @pytest.mark.pins
+    def test_empty_pool_gives_empty_sets(self, corpus):
+        """Two train examples in two cells, one probe: each query is a train
+        example alone in its cell, so its pool is empty once the query pair
+        is dropped, and so is its support set."""
+        train = corpus.split(Split.TRAIN)[:2]
+        covr = build_covr_retriever(train, cells=2, pca_dim=64, rng=0)
+        assert [len(covr_supports(ex, covr, probes=1).supports) for ex in train] == [0, 0]
 
     def test_build_holds_one_one_hot_matrix(self):
         """Traced peak of the build over 3,000 states, in units of one float64
@@ -696,16 +705,18 @@ def test_covr_cosines_equal_dense_dot_products(corpus, covr_retriever):
     """Every state cosine, k / active slots for k shared slots, is within
     1e-12 of the float64 one-hot dot product, and each support's cosine is
     that product rounded to 9 places."""
-    from supportgen.world import active_slots, encode_states, shared_slots, state_codes
+    from generation_reference import encode_states
+    from supportgen.world import active_slots, shared_slot_counts, state_codes
 
     train = corpus.split(Split.TRAIN)
     dense = encode_states([ex.state for ex in train], np.float64)
+    shared = np.empty((1, len(train)), dtype=np.float32)
     for query in corpus.split(Split.H) + corpus.split(Split.C) + train[:3]:
         state_vec = encode_states([query.state], np.float64)[0]
-        codes, agent_cells, headings = state_codes([query.state])
-        shared = shared_slots(covr_retriever.codes, covr_retriever.agent_cells,
-                              covr_retriever.headings, codes[0], agent_cells[0], headings[0])
-        assert np.abs(shared / active_slots(36) - dense @ state_vec).max() <= 1e-12
+        shared_slot_counts(state_codes([query.state]), covr_retriever.codes, shared)
+        # float32 counts divided in float32 would round off the float64 cosine
+        cosines = shared[0].astype(np.int64) / active_slots(36)
+        assert np.abs(cosines - dense @ state_vec).max() <= 1e-12
         for support in covr_supports(query, covr_retriever, probes=16).supports:
             want = float(encode_states([support.state], np.float64)[0] @ state_vec)
             assert support.meta["cosine"] == round(want, 9)

@@ -6,10 +6,10 @@ import pytest
 from supportgen.errors import EncodingError, FitError, QueryError
 from supportgen.index import (
     _LLOYD_BLOCK_ROWS,
+    _count_one_hot,
     _mean_and_cov,
     _row_sq_norms,
     brute_force_query,
-    count_one_hot,
     fixed_blocks,
     hybrid_encode,
     ivf_build,
@@ -72,26 +72,28 @@ def parent_kmeans(points, cells, rng, iters=25):
     return centroids, labels
 
 
-def counts_of(rows):
-    """The OneHotCounts of the 0/1 rows `rows`, each active slot holding 1."""
+def one_hot_input(rows):
+    """The pca_fit input (blocks, width, value) of the 0/1 rows `rows`, as
+    one block, each active slot holding 1."""
     x = np.asarray(rows, dtype=np.float32)
-    return count_one_hot([x], x.shape[1], 1.0)
+    return [x], x.shape[1], 1.0
 
 
-def random_state_counts(rng, count, grid=6, block=None):
-    """The OneHotCounts of `count` random states on a grid x grid board, in
-    count blocks of `block` rows, and the states' dense unit one-hot rows."""
-    from supportgen.world import CELL_WIDTH, encode_states, one_hot_rows, slot_value, state_codes
+def random_state_input(rng, count, grid=6, block=None):
+    """The pca_fit input (blocks, width, value) of `count` random states on a
+    grid x grid board, in blocks of `block` rows, and the states' dense unit
+    one-hot rows."""
+    from generation_reference import encode_states
+    from supportgen.world import CELL_WIDTH, one_hot_rows, slot_value, state_codes
     from conftest import random_state
 
     states = [random_state(rng, grid_size=grid, max_objects=grid * grid - 1)
               for _ in range(count)]
     coded = state_codes(states)
     block = block or count
-    counts = count_one_hot((one_hot_rows(*(a[lo:lo + block] for a in coded))
-                            for lo in range(0, count, block)),
-                           grid * grid * CELL_WIDTH, slot_value(grid * grid))
-    return counts, encode_states(states, np.float64)
+    blocks = [one_hot_rows(*(a[lo:lo + block] for a in coded)) for lo in range(0, count, block)]
+    return ((blocks, grid * grid * CELL_WIDTH, slot_value(grid * grid)),
+            encode_states(states, np.float64))
 
 
 class TestTfIdf:
@@ -185,7 +187,7 @@ class TestPca:
         rng = np.random.default_rng(0)
         a, b = np.array([1, 0, 1]), np.array([0, 1, 1])
         data = np.where(rng.integers(0, 2, (200, 1)) == 1, a, b).astype(np.float64)
-        p = pca_fit(counts_of(data), k=1)
+        p = pca_fit(*one_hot_input(data), k=1)
         direction = (b - a) / np.linalg.norm(b - a)
         assert abs(float(p.components[0] @ direction)) == pytest.approx(1.0, abs=1e-9)
         recon = project(p, data) @ p.components + p.mean
@@ -196,7 +198,7 @@ class TestPca:
         component."""
         rng = np.random.default_rng(1)
         data = rng.integers(0, 2, (20_000, 6))
-        p = pca_fit(counts_of(data), k=6)
+        p = pca_fit(*one_hot_input(data), k=6)
         variances = project(p, data).var(axis=0)
         assert variances.max() / variances.min() < 1.15
 
@@ -206,36 +208,36 @@ class TestPca:
         rng = np.random.default_rng(2)
         patterns = rng.integers(0, 2, (4, 32))
         data = patterns[rng.integers(0, 4, 300)].astype(np.float64)
-        p = pca_fit(counts_of(data), k=8)
+        p = pca_fit(*one_hot_input(data), k=8)
         projected = project(p, data)
         centered = data - data.mean(axis=0)
         assert np.allclose(projected @ projected.T, centered @ centered.T, atol=1e-8)
 
     def test_orthonormal_components(self):
-        counts, _ = random_state_counts(np.random.default_rng(3), 500)
-        p = pca_fit(counts, k=10)
+        one_hot, _ = random_state_input(np.random.default_rng(3), 500)
+        p = pca_fit(*one_hot, k=10)
         gram = p.components @ p.components.T
         assert np.allclose(gram, np.eye(p.components.shape[0]), atol=1e-6)
 
     def test_rank_retained_when_samples_scarce(self):
-        counts, _ = random_state_counts(np.random.default_rng(4), 5)
-        p = pca_fit(counts, k=320)
+        one_hot, _ = random_state_input(np.random.default_rng(4), 5)
+        p = pca_fit(*one_hot, k=320)
         assert 1 <= p.components.shape[0] <= 4  # five centred rows span four directions
 
     def test_sign_rule(self):
         """Each component's entry of largest magnitude is positive."""
-        counts, _ = random_state_counts(np.random.default_rng(10), 300)
-        p = pca_fit(counts, k=40)
+        one_hot, _ = random_state_input(np.random.default_rng(10), 300)
+        p = pca_fit(*one_hot, k=40)
         pivots = np.argmax(np.abs(p.components), axis=1)
         assert (p.components[np.arange(len(pivots)), pivots] > 0).all()
 
     def test_empty_input(self):
         with pytest.raises(FitError, match="at least one row"):
-            pca_fit(count_one_hot([], 3, 1.0))
+            pca_fit([], 3, 1.0)
 
     def test_linearity(self):
         rng = np.random.default_rng(5)
-        p = pca_fit(counts_of(rng.integers(0, 2, (100, 8))), k=4)
+        p = pca_fit(*one_hot_input(rng.integers(0, 2, (100, 8))), k=4)
         x, y = rng.standard_normal(8), rng.standard_normal(8)
         lhs = project(p, 2.0 * x + 3.0 * y + p.mean)
         rhs = (2.0 * project(p, x + p.mean) + 3.0 * project(p, y + p.mean))
@@ -248,12 +250,14 @@ class TestPca:
 def test_count_moments_equal_dense_moments(grid, rows, block):
     """The mean and covariance pca_fit takes from one-hot counts are within
     1e-12 of the dense float64 ones, at any count block size."""
-    counts, dense = random_state_counts(np.random.default_rng([grid, rows]), rows, grid, block)
-    mean, cov = _mean_and_cov(counts)
+    (blocks, width, value), dense = random_state_input(np.random.default_rng([grid, rows]),
+                                                       rows, grid, block)
+    counts, n = _count_one_hot(blocks, width)
+    mean, cov = _mean_and_cov(counts, n, value)
     dense_mean = dense.mean(axis=0)
     centred = dense - dense_mean
     dense_cov = centred.T @ centred / max(1, rows - 1)
-    assert counts.rows == rows
+    assert n == rows
     assert np.abs(mean - dense_mean).max() <= 1e-12
     assert np.abs(cov - dense_cov).max() <= 1e-12
 
@@ -320,7 +324,7 @@ class TestKmeans:
         elif case == "more-cells-than-points":
             x, cells = rng.standard_normal((10, 3)), 64
         else:
-            from supportgen.world import encode_states
+            from generation_reference import encode_states
             from conftest import random_state
 
             x = encode_states([random_state(rng) for _ in range(400)], np.float64)
@@ -341,7 +345,7 @@ class TestKmeans:
         if case == "unit-rows":
             x = random_unit_rows(rng, 2500, 40)
         else:
-            from supportgen.world import encode_states
+            from generation_reference import encode_states
             from conftest import random_state
 
             x = encode_states([random_state(rng) for _ in range(2100)], np.float64)

@@ -193,7 +193,7 @@ class TestNnProfile:
         ranks = (1, 4, 16, 64, 256, 1024, 4096)
         profile = dict(nn_profile(queries, train, ranks=ranks, sample=64, rng=2))
 
-        from supportgen.world import encode_states
+        encode_states = generation_reference.encode_states
         train_mat = encode_states(train, np.float64)
         sums = {r: 0.0 for r in ranks}
         for q in queries:
@@ -229,17 +229,17 @@ def test_nn_profile_equals_reference(train_size, split_size, sample):
 
 @pytest.mark.pins
 def test_nn_profile_rank_one_is_the_most_shared_slots():
-    """For one split state, the rank-1 value is CovR's count of shared slots
-    with the nearest train state over the active slots: the gather count and
-    the one-hot product agree exactly."""
+    """For one split state, the rank-1 value is the most active slots it
+    shares with a train state, over the active slots, with the shared slots
+    counted as the int64 product of the 0/1 one-hot rows."""
     from conftest import random_state
-    from supportgen.world import active_slots, shared_slots, state_codes
+    from supportgen.world import active_slots, one_hot_rows, state_codes
 
     rng = np.random.default_rng(17)
     train = [random_state(rng) for _ in range(1500)]
     query = random_state(rng)
-    codes, agent_cells, headings = state_codes([query])
-    shared = shared_slots(*state_codes(train), codes[0], agent_cells[0], headings[0])
+    shared = (one_hot_rows(*state_codes(train)).astype(np.int64)
+              @ one_hot_rows(*state_codes([query])).astype(np.int64)[0])
     assert nn_profile([query], train, ranks=(1,), sample=1, rng=0) == \
         [(1, int(shared.max()) / active_slots(36))]
 

@@ -35,8 +35,6 @@ KEPT = {
     "permuter.compress_notation",
     # the importer for the original environment's files, documented in README
     "dataset.import_external_record",
-    # the dense unit one-hot rows the tests check the exact slot counts against
-    "world.encode_states",
 }
 
 
@@ -147,9 +145,8 @@ KEPT_SETTINGS = {
     "paraphrase.HttpTransport.timeout",
     # the tests pass a fake sleep to check the retry back-off
     "paraphrase.HttpTransport.sleep",
-    # the test references run k-means and the dense encoding at other settings
+    # the test references run k-means at other settings
     "index.kmeans.iters",
-    "world.encode_states.dtype",
     # acceptance criterion 7 fits the synthetic Zipf sample from x_min = 1
     "metrics.zipf_fit.x_min",
     # the importer for the original environment's files, documented in README

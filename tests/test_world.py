@@ -15,17 +15,17 @@ from supportgen.world import (
     WorldState,
     active_slots,
     code_sums,
-    encode_states,
     fold_slots,
     new_random_state,
     one_hot_rows,
-    shared_slots,
+    shared_slot_counts,
     simulate,
     state_codes,
 )
 
 from conftest import random_state
 import generation_reference
+from generation_reference import encode_states
 
 
 def per_cell_one_hot(state: WorldState) -> np.ndarray:
@@ -259,16 +259,21 @@ class TestCodes:
         assert (np.diagonal(counts) == active_slots(grid * grid)).all()
 
     @pytest.mark.pins
-    def test_shared_slots_is_the_one_hot_dot_product(self, s0):
-        rng = np.random.default_rng(3)
-        states = [random_state(rng) for _ in range(300)] + [s0]
-        codes, agent_cells, headings = state_codes(states)
-        rows = one_hot_rows(codes, agent_cells, headings)
-        for q in (0, 7, len(states) - 1):
-            shared = shared_slots(codes, agent_cells, headings,
-                                  codes[q], agent_cells[q], headings[q])
-            assert shared.tolist() == (rows @ rows[q]).astype(int).tolist()
-            assert shared[q] == active_slots(36)
+    @pytest.mark.parametrize("count", [1, 1024, 1025, 2100])
+    def test_shared_slot_counts_equal_the_int64_product(self, s0, count):
+        """The counts equal the int64 product of the 0/1 one-hot rows below,
+        at and across the block of the second operand, and each state
+        shares all its active slots with itself."""
+        rng = np.random.default_rng(count)
+        states = [s0] + [random_state(rng) for _ in range(count - 1)]
+        coded = state_codes(states)
+        picks = [0, count // 2, count - 1]
+        got = shared_slot_counts([part[picks] for part in coded], coded,
+                                 np.empty((3, count), dtype=np.float32))
+        rows = one_hot_rows(*coded).astype(np.int64)
+        assert got.dtype == np.float32
+        assert (got == rows[picks] @ rows.T).all()
+        assert (got[[0, 1, 2], picks] == active_slots(36)).all()
 
 
 class TestRecordRoundTrip:
