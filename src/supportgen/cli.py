@@ -36,6 +36,7 @@ from .dataset import (
     export_icl_records,
     generate_dataset,
     import_dataset,
+    read_queries,
     read_support_file,
     write_support_file,
 )
@@ -222,14 +223,15 @@ def _alpha(args: argparse.Namespace) -> dict:
 
 
 # Each prepare(train, args, solver) builds the strategy's model or index once
-# and returns run(query, rng) -> SupportSet. The engines functions are called
+# from what the strategy reads of each train record (see _Strategy.train) and
+# returns run(query, rng) -> SupportSet. The engines functions are called
 # through their module-level names at call time, never stored, so wrappers
 # installed on this module's names (span tracing) see every call.
 
 def _prepare_demogen(train, args, solver):
     if not train:
         raise DataFormatError("demogen needs a train split in the data file")
-    model = fit_instruction_model(ex.instruction for ex in train)
+    model = fit_instruction_model(train)
     return lambda query, rng: demogen_supports(
         query, model, solver, rng, k=args.k, n=args.n, mask_rate=args.mask_rate,
         keep_invalid=not args.replace_invalid)
@@ -263,18 +265,22 @@ def _prepare_other_states(train, args, solver):
 class _Strategy(NamedTuple):
     aliases: tuple[str, ...]
     prepare: Callable  # (train, args, solver) -> run(query, rng) -> SupportSet
+    #: what prepare reads of each train record: "examples", its Example;
+    #: "commands", the Instruction of its command; None, nothing
+    train: str | None = None
     solves: bool = True  # False: run never calls the solver
 
 
 #: The six support strategies by canonical name (the `strategy` of their
 #: support sets and manifests). Names and aliases match case-insensitively.
 STRATEGIES = {
-    "demogen": _Strategy(("dg",), _prepare_demogen),
-    "covr": _Strategy(("cr",), _prepare_covr, solves=False),
-    "gandr": _Strategy(("gr",), _prepare_gandr),
+    "demogen": _Strategy(("dg",), _prepare_demogen, train="commands"),
+    "covr": _Strategy(("cr",), _prepare_covr, train="examples", solves=False),
+    "gandr": _Strategy(("gr",), _prepare_gandr, train="examples"),
     "heuristic": _Strategy((), _prepare_heuristic),
     "random": _Strategy(("rd", "rand-instrs"), _prepare_random),
-    "other_states": _Strategy(("other-states", "os"), _prepare_other_states, solves=False),
+    "other_states": _Strategy(("other-states", "os"), _prepare_other_states,
+                              train="examples", solves=False),
 }
 _STRATEGY_NAMES = {alias: name for name, strategy in STRATEGIES.items()
                    for alias in (name, *strategy.aliases)}
@@ -297,22 +303,14 @@ def cmd_gen_supports(args: argparse.Namespace) -> int:
     if args.solver == "external" and not STRATEGIES[strategy].solves:
         raise DataFormatError(f"--solver external: strategy {strategy} calls no solver")
     # The solver child starts before the data is read, so its interpreter
-    # start-up overlaps the decode. Each support set is written as soon as it
-    # is built, so only one is held at a time.
+    # start-up overlaps the decode. The data file is read in one pass that
+    # decodes only the queries and what the strategy reads of train. Each
+    # support set is written as soon as it is built, so only one is held at
+    # a time.
     out = Path(args.out)
     with (ExternalSolver(solver_cmd, timeout=args.solver_timeout or DEFAULT_SOLVER_TIMEOUT)
           if args.solver == "external" else nullcontext(OracleSolver())) as solver:
-        dataset = import_dataset(args.data)
-        train = dataset.split(Split.TRAIN)
-        queries = [ex for ex in dataset.examples if ex.split in wanted]
-        if args.limit is not None:
-            by_split: dict[Split, int] = {}
-            filtered = []
-            for ex in queries:
-                if by_split.get(ex.split, 0) < args.limit:
-                    by_split[ex.split] = by_split.get(ex.split, 0) + 1
-                    filtered.append(ex)
-            queries = filtered
+        queries, train = read_queries(args.data, wanted, args.limit, STRATEGIES[strategy].train)
         run = STRATEGIES[strategy].prepare(train, args, solver)
         count = write_support_file(out, (
             (query, run(query, np.random.default_rng([args.seed, idx])))
@@ -522,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--splits", type=_parse_split_list, default="all",
                    help="comma list of splits or 'all'")
     p.add_argument("--limit", type=_int_at_least(0), default=None,
-                   help="max queries per split")
+                   metavar="N", help="the first N queries per split, in file order")
     p.add_argument("--n", type=_int_at_least(1), default=DEFAULT_SUPPORT_COUNT)
     p.add_argument("--k", type=_int_at_least(1), default=DEFAULT_SAMPLE_COUNT)
     p.add_argument("--mask-rate", type=_unit_rate, default=DEFAULT_MASK_RATE)

@@ -235,7 +235,7 @@ def generate_example(rng: np.random.Generator, config: DatasetConfig, split: Spl
         state = new_random_state(rng, config.grid_size, n_obj)
         candidates = _candidates(state, want)
         while candidates:
-            idx = int(rng.choice(len(candidates)))
+            idx = int(rng.integers(len(candidates)))  # the same draw as rng.choice
             instr = candidates[idx]
             actions = planner.solve(state, instr)
             if needs_effect and instr.verb != "walk_to" and not any(
@@ -313,6 +313,50 @@ def export_dataset(dataset: Dataset, path: str | Path) -> None:
 
 def import_dataset(path: str | Path) -> Dataset:
     return Dataset(list(_read_jsonl(path, Example.from_record)))
+
+
+def _field_decoder(name: str, cached: Callable) -> Callable[[dict], object]:
+    """The decoder of one field of a dataset record through its schema cache;
+    it reads no other field, and a fault raises DataFormatError naming it."""
+    shape = {name: EXAMPLE[name]}
+
+    def build(record):
+        return cached(record[name])
+    return lambda record: _decode(build, record, shape)
+
+
+_split_field = _field_decoder("split", split_of)
+_command_field = _field_decoder("command", command_of)
+
+
+def read_queries(path: str | Path, splits: Iterable[Split], limit: int | None,
+                 train: str | None) -> tuple[list[Example], list]:
+    """The queries of a dataset file and what a strategy reads of its train
+    records, in one pass.
+
+    The queries are the examples of `splits`, at most the first `limit` of
+    each split in file order. `train` is what to read of each train record:
+    "examples", its whole Example; "commands", the Instruction of its
+    command only; or None, nothing. A train record that is also a query is
+    decoded once. Every other line is parsed and its split checked, and
+    nothing else of it is decoded."""
+    taken = dict.fromkeys(splits, 0)
+    parts: list = []
+
+    def read(record) -> Example | None:
+        split = _split_field(record)
+        query = None
+        if split in taken and (limit is None or taken[split] < limit):
+            taken[split] += 1
+            query = Example.from_record(record)
+        if split is Split.TRAIN and train == "examples":
+            parts.append(query if query is not None else Example.from_record(record))
+        elif split is Split.TRAIN and train == "commands":
+            parts.append(query.instruction if query is not None else _command_field(record))
+        return query
+
+    queries = [query for query in _read_jsonl(path, read) if query is not None]
+    return queries, parts
 
 
 def _plain(value):

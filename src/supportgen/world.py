@@ -215,6 +215,15 @@ _ATTRIBUTE_LOW = [0, 0, 1]
 _ATTRIBUTE_HIGH = [len(SHAPES), len(COLORS), SIZES[-1] + 1]
 
 
+@functools.cache
+def _attribute_bounds(object_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int64 low and high bounds of the attribute draw of
+    `object_count` objects, built once per count: the draw equals one from
+    the bounds as lists."""
+    return (np.array(_ATTRIBUTE_LOW * object_count, dtype=np.int64),
+            np.array(_ATTRIBUTE_HIGH * object_count, dtype=np.int64))
+
+
 def new_random_state(rng: RngLike, grid_size: int = 6, object_count: int = 3) -> WorldState:
     """Sample a uniform random state. The agent cell is reserved: objects never
     spawn under the agent, hence the grid_size**2 - 1 capacity bound.
@@ -236,8 +245,7 @@ def new_random_state(rng: RngLike, grid_size: int = 6, object_count: int = 3) ->
     objects = []
     if object_count:
         chosen = gen.choice(cells - 1, size=object_count, replace=False).tolist()
-        values = gen.integers(_ATTRIBUTE_LOW * object_count,
-                              _ATTRIBUTE_HIGH * object_count).tolist()
+        values = gen.integers(*_attribute_bounds(object_count)).tolist()
         # index c of the cells other than the agent's is cell c + (c >= agent_cell);
         # ascending indices give the objects in the (y, x) order of WorldState
         for c, i in sorted(zip(chosen, range(0, 3 * object_count, 3))):

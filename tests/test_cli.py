@@ -741,6 +741,122 @@ class TestGenSupports:
         assert digests(external) == digests(oracle)
 
 
+def rewrite_lines(data_file: Path, out: Path, change) -> Path:
+    """`data_file` with each record replaced by `change(index, record)`,
+    written to `out`."""
+    records = [json.loads(line) for line in data_file.read_text().splitlines()]
+    out.write_text("".join(json.dumps(change(idx, rec)) + "\n"
+                           for idx, rec in enumerate(records)))
+    return out
+
+
+def off_grid_train(idx: int, record: dict) -> dict:
+    """Train records from line 5 on with their first object off the grid."""
+    if record["split"] == "train" and idx >= 4:
+        record["objects"][0]["x"] = record["grid_size"]
+    return record
+
+
+class TestReadContract:
+    """gen-supports decodes the queries and what its strategy reads of the
+    train records; every other line is only parsed and its split checked."""
+
+    #: Each command of a strategy that reads no train state, and its bytes on
+    #: the clean file (digests taken before the pass read records lazily).
+    LAZY = {
+        "random": (["--splits", "h", "--limit", "4"],
+                   "2a60bd579b74f2e918e1bc73b866027ebf3b67bf2b5649a910af23908e66b1b5"),
+        "heuristic": (["--splits", "h"],
+                      "6bfc37d8b94c4be36c986a6918f5aee1a8bfe41408aad0c76b76b917150d9072"),
+        "demogen": (["--splits", "h", "--limit", "2", "--k", "64"],
+                    "a05277ca2237600f888c4695c02833767f33ecde1c5603a14a47d6d58394b20c"),
+    }
+
+    @pytest.mark.pins
+    @pytest.mark.parametrize("strategy", LAZY)
+    def test_unread_train_states_are_not_decoded(self, data_file, tmp_path, strategy):
+        flags, digest = self.LAZY[strategy]
+        bad = rewrite_lines(data_file, tmp_path / "bad.jsonl", off_grid_train)
+        for data, out in ((data_file, tmp_path / "clean.jsonl"), (bad, tmp_path / "out.jsonl")):
+            assert run(["gen-supports", "--data", str(data), "--strategy", strategy,
+                        "--seed", "3", *flags, "--out", str(out)]) == EXIT_OK
+            assert digests(out) == digest
+
+    @pytest.mark.parametrize("strategy, flags", [
+        ("covr", ["--cells", "16"]), ("gandr", ["--cells", "16"]), ("other_states", []),
+        ("heuristic", []),
+    ], ids=["covr", "gandr", "other_states", "heuristic-all-splits"])
+    def test_read_train_states_are_checked(self, data_file, tmp_path, capsys, strategy, flags):
+        """Strategies that read train states fail on the first bad one, as
+        does any strategy over the default `--splits all`."""
+        bad = rewrite_lines(data_file, tmp_path / "bad.jsonl", off_grid_train)
+        splits = [] if strategy == "heuristic" else ["--splits", "h"]
+        out = tmp_path / "out.jsonl"
+        capsys.readouterr()
+        assert run(["gen-supports", "--data", str(bad), "--strategy", strategy, "--seed", "3",
+                    *splits, *flags, "--out", str(out)]) == EXIT_DATA
+        assert ("error: line 5: field `objects[0].x`: expected an integer in 0..5, got 6"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    @pytest.mark.pins
+    def test_train_commands_are_checked_by_demogen_only(self, data_file, tmp_path, capsys):
+        def bad_command(idx: int, record: dict) -> dict:
+            if idx == 6:
+                record["command"] = "fly,to,a,circle"
+            return record
+
+        bad = rewrite_lines(data_file, tmp_path / "bad.jsonl", bad_command)
+        flags, digest = self.LAZY["random"]
+        out = tmp_path / "random.jsonl"
+        assert run(["gen-supports", "--data", str(bad), "--strategy", "random", "--seed", "3",
+                    *flags, "--out", str(out)]) == EXIT_OK
+        assert digests(out) == digest
+        flags, _ = self.LAZY["demogen"]
+        capsys.readouterr()
+        assert run(["gen-supports", "--data", str(bad), "--strategy", "demogen", "--seed", "3",
+                    *flags, "--out", str(tmp_path / "demogen.jsonl")]) == EXIT_DATA
+        assert "error: line 7: field `command`:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("split, reason", [
+        ("zz", "field `split`: expected one of"), (None, "field `split`: missing"),
+        (3, "field `split`: expected a string, got 3"),
+    ], ids=["unknown", "missing", "number"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_every_split_is_checked(self, data_file, tmp_path, capsys, strategy, split, reason):
+        """A line outside the queried splits and train still needs a valid
+        split, whatever the strategy reads."""
+        def bad_split(idx: int, record: dict) -> dict:
+            if idx == 125:  # a record of split a
+                if split is None:
+                    del record["split"]
+                else:
+                    record["split"] = split
+            return record
+
+        bad = rewrite_lines(data_file, tmp_path / "bad.jsonl", bad_split)
+        capsys.readouterr()
+        assert run(["gen-supports", "--data", str(bad), "--strategy", strategy, "--seed", "3",
+                    "--splits", "h", "--limit", "1", "--k", "64", "--cells", "16",
+                    "--out", str(tmp_path / "out.jsonl")]) == EXIT_DATA
+        assert f"error: line 126: {reason}" in capsys.readouterr().err
+
+    def test_limit_takes_the_first_queries_per_split_in_file_order(self, data_file, tmp_path):
+        """On a file whose c and h records alternate, the h ones in reverse,
+        `--limit 3` takes the first three of each in that order."""
+        lines = data_file.read_text().splitlines()
+        tests = [line for line in lines if json.loads(line)["split"] in ("c", "h")]
+        mixed = [line for pair in zip(tests[:10], tests[:9:-1]) for line in pair]
+        data = tmp_path / "mixed.jsonl"
+        data.write_text("\n".join(lines[:120] + mixed) + "\n")
+        out = tmp_path / "out.jsonl"
+        assert run(["gen-supports", "--data", str(data), "--strategy", "heuristic",
+                    "--seed", "3", "--splits", "h,c", "--limit", "3",
+                    "--out", str(out)]) == EXIT_OK
+        queries = [json.loads(line)["query"] for line in out.read_text().splitlines()]
+        assert queries == [json.loads(line) for line in mixed[:6]]
+
+
 @pytest.mark.pins
 class TestOneExampleTrainSplit:
     """With one training example, every tf-idf row, the output rows and the

@@ -23,6 +23,7 @@ from supportgen.dataset import (
     generate_example,
     import_dataset,
     import_external_record,
+    read_queries,
 )
 from supportgen.errors import DataFormatError, GenerationError, UnresolvableError
 from supportgen.grammar import (
@@ -260,6 +261,69 @@ class TestExportImport:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(DataFormatError, match=rf"^line 2: field `{re.escape(field)}`: "):
             import_dataset(path)
+
+
+class TestReadQueries:
+    @pytest.fixture
+    def path(self, small_dataset, tmp_path):
+        path = tmp_path / "data.jsonl"
+        export_dataset(small_dataset, path)
+        return path
+
+    @pytest.mark.parametrize("limit", [None, 0, 2, 100])
+    def test_queries_are_the_first_of_each_split(self, small_dataset, path, limit):
+        queries, train = read_queries(path, [Split.H, Split.TRAIN, Split.C], limit, None)
+        position = {id(ex): idx for idx, ex in enumerate(small_dataset.examples)}
+        firsts = [ex for split in (Split.TRAIN, Split.C, Split.H)
+                  for ex in small_dataset.split(split)[:limit]]
+        expected = sorted(firsts, key=lambda ex: position[id(ex)])
+        assert queries == expected
+        assert train == []
+
+    def test_train_examples_and_commands(self, small_dataset, path):
+        train = small_dataset.split(Split.TRAIN)
+        _, examples = read_queries(path, [Split.H], None, "examples")
+        _, commands = read_queries(path, [Split.H], None, "commands")
+        assert examples == train
+        assert commands == [ex.instruction for ex in train]
+
+    def test_train_record_that_is_a_query_is_decoded_once(self, path):
+        queries, examples = read_queries(path, [Split.TRAIN], 5, "examples")
+        assert all(ex is query for ex, query in zip(examples, queries))
+        queries, commands = read_queries(path, [Split.TRAIN], 5, "commands")
+        assert all(cmd is query.instruction for cmd, query in zip(commands, queries))
+
+    @pytest.mark.parametrize("train, fails", [(None, False), ("commands", True),
+                                              ("examples", True)])
+    def test_a_train_field_fails_only_the_reads_that_need_it(self, tmp_path, train, fails):
+        """A bad state fails only a read of train examples, a bad command a
+        read of commands or examples; the line of a query always fails."""
+        bad_state = {**TestExportImport.GOOD, "agent": {"x": 6, "y": 0, "d": 1}}
+        bad_command = {**TestExportImport.GOOD, "command": "walk,to,a,dragon"}
+        for record, field, needed in ((bad_state, "agent.x", train == "examples"),
+                                      (bad_command, "command", fails)):
+            path = tmp_path / "data.jsonl"
+            path.write_text(json.dumps(TestExportImport.GOOD) + "\n" + json.dumps(record) + "\n")
+            if needed:
+                with pytest.raises(DataFormatError, match=rf"^line 2: field `{field}`: "):
+                    read_queries(path, [Split.H], None, train)
+            else:
+                assert read_queries(path, [Split.H], None, train)[0] == []
+            with pytest.raises(DataFormatError, match=rf"^line 2: field `{field}`: "):
+                read_queries(path, [Split.TRAIN], None, train)
+
+    @pytest.mark.parametrize("line, reason", [
+        ("[]", "expected an object, got []"),
+        ('{"split": "z"}', "field `split`: expected one of"),
+        ("{}", "field `split`: missing"),
+        ("not json", "Expecting value"),
+    ])
+    def test_every_line_is_parsed_and_its_split_checked(self, path, line, reason):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(line + "\n")
+        lineno = len(path.read_text().splitlines())
+        with pytest.raises(DataFormatError, match=rf"^line {lineno}: {re.escape(reason)}"):
+            read_queries(path, [Split.H], 1, None)
 
 
 class TestExternalImport:
